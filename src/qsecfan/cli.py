@@ -161,7 +161,7 @@ def _plot_polytope(cal: Calibration, b) -> str:
     verts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
     xs = [x for x, _ in verts]
     ys = [y for _, y in verts]
-    pad = max(xs[-1] - xs[0], 1e-9) if False else 0.2 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
+    pad = 0.2 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
     cv = SvgCanvas(min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
     cv.polygon(verts)
     return cv.render()

@@ -2,7 +2,8 @@
 
 A fan stores its maximal cones as 1-based generator index subsets; all
 geometry (containment, faces, convexity) is recomputed from the
-calibration columns on demand through exact feasibility tests.
+calibration columns on demand, through exact feasibility tests or the
+facts the calibration caches (normal fans come from its basis inverses).
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from .linalg import (
     normalize_direction,
     rank,
     solve,
-    solve_unique,
     vec,
     vscale,
+    vsub,
     integer_kernel_rank,
 )
-from .polytope import HPolytope
+from .polytope import HPolytope, vertices_of
 from .scalar import S0, S1, Scalar
 
 IndexSet = frozenset
@@ -82,11 +83,13 @@ def is_face(cal: Calibration, J, sigma) -> bool:
 
 
 def faces_of(cal: Calibration, sigma) -> list[IndexSet]:
+    """Every face of sigma; each subset when the generators are independent."""
     sigma = frozenset(sigma)
+    simplicial = cone_dim(cal, sigma) == len(sigma)
     out = []
     for r in range(len(sigma) + 1):
         for J in combinations(sorted(sigma), r):
-            if is_face(cal, J, sigma):
+            if simplicial or is_face(cal, J, sigma):
                 out.append(frozenset(J))
     return out
 
@@ -237,25 +240,36 @@ class QuantumFan:
                    frozenset(data.get("virtual", [])), bool(data.get("complete", True)))
 
 
+def _affine_dim(points: Sequence[Vec]) -> int:
+    """Dimension of the affine hull of the points, -1 for none."""
+    if len(points) < 2:
+        return len(points) - 1
+    return rank(Matrix([vsub(p, points[0]) for p in points[1:]]))
+
+
 def normal_fan(cal: Calibration, b: Sequence) -> QuantumFan:
     """The normal fan of P_b with its virtual generator set.
 
     One maximal cone per vertex, generated by the facet-cutting tight
     constraints; generators whose face has dimension below d-1 (or is
-    empty) become virtual.
+    empty) become virtual.  When the columns positively span R^d, P_b is
+    the convex hull of its vertices, so the dimension of P_b and of each
+    face is the affine dimension of the vertices on it.
     """
     P = HPolytope.from_parameter(cal, b)
     d = cal.d
-    fdims = [P.facet_dim(i) for i in range(cal.n)]
-    if P.dimension() != d:
-        raise NotAdmissibleError("P_b is empty or lower-dimensional")
-    if not P.is_bounded():
+    if not cal.positively_spanning:
+        # no P_b is bounded; an empty or thin one is reported as such first
+        if P.dimension() != d:
+            raise NotAdmissibleError("P_b is empty or lower-dimensional")
         raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")
-    facet_set = {i for i in range(cal.n) if fdims[i] == d - 1}
-    virtual = frozenset(i + 1 for i in range(cal.n) if fdims[i] < d - 1)
-    cones = set()
-    for _, tight in P.vertices():
-        cones.add(frozenset(i + 1 for i in tight & facet_set))
+    verts = vertices_of(cal, P.offsets)
+    if _affine_dim([v for v, _ in verts]) != d:
+        raise NotAdmissibleError("P_b is empty or lower-dimensional")
+    facet_set = {i for i in range(cal.n)
+                 if _affine_dim([v for v, tight in verts if i in tight]) == d - 1}
+    virtual = frozenset(i + 1 for i in range(cal.n) if i not in facet_set)
+    cones = {frozenset(i + 1 for i in tight & facet_set) for _, tight in verts}
     return QuantumFan(cal, tuple(cones), virtual, complete=True)
 
 
@@ -653,16 +667,3 @@ def _tiles_circle(cal: Calibration, f: QuantumFan) -> bool:
         if cur == start:
             return steps == len(sectors)
     return False
-
-
-def d_admissible(cal: Calibration, t: CombinatorialType) -> dict:
-    """Two readings of type-admissibility: strong convexity of every member
-    cone, and existence of a valid fan realizing the whole type."""
-    weak = all(cone_is_strongly_convex(cal, s) for s in t.poset)
-    full = False
-    if weak:
-        f = QuantumFan(cal, tuple(t.maximal_sets()),
-                       frozenset(range(1, cal.n + 1)) - t.ground, complete=False)
-        checks = validate_fan(f)
-        full = all(checks.values()) and combinatorial_type(f).poset == t.poset
-    return {"strongly_convex_only": weak, "fan_exists": full}

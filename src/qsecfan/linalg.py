@@ -8,9 +8,12 @@ variables increasingly, so repeated calls give identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from itertools import combinations
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import DimensionMismatchError, InvalidCalibrationError
+from .errors import DimensionMismatchError, InvalidCalibrationError, UnsupportedDimensionError
 from .scalar import S0, S1, Scalar, common_field
 
 Vec = tuple[Scalar, ...]
@@ -205,6 +208,16 @@ def solve_unique(M: Matrix, rhs: Sequence[Scalar]) -> Optional[Vec]:
     return res[0]
 
 
+def inverse(M: Matrix) -> Optional[Matrix]:
+    """The inverse of a square matrix, or None when it is singular."""
+    n = M.nrows
+    eye = Matrix.identity(n)
+    R, pivots = rref(Matrix([r + e for r, e in zip(M.rows, eye.rows)]))
+    if pivots != tuple(range(n)):
+        return None
+    return Matrix([r[n:] for r in R.rows])
+
+
 def split_radical(M: Matrix) -> tuple[Matrix, Matrix, Optional[int]]:
     """Write M = A + B*sqrt(m) with rational A, B."""
     m = None
@@ -284,6 +297,107 @@ class Calibration:
         eye = Matrix.identity(self.d)
         return all(self.column(i + 1) == eye.column(i) for i in range(self.d))
 
+    # -- facts fixed by the calibration ------------------------------------
+    # Each is computed on first use and kept in the instance __dict__ by
+    # cached_property, outside the dataclass fields, so it takes no part in
+    # ==, hash, repr or to_json.  Every one has a size fixed by (n, d);
+    # nothing that grows with the queries is kept here.
+
+    @cached_property
+    def gale(self) -> Matrix:
+        """The Gale transform k; see gale_transform."""
+        return Matrix.from_columns(kernel_basis(self.matrix()), nrows=self.n)
+
+    @cached_property
+    def gale_t(self) -> Matrix:
+        """k^T, the map b -> chi."""
+        return self.gale.transpose()
+
+    @cached_property
+    def preimage(self) -> Matrix:
+        """P = k (k^T k)^{-1}; see preimage_matrix."""
+        gram_inv = inverse(self.gale_t * self.gale)
+        if gram_inv is None:
+            raise DimensionMismatchError("Gale transform is rank-deficient")
+        return self.gale * gram_inv
+
+    @cached_property
+    def preimage_t(self) -> Matrix:
+        """P^T, a left inverse of k: P^T k = 1."""
+        return self.preimage.transpose()
+
+    @cached_property
+    def gale_facet_normals(self) -> tuple:
+        """Inward facet normals of the Gale cone, sorted, for n-d <= 3.
+
+        Every facet contains n-d-1 independent Gale rows, so candidates are
+        kernel directions of (n-d-1)-subsets, kept when all rows land on
+        one side.
+        """
+        m = self.n - self.d
+        if m == 0:
+            return ()
+        if m > 3:
+            raise UnsupportedDimensionError("facet enumeration implemented for n-d <= 3")
+        gens = self.gale.rows
+        normals = set()
+        for sub in combinations(gens, m - 1):
+            kern = kernel_basis(Matrix(sub)) if sub else \
+                [tuple([S1])]  # m == 1: the only direction
+            if len(kern) != 1:
+                continue
+            w = kern[0]
+            signs = {dot(w, g).sign() for g in gens}
+            if 1 in signs and -1 in signs:
+                continue
+            if -1 in signs:
+                w = vscale(-1, w)
+            normals.add(normalize_direction(w))
+        return tuple(sorted(normals))
+
+    @cached_property
+    def wall_normals(self) -> tuple:
+        """One normal per hyperplane spanned by n-d-1 Gale rows.
+
+        Every wall of the secondary fan, and every cone on fewer than n-d
+        Gale rows, lies in one of these hyperplanes.  Empty when n-d <= 1.
+        """
+        m = self.n - self.d
+        if m <= 1:
+            return ()
+        normals, seen = [], set()
+        for sub in combinations(self.gale.rows, m - 1):
+            kern = kernel_basis(Matrix(sub))
+            if len(kern) != 1:
+                continue
+            w = normalize_direction(kern[0])
+            if w not in seen:
+                seen.add(w)
+                normals.append(w)
+        return tuple(normals)
+
+    @cached_property
+    def positively_spanning(self) -> bool:
+        """The columns positively span R^d: the recession cone
+        {x : <x, h(e_i)> >= 0} of every P_b is {0}."""
+        from .polytope import HPolytope
+
+        return HPolytope(self.d, self.columns, (S0,) * self.n).is_bounded()
+
+    @cached_property
+    def basis_inverses(self) -> Mapping[tuple[int, ...], Matrix]:
+        """M_J^{-1} for every 0-based d-subset J (in lexicographic order)
+        whose columns are independent, where M_J has rows h(e_j), j in J.
+
+        The vertex of P_b where J is tight is M_J^{-1} (-b_J).
+        """
+        out = {}
+        for J in combinations(range(self.n), self.d):
+            inv = inverse(Matrix([self.columns[j] for j in J]))
+            if inv is not None:
+                out[J] = inv
+        return MappingProxyType(out)
+
     def with_columns(self, columns) -> "Calibration":
         return Calibration(self.d, self.n, tuple(vec(c) for c in columns), self.virtual)
 
@@ -309,38 +423,25 @@ def gale_transform(c: Calibration) -> Matrix:
     Deterministic: reduced echelon form with leftmost pivots, free
     variables in increasing order.
     """
-    basis = kernel_basis(c.matrix())
-    return Matrix.from_columns(basis, nrows=c.n)
+    return c.gale
 
 
 def gale_rows(c: Calibration) -> list[Vec]:
     """The vectors k^T(e_1), ..., k^T(e_n) in R^(n-d)."""
-    k = gale_transform(c)
-    return list(k.rows)
+    return list(c.gale.rows)
 
 
 def preimage_matrix(c: Calibration) -> Matrix:
     """The n x (n-d) map chi -> b = k (k^T k)^{-1} chi (minimum-norm preimage)."""
-    k = gale_transform(c)
-    gram = k.transpose() * k
-    m = gram.nrows
-    inv_cols = []
-    for j in range(m):
-        e = [S1 if i == j else S0 for i in range(m)]
-        col = solve_unique(gram, e)
-        if col is None:
-            raise DimensionMismatchError("Gale transform is rank-deficient")
-        inv_cols.append(col)
-    return k * Matrix.from_columns(inv_cols, nrows=m)
+    return c.preimage
 
 
 def preimage_of_chi(c: Calibration, chi: Sequence[Scalar]) -> Vec:
     """Minimum-norm b with k^T b = chi, namely b = k (k^T k)^{-1} chi."""
-    b = preimage_matrix(c).matvec(vec(chi))
     if len(chi) != c.n - c.d:
         raise DimensionMismatchError("chi has wrong length for this calibration")
-    return b
+    return c.preimage.matvec(vec(chi))
 
 
 def chi_of_b(c: Calibration, b: Sequence[Scalar]) -> Vec:
-    return gale_transform(c).transpose().matvec(vec(b))
+    return c.gale_t.matvec(vec(b))

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import lp
 from .errors import DimensionMismatchError
 from .linalg import Matrix, Vec, dot, rank, solve_unique, vec
-from .scalar import S1, Scalar
+from .scalar import Scalar
 
 
 @dataclass(frozen=True)
@@ -173,31 +173,36 @@ def virtual_indices(calibration, b: Sequence) -> frozenset[int]:
     return frozenset(i + 1 for i in range(calibration.n) if P.facet_dim(i) < d - 1)
 
 
+def vertices_of(calibration, b: Sequence) -> list[tuple[Vec, frozenset[int]]]:
+    """HPolytope.from_parameter(calibration, b).vertices(), solved with the
+    calibration's cached basis inverses instead of one elimination per
+    d-subset."""
+    bb = vec(b)
+    cols = calibration.columns
+    seen: dict[Vec, frozenset[int]] = {}
+    for J, Minv in calibration.basis_inverses.items():
+        x = Minv.matvec([-bb[j] for j in J])
+        if x in seen:
+            continue
+        slack = [dot(nr, x) + o for nr, o in zip(cols, bb)]
+        if all(s.sign() >= 0 for s in slack):
+            seen[x] = frozenset(i for i, s in enumerate(slack) if s.is_zero())
+    return sorted(seen.items())
+
+
 class VertexOracle:
     """Fast repeated vertex-combinatorics queries for one calibration.
 
-    The inverse of every invertible d-subset of constraint normals is
-    precomputed once; classifying a parameter b then costs one small
-    matrix-vector product per subset plus feasibility dot products.
-    Intended for generic b, where the tight d-subsets are exactly the
-    maximal cones of the normal fan.
+    Classifying a parameter b costs one small matrix-vector product per
+    invertible d-subset of constraint normals (their inverses are cached
+    on the calibration) plus feasibility dot products.  Intended for
+    generic b, where the tight d-subsets are exactly the maximal cones of
+    the normal fan.
     """
 
     def __init__(self, calibration):
         self.calibration = calibration
-        d, n = calibration.d, calibration.n
-        self.subsets = []
-        for J in combinations(range(n), d):
-            M = Matrix([calibration.columns[j] for j in J])
-            cols = []
-            for r in range(d):
-                e = [S1 if i == r else Scalar(0) for i in range(d)]
-                col = solve_unique(M, e)
-                if col is None:
-                    break
-                cols.append(col)
-            else:
-                self.subsets.append((J, Matrix.from_columns(cols, nrows=d)))
+        self.subsets = tuple(calibration.basis_inverses.items())
 
     def comb_key(self, b: Sequence) -> frozenset:
         """The set of 1-based tight d-subsets that are vertices of P_b."""
@@ -216,16 +221,3 @@ class VertexOracle:
             if ok:
                 out.append(frozenset(j + 1 for j in J))
         return frozenset(out)
-
-
-def cone_is_pointed(generators: Sequence[Vec], d: int) -> bool:
-    """No nonzero nonnegative combination of the generators vanishes."""
-    if not generators:
-        return True
-    n = len(generators)
-    # lambda >= 0, sum lambda = 1, sum lambda_i g_i = 0 feasible <=> not pointed
-    cons = [lp.ge([S1 if j == i else 0 for j in range(n)], 0) for i in range(n)]
-    cons.append(lp.eq([1] * n, -1))
-    for coord in range(d):
-        cons.append(lp.eq([g[coord] for g in generators], 0))
-    return not lp.feasible(cons, n)

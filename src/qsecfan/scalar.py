@@ -290,7 +290,3 @@ def _reduced(p: int, q: int, den: int, m: int | None) -> Scalar:
 S0 = Scalar(0)
 S1 = Scalar(1)
 
-
-def canon(x) -> Scalar:
-    """Coerce to Scalar; the constructor already canonicalizes."""
-    return Scalar.coerce(x)

@@ -36,14 +36,10 @@ from .linalg import (
     Vec,
     dot,
     gale_rows,
-    gale_transform,
     is_zero_vec,
     kernel_basis,
     normalize_direction,
     preimage_matrix,
-    rank,
-    solve,
-    solve_unique,
     vadd,
     vec,
     vscale,
@@ -91,37 +87,8 @@ class GaleCone:
         }
 
 
-def _facet_normals(gens: Sequence[Vec], m: int) -> tuple:
-    """Facet normals of a full-dimensional Cone(gens) in R^m, m <= 3.
-
-    Every facet contains m-1 independent generators, so candidates are
-    kernel directions of (m-1)-subsets, kept when all generators land on
-    one side.
-    """
-    if m == 0:
-        return ()
-    if m > 3:
-        raise UnsupportedDimensionError("facet enumeration implemented for n-d <= 3")
-    normals = set()
-    for sub in combinations(gens, m - 1):
-        kern = kernel_basis(Matrix(sub)) if sub else \
-            [tuple([S1])]  # m == 1: the only direction
-        if len(kern) != 1:
-            continue
-        w = kern[0]
-        signs = {dot(w, g).sign() for g in gens}
-        if 1 in signs and -1 in signs:
-            continue
-        if -1 in signs:
-            w = vscale(-1, w)
-        normals.add(normalize_direction(w))
-    return tuple(sorted(normals))
-
-
 def gale_cone(cal: Calibration) -> GaleCone:
-    gens = tuple(gale_rows(cal))
-    m = cal.n - cal.d
-    return GaleCone(cal, gens, _facet_normals(gens, m))
+    return GaleCone(cal, cal.gale.rows, cal.gale_facet_normals)
 
 
 def is_admissible(cal: Calibration, chi: Sequence) -> bool:
@@ -153,7 +120,18 @@ def degenerate_span_witnesses(cal: Calibration, chi: Sequence) -> list[Vec]:
 
 
 def is_generic(cal: Calibration, chi: Sequence) -> bool:
-    return not degenerate_span_witnesses(cal, chi)
+    """chi lies on no cone spanned by fewer than n-d Gale rows.
+
+    Such a cone lies in a hyperplane spanned by n-d-1 Gale rows, since the
+    rows span R^(n-d); so a nonzero sign against every wall normal proves
+    genericity.  A zero sign (or n-d <= 1, where there are no walls) is
+    settled by the exact scan of degenerate_span_witnesses.
+    """
+    cc = vec(chi)
+    normals = cal.wall_normals
+    if normals and all(not dot(w, cc).is_zero() for w in normals):
+        return True
+    return not degenerate_span_witnesses(cal, cc)
 
 
 @dataclass(frozen=True)
@@ -236,33 +214,31 @@ class Chamber:
         }
 
 
-def _support_form(cal: Calibration, sigma) -> tuple[list[int], Matrix]:
-    """For sorted sigma, the matrix A with rows h(e_k); the vertex dual to
-    sigma solves A x = -b_sigma, making every wall inequality linear in b."""
-    idx = sorted(sigma)
-    return idx, Matrix([cal.column(i) for i in idx])
-
-
 def _b_space_inequality(cal: Calibration, sigma, j: int) -> Vec:
-    """Coefficients c with c . b = <x_sigma(b), h(e_j)> + b_j."""
-    idx, A = _support_form(cal, sigma)
-    y = solve_unique(A.transpose(), cal.column(j))
-    if y is None:
+    """Coefficients c with c . b = <x_sigma(b), h(e_j)> + b_j.
+
+    The vertex dual to sigma is x = -M^{-1} b_sigma, where M has rows
+    h(e_k), k in sigma; so <x, h(e_j)> = -y . b_sigma with y = M^{-T} h(e_j).
+    """
+    idx = sorted(sigma)
+    Minv = cal.basis_inverses.get(tuple(i - 1 for i in idx))
+    if Minv is None:
         raise NotAdmissibleError("maximal cone does not span R^d")
+    hj = cal.column(j)
     c = [S0] * cal.n
-    c[j - 1] = c[j - 1] + S1
+    c[j - 1] = S1
     for k_pos, k_idx in enumerate(idx):
-        c[k_idx - 1] = c[k_idx - 1] - y[k_pos]
+        c[k_idx - 1] = c[k_idx - 1] - dot(Minv.column(k_pos), hj)
     return tuple(c)
 
 
 def _to_chi_space(cal: Calibration, c_b: Vec) -> Vec:
-    """Rewrite c . b as z . chi; consistency certifies ker(k^T)-invariance."""
-    k = gale_transform(cal)
-    res = solve(k, c_b)
-    if res is None or res[1]:
+    """Rewrite c . b as z . chi, where z = P^T c_b; k z == c_b certifies
+    that c . b is invariant under ker(k^T)."""
+    z = cal.preimage_t.matvec(c_b)
+    if cal.gale.matvec(z) != c_b:
         raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
-    return res[0]
+    return z
 
 
 def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
@@ -270,9 +246,9 @@ def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
     cc = vec(chi)
     if not is_admissible(cal, cc):
         raise NotAdmissibleError("chi is not interior to the Gale cone")
-    witnesses = degenerate_span_witnesses(cal, cc)
-    if witnesses:
-        raise OnWallError("chi lies on a degenerate-span cone", witnesses)
+    if not is_generic(cal, cc):
+        raise OnWallError("chi lies on a degenerate-span cone",
+                          degenerate_span_witnesses(cal, cc))
     b = preimage_matrix(cal).matvec(cc)
     f = normal_fan(cal, b)
     ineqs = []
@@ -303,14 +279,16 @@ def _generic_interior_point(cal: Calibration) -> Vec:
     deterministically until generic."""
     rows = gale_rows(cal)
     m = cal.n - cal.d
-    for attempt in range(200):
+    attempts = 200
+    for attempt in range(attempts):
         chi = tuple([S0] * m)
         for i, g in enumerate(rows):
             w = Scalar(Rational(97 + 13 * (i + 1) + attempt * (i + 2) ** 2, 97))
             chi = vadd(chi, vscale(w, g))
         if is_admissible(cal, chi) and is_generic(cal, chi):
             return chi
-    raise NotAdmissibleError("no generic interior point found")
+    raise NotAdmissibleError(
+        f"no generic interior point found in {attempts} attempts")
 
 
 @dataclass
@@ -332,20 +310,28 @@ class SecondaryFan:
 def _step_beyond(cal: Calibration, ch: Chamber, facet: FacetRecord):
     """A chamber just across the facet, found by walking a shrinking step
     against the facet normal and verifying adjacency."""
+    halvings = 120
+    not_generic = same = overshoot = 0
     eps = S1
-    for _ in range(120):
+    for _ in range(halvings):
         cand = vsub(facet.point, vscale(eps, facet.normal))
         eps = eps / Scalar(2)
         if not is_admissible(cal, cand) or not is_generic(cal, cand):
+            not_generic += 1
             continue
         nch = chamber_of(cal, cand)
         if nch.key == ch.key:
+            same += 1
             continue
         # the facet point must lie on the neighbor's closure, otherwise the
         # step overshot into a further chamber
         if nch.contains(facet.point, strict=False):
             return nch
-    raise DegeneratePathError("could not step across a chamber facet")
+        overshoot += 1
+    raise DegeneratePathError(
+        f"could not step across the chamber facet with normal {facet.normal!r}: "
+        f"{halvings} steps rejected ({not_generic} not admissible or not generic, "
+        f"{same} in the same chamber, {overshoot} overshot)")
 
 
 def enumerate_chambers(cal: Calibration) -> SecondaryFan:
@@ -461,7 +447,7 @@ class AffinePath:
     def chi(self, cal: Calibration, t) -> Vec:
         t = Scalar.coerce(t)
         b = vadd(self.beta, vscale(t, self.alpha))
-        return gale_transform(cal).transpose().matvec(b)
+        return cal.gale_t.matvec(b)
 
     def to_json(self) -> dict:
         return {"beta": [x.to_json() for x in self.beta],

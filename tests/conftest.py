@@ -157,3 +157,18 @@ def random_instance(rng, d, n, irrational=False):
     if chi is None:
         return None
     return cal, chi, preimage_of_chi(cal, chi)
+
+
+@pytest.fixture(scope="session")
+def instance_pool():
+    """200 random bounded admissible instances, d in {2,3}, n <= 8,
+    rational and sqrt(2) entries mixed, each with a generic parameter."""
+    rng = random.Random(20240817)
+    pool = []
+    while len(pool) < 200:
+        d = rng.choice([2, 3])
+        n = rng.randint(d + 2, 8)
+        inst = random_instance(rng, d, n, irrational=rng.random() < 0.5)
+        if inst is not None:
+            pool.append(inst)
+    return pool

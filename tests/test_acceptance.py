@@ -58,27 +58,11 @@ from conftest import (
     census_classes,
     random_calibration,
     random_generic_chi,
-    random_instance,
 )
 
 S = Scalar.coerce
 S0 = Scalar(0)
 S1 = Scalar(1)
-
-
-@pytest.fixture(scope="module")
-def instance_pool():
-    """200 random bounded admissible instances, d in {2,3}, n <= 8,
-    rational and sqrt(2) entries mixed, each with a generic parameter."""
-    rng = random.Random(20240817)
-    pool = []
-    while len(pool) < 200:
-        d = rng.choice([2, 3])
-        n = rng.randint(d + 2, 8)
-        inst = random_instance(rng, d, n, irrational=rng.random() < 0.5)
-        if inst is not None:
-            pool.append(inst)
-    return pool
 
 
 def relative_interior_tight_facets(P, T):

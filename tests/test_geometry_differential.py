@@ -1,0 +1,222 @@
+"""The vertex-based normal fan and the sign-test genericity against their
+Fourier-Motzkin and LP-only references, and the facts a Calibration
+caches for them."""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from qsecfan import (
+    Calibration,
+    DimensionMismatchError,
+    NotAdmissibleError,
+    OnWallError,
+    Rational,
+    Scalar,
+    chamber_of,
+    is_admissible,
+    is_generic,
+    normal_fan,
+)
+from qsecfan.fan import faces_of, is_face
+from qsecfan.linalg import Matrix, dot, gale_rows, vadd, vec, vscale
+
+from conftest import cal_of, random_generic_chi
+from reference_geometry import degenerate_span_witnesses_lp, is_generic_lp, normal_fan_fm
+
+S = Scalar.coerce
+
+
+def fan_or_error(fn, cal, b):
+    """A comparable summary of a normal fan, or of the error raised."""
+    try:
+        f = fn(cal, b)
+    except (NotAdmissibleError, DimensionMismatchError) as exc:
+        return type(exc).__name__, str(exc)
+    return f.max_cones, f.virtual, f.complete
+
+
+def assert_same_fan(cal, b):
+    got = fan_or_error(normal_fan, cal, b)
+    assert got == fan_or_error(normal_fan_fm, cal, b)
+    return got
+
+
+@pytest.fixture(scope="module")
+def references(qex, qex_t1, p2, fig5, frustum, exc4):
+    return [qex, qex_t1, p2, fig5, frustum, exc4]
+
+
+def test_normal_fan_matches_fm_on_reference_instances(references):
+    rng = random.Random(31)
+    kinds = set()
+    for cal in references:
+        params = [vec([1] * cal.n), vec([0] * cal.n)]
+        params += [vec([rng.randint(-3, 3) for _ in range(cal.n)]) for _ in range(30)]
+        params += [vec([Rational(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cal.n)])
+                   for _ in range(10)]
+        for b in params:
+            kinds.add(assert_same_fan(cal, b)[0])
+    # both fans and errors occurred
+    assert {"NotAdmissibleError"} < kinds
+
+
+def test_normal_fan_matches_fm_on_the_pool(instance_pool):
+    for cal, chi, b in instance_pool:
+        got = assert_same_fan(cal, b)
+        assert got[0] != "NotAdmissibleError"
+
+
+def test_normal_fan_non_generic_parameters(frustum, qex_t1):
+    # the apex of the pyramid lies on four facets
+    apex = assert_same_fan(frustum, vec([1, 1, 1, 1, 1]))
+    assert frozenset({1, 2, 3, 4}) in apex[0]
+    # constraint 4 cuts no edge: a virtual generator with an empty face
+    assert assert_same_fan(qex_t1, vec([0, 0, 1, 1]))[1] == frozenset({4})
+    # constraint 4 touches the triangle at one vertex: virtual, face a point
+    tangent = cal_of(2, [(1, 0), (0, 1), (-1, -1), (1, 1)])
+    cones, virtual, _ = assert_same_fan(tangent, vec([1, 1, 1, 2]))
+    assert virtual == frozenset({4})
+    assert set(cones) == {frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})}
+
+
+def test_normal_fan_empty_and_lower_dimensional(p2):
+    square = cal_of(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    for cal, b in [(p2, [0, 0, 0]), (p2, [-1, -1, -1]), (square, [1, 1, 0, 0]),
+                   (square, [0, 0, 0, 0]), (square, [1, -2, 1, 1])]:
+        got = assert_same_fan(cal, vec(b))
+        assert got == ("NotAdmissibleError", "P_b is empty or lower-dimensional")
+
+
+def test_normal_fan_with_a_nontrivial_recession_cone():
+    orthant = cal_of(2, [(1, 0), (0, 1), (1, 1)])
+    strip = cal_of(2, [(1, 0), (-1, 0), (0, 1)])
+    assert not orthant.positively_spanning and not strip.positively_spanning
+    unbounded = ("NotAdmissibleError", "P_b is unbounded, its normal fan is not complete")
+    thin = ("NotAdmissibleError", "P_b is empty or lower-dimensional")
+    assert assert_same_fan(orthant, vec([1, 1, 1])) == unbounded
+    assert assert_same_fan(strip, vec([1, 1, 0])) == unbounded
+    assert assert_same_fan(strip, vec([-1, -1, 0])) == thin   # empty
+    assert assert_same_fan(strip, vec([0, 0, 0])) == thin     # a ray
+    # the length check comes first on either kind of calibration
+    for cal in (orthant, cal_of(2, [(1, 0), (0, 1), (-1, -1)])):
+        assert assert_same_fan(cal, vec([1, 1]))[0] == "DimensionMismatchError"
+
+
+def test_faces_of_simplicial_cones_match_the_lp(references):
+    for cal in references:
+        f = normal_fan(cal, vec([1] * cal.n))
+        for sigma in f.max_cones:
+            expected = [frozenset(J) for r in range(len(sigma) + 1)
+                        for J in combinations(sorted(sigma), r) if is_face(cal, J, sigma)]
+            assert faces_of(cal, sigma) == expected
+
+
+def special_points(cal, rng):
+    """chi = 0, points on Gale rays, on the hyperplanes spanned by n-d-1
+    rows (inside and outside their cone), and random generic points."""
+    rows = gale_rows(cal)
+    m = cal.n - cal.d
+    pts = [tuple([S(0)] * m)]
+    pts += [vscale(rng.randint(1, 5), r) for r in rows]
+    for I in combinations(range(cal.n), max(m - 1, 1)):
+        for signs in ((1, 1), (1, -1), (-1, 1)):
+            chi = tuple([S(0)] * m)
+            for i, s in zip(I, signs):
+                chi = vadd(chi, vscale(s * rng.randint(1, 4), rows[i]))
+            pts.append(chi)
+    for _ in range(5):
+        chi = random_generic_chi(rng, cal, tries=20)
+        if chi is not None:
+            pts.append(chi)
+    return pts
+
+
+def test_is_generic_matches_lp_on_special_points(references):
+    rng = random.Random(32)
+    outcomes = set()
+    for cal in references:
+        for chi in special_points(cal, rng):
+            g = is_generic(cal, chi)
+            assert g == is_generic_lp(cal, chi)
+            zero_sign = any(dot(w, chi).is_zero() for w in cal.wall_normals)
+            outcomes.add((g, zero_sign))
+    # a zero sign occurred both at generic and at non-generic points
+    assert {(True, True), (False, True), (True, False)} <= outcomes
+
+
+def test_is_generic_with_one_gale_dimension(p2):
+    assert p2.n - p2.d == 1 and p2.wall_normals == ()
+    for x, generic in [(1, True), (Rational(1, 3), True), (0, False), (-2, True)]:
+        assert is_generic(p2, vec([x])) == is_generic_lp(p2, vec([x])) == generic
+
+
+def test_is_generic_matches_lp_on_the_pool(instance_pool):
+    rng = random.Random(33)
+    for cal, chi, _ in instance_pool[:60]:
+        rows = gale_rows(cal)
+        m = cal.n - cal.d
+        assert is_generic(cal, chi) and is_generic_lp(cal, chi)
+        on_plane = tuple([S(0)] * m)
+        for i in rng.sample(range(cal.n), m - 1):
+            on_plane = vadd(on_plane, vscale(rng.randint(-3, 3) or 1, rows[i]))
+        assert is_generic(cal, on_plane) == is_generic_lp(cal, on_plane)
+
+
+def test_on_wall_error_carries_the_lp_witnesses(qex, fig5, frustum):
+    rng = random.Random(35)
+    for cal in (qex, fig5, frustum):
+        on_wall = [chi for chi in special_points(cal, rng)
+                   if is_admissible(cal, chi) and not is_generic_lp(cal, chi)]
+        assert on_wall
+        for chi in on_wall:
+            with pytest.raises(OnWallError) as exc:
+                chamber_of(cal, chi)
+            assert list(exc.value.equalities) == degenerate_span_witnesses_lp(cal, chi)
+
+
+def fig5_copy():
+    return cal_of(2, [(1, 0), (0, 1), (-3, 1), (1, -3), (-2, -1)])
+
+
+def cached_sizes(cal):
+    """Size of every cached fact, by attribute name."""
+    fields = set(Calibration.__dataclass_fields__)
+    out = {}
+    for name, value in vars(cal).items():
+        if name in fields:
+            continue
+        if isinstance(value, Matrix):
+            out[name] = (value.nrows, value.ncols)
+        elif isinstance(value, bool):
+            out[name] = value
+        else:
+            out[name] = len(value)
+    return out
+
+
+def test_cached_facts_stay_out_of_equality_and_json():
+    a, b = fig5_copy(), fig5_copy()
+    snapshot = (a.to_json(), repr(a), hash(a))
+    assert a == b and (b.to_json(), repr(b), hash(b)) == snapshot
+    chamber_of(a, random_generic_chi(random.Random(36), a))
+    assert cached_sizes(a) and not cached_sizes(b)
+    assert a == b and b == a
+    assert (a.to_json(), repr(a), hash(a)) == snapshot
+    assert Calibration.from_json(a.to_json()) == a
+
+
+def test_cached_facts_do_not_grow_with_queries():
+    cal = fig5_copy()
+    rng = random.Random(34)
+    points = set()
+    while len(points) < 50:
+        points.add(random_generic_chi(rng, cal))
+    points = sorted(points)
+    chamber_of(cal, points[0])
+    sizes = cached_sizes(cal)
+    assert {"gale", "preimage", "wall_normals", "basis_inverses"} <= set(sizes)
+    for chi in points[1:]:
+        chamber_of(cal, chi)
+    assert cached_sizes(cal) == sizes

@@ -3,7 +3,7 @@
 import pytest
 
 from qsecfan import Calibration, Matrix, Rational, Scalar
-from qsecfan.errors import InvalidCalibrationError
+from qsecfan.errors import DimensionMismatchError, InvalidCalibrationError
 from qsecfan.linalg import (
     chi_of_b,
     det,
@@ -112,6 +112,13 @@ def test_preimage_round_trip(qex, fig5):
         assert chi_of_b(cal, b) == chi
         pm = preimage_matrix(cal)
         assert pm.matvec(chi) == b
+
+
+def test_preimage_of_chi_rejects_a_wrong_length(qex, fig5):
+    for cal, chi in ((qex, [1, 2, 3]), (fig5, [1, 2]), (fig5, [])):
+        with pytest.raises(DimensionMismatchError,
+                           match="chi has wrong length for this calibration"):
+            preimage_of_chi(cal, vec(chi))
 
 
 def test_calibration_json_round_trip(qex, frustum):

@@ -20,6 +20,7 @@ from qsecfan import (
     is_generic,
 )
 from qsecfan.linalg import gale_rows, preimage_of_chi, vadd, vec, vscale
+from qsecfan import secondary
 from qsecfan.secondary import degenerate_span_witnesses
 
 from conftest import SQ2, cal_of
@@ -206,3 +207,21 @@ def test_chamber_json_round_trip_shape(qex):
     data = ch.to_json()
     assert data["rep_comb"]["virtual"] == []
     assert len(data["inequalities"]) >= 2
+
+
+def test_step_beyond_reports_the_rejected_steps(qex, monkeypatch):
+    side = chamber_of(qex, vec([3, 1]))
+    facet = next(f for f in side.facets() if not f.boundary)
+    monkeypatch.setattr(secondary, "is_generic", lambda cal, chi: False)
+    with pytest.raises(DegeneratePathError) as exc:
+        secondary._step_beyond(qex, side, facet)
+    msg = str(exc.value)
+    assert f"normal {facet.normal!r}" in msg
+    assert ("120 steps rejected (120 not admissible or not generic, "
+            "0 in the same chamber, 0 overshot)") in msg
+
+
+def test_generic_interior_point_reports_its_attempts(qex, monkeypatch):
+    monkeypatch.setattr(secondary, "is_generic", lambda cal, chi: False)
+    with pytest.raises(NotAdmissibleError, match="in 200 attempts"):
+        secondary._generic_interior_point(qex)
