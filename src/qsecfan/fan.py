@@ -32,10 +32,9 @@ from .linalg import (
     solve,
     vec,
     vscale,
-    vsub,
     integer_kernel_rank,
 )
-from .polytope import HPolytope, vertices_of
+from .polytope import HPolytope, affine_dim, vertices_of
 from .scalar import S0, S1, Scalar
 
 IndexSet = frozenset
@@ -240,13 +239,6 @@ class QuantumFan:
                    frozenset(data.get("virtual", [])), bool(data.get("complete", True)))
 
 
-def _affine_dim(points: Sequence[Vec]) -> int:
-    """Dimension of the affine hull of the points, -1 for none."""
-    if len(points) < 2:
-        return len(points) - 1
-    return rank(Matrix([vsub(p, points[0]) for p in points[1:]]))
-
-
 def normal_fan(cal: Calibration, b: Sequence) -> QuantumFan:
     """The normal fan of P_b with its virtual generator set.
 
@@ -264,10 +256,10 @@ def normal_fan(cal: Calibration, b: Sequence) -> QuantumFan:
             raise NotAdmissibleError("P_b is empty or lower-dimensional")
         raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")
     verts = vertices_of(cal, P.offsets)
-    if _affine_dim([v for v, _ in verts]) != d:
+    if affine_dim([v for v, _ in verts]) != d:
         raise NotAdmissibleError("P_b is empty or lower-dimensional")
     facet_set = {i for i in range(cal.n)
-                 if _affine_dim([v for v, tight in verts if i in tight]) == d - 1}
+                 if affine_dim([v for v, tight in verts if i in tight]) == d - 1}
     virtual = frozenset(i + 1 for i in range(cal.n) if i not in facet_set)
     cones = {frozenset(i + 1 for i in tight & facet_set) for _, tight in verts}
     return QuantumFan(cal, tuple(cones), virtual, complete=True)
@@ -454,12 +446,13 @@ def fans_isomorphic(f1: QuantumFan, f2: QuantumFan):
 def s_variety_strata(cal: Calibration, b: Sequence) -> list[IndexSet]:
     """Index sets I with a full-dimensional cone, a point of P_b tight
     exactly on I, and facet-cutting constraints only.  Independent of the
-    normal-fan code path, for cross-checking."""
+    normal-fan code path, for cross-checking: its dimensions come from the
+    implicit-equality LPs, not from the vertices normal_fan reads."""
     P = HPolytope.from_parameter(cal, b)
     d = cal.d
-    if P.dimension() != d or not P.is_bounded():
+    if not P.is_bounded() or P._face_dim_lp(()) != d:
         raise NotAdmissibleError("parameter is not admissible")
-    facet_ok = {i + 1 for i in range(cal.n) if P.facet_dim(i) == d - 1}
+    facet_ok = {i + 1 for i in range(cal.n) if P._face_dim_lp((i,)) == d - 1}
     out = []
     for r in range(1, cal.n + 1):
         for I in combinations(range(1, cal.n + 1), r):

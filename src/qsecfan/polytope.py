@@ -1,22 +1,32 @@
 """H-polytopes with exact vertex enumeration and face dimensions.
 
 A polytope is {x in R^d : <x, normal_i> + offset_i >= 0}.  Vertices
-come from solving all d-subsets of tight constraints; dimensions of the
-polytope and of its faces come from the rank of the implicit-equality
-normals, detected by exact feasibility tests rather than by inspecting
-vertex coordinates (which would miss unbounded or thin cases).
+come from solving all d-subsets of tight constraints.  A bounded
+polytope is the convex hull of its vertices and each face the convex
+hull of the vertices on it (Ziegler, Lectures on Polytopes, ch. 2), so
+its face dimensions are affine dimensions of vertex sets.  An unbounded
+one is not; its face dimensions come from the rank of the
+implicit-equality normals, detected by exact feasibility tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
 from . import lp
 from .errors import DimensionMismatchError
-from .linalg import Matrix, Vec, dot, rank, solve_unique, vec
+from .linalg import Matrix, Vec, dot, rank, solve_unique, vec, vsub
 from .scalar import Scalar
+
+
+def affine_dim(points: Sequence[Vec]) -> int:
+    """Dimension of the affine hull of the points, -1 for none."""
+    if len(points) < 2:
+        return len(points) - 1
+    return rank(Matrix([vsub(p, points[0]) for p in points[1:]]))
 
 
 @dataclass(frozen=True)
@@ -89,21 +99,8 @@ class HPolytope:
                 implicit.append(i)
         return implicit
 
-    def dimension(self) -> int:
-        """Affine dimension, -1 for the empty set."""
-        implicit = self._implicit_equalities()
-        if implicit is None:
-            return -1
-        if not implicit:
-            return self.ambient_dim
-        return self.ambient_dim - rank(Matrix([self.normals[i] for i in implicit]))
-
-    def facet_dim(self, i: int) -> int:
-        """Dimension of the face where constraint i is tight (0-based i)."""
-        return self.face_dim((i,))
-
-    def face_dim(self, tight: Sequence[int]) -> int:
-        """Dimension of the face where all listed constraints are tight."""
+    def _face_dim_lp(self, tight: Sequence[int]) -> int:
+        """face_dim from the implicit equalities; valid for unbounded P."""
         implicit = self._implicit_equalities(tuple(tight))
         if implicit is None:
             return -1
@@ -111,9 +108,34 @@ class HPolytope:
             return self.ambient_dim
         return self.ambient_dim - rank(Matrix([self.normals[j] for j in implicit]))
 
+    def dimension(self) -> int:
+        """Affine dimension, -1 for the empty set."""
+        return self.face_dim(())
+
+    def facet_dim(self, i: int) -> int:
+        """Dimension of the face where constraint i is tight (0-based i)."""
+        return self.face_dim((i,))
+
+    def face_dim(self, tight: Sequence[int]) -> int:
+        """Dimension of the face where all listed constraints are tight:
+        the affine dimension of the vertices on it when P is bounded."""
+        tight = tuple(tight)
+        n = self.nfacets
+        for i in tight:
+            if not 0 <= i < n:
+                raise IndexError(f"constraint index {i} out of range for {n} constraints")
+        if not self.is_bounded():
+            return self._face_dim_lp(tight)
+        T = frozenset(tight)
+        return affine_dim([v for v, t in self._vertices if T <= t])
+
     def facet_indices(self) -> list[int]:
         d = self.ambient_dim
         return [i for i in range(self.nfacets) if self.facet_dim(i) == d - 1]
+
+    # vertices() and is_bounded() are computed once, on first use, and kept
+    # in the instance __dict__ by cached_property, outside the dataclass
+    # fields, so they take no part in ==, hash, repr or to_json.
 
     def vertices(self) -> list[tuple[Vec, frozenset[int]]]:
         """All vertices with their full tight-constraint sets, sorted.
@@ -122,6 +144,10 @@ class HPolytope:
         normals are independent; coincident solutions merge into one
         vertex whose tight set is recomputed against all constraints.
         """
+        return list(self._vertices)
+
+    @cached_property
+    def _vertices(self) -> tuple[tuple[Vec, frozenset[int]], ...]:
         d = self.ambient_dim
         seen: dict[Vec, frozenset[int]] = {}
         for subset in combinations(range(self.nfacets), d):
@@ -130,10 +156,14 @@ class HPolytope:
             if x is None or x in seen or not self.contains(x):
                 continue
             seen[x] = self.tight_at(x)
-        return sorted(seen.items())
+        return tuple(sorted(seen.items()))
 
     def is_bounded(self) -> bool:
         """True when the recession cone {x : <x, normal_i> >= 0} is {0}."""
+        return self._bounded
+
+    @cached_property
+    def _bounded(self) -> bool:
         rows = [lp.ge(nr, 0) for nr in self.normals]
         d = self.ambient_dim
         unit = [0] * d

@@ -1,11 +1,15 @@
 """Reference implementations kept for differential tests.
 
-``normal_fan_fm`` is the Fourier-Motzkin normal fan that qsecfan used
-before the vertex-based one: one ``facet_dim`` probe per constraint, then
-``dimension`` and ``is_bounded``.  ``is_generic_lp`` is the LP-only
-genericity test: a Caratheodory scan over every cone on fewer than n-d
-Gale rows.  Both are copied unchanged apart from their names and imports,
-and neither reads the facts cached on a Calibration.
+``face_dim_lp`` and ``dimension_lp`` are the face dimensions HPolytope
+computed for every polytope before it read bounded ones off their
+vertices: the rank of the implicit equalities that one Fourier-Motzkin
+feasibility test per constraint finds.  ``normal_fan_fm`` is the
+Fourier-Motzkin normal fan that qsecfan used before the vertex-based
+one: one ``face_dim_lp`` probe per constraint, then ``dimension_lp`` and
+``is_bounded``.  ``is_generic_lp`` is the LP-only genericity test: a
+Caratheodory scan over every cone on fewer than n-d Gale rows.  All are
+copied unchanged apart from their names, their ``self`` argument and
+their imports, and none reads the facts cached on a Calibration.
 """
 
 from itertools import combinations
@@ -13,9 +17,29 @@ from itertools import combinations
 from qsecfan import lp
 from qsecfan.errors import NotAdmissibleError
 from qsecfan.fan import QuantumFan
-from qsecfan.linalg import Matrix, kernel_basis, is_zero_vec, normalize_direction, vec
+from qsecfan.linalg import Matrix, kernel_basis, is_zero_vec, normalize_direction, rank, vec
 from qsecfan.polytope import HPolytope
 from qsecfan.scalar import S0, S1
+
+
+def dimension_lp(P):
+    """Affine dimension, -1 for the empty set."""
+    implicit = P._implicit_equalities()
+    if implicit is None:
+        return -1
+    if not implicit:
+        return P.ambient_dim
+    return P.ambient_dim - rank(Matrix([P.normals[i] for i in implicit]))
+
+
+def face_dim_lp(P, tight):
+    """Dimension of the face where all listed constraints are tight."""
+    implicit = P._implicit_equalities(tuple(tight))
+    if implicit is None:
+        return -1
+    if not implicit:
+        return P.ambient_dim
+    return P.ambient_dim - rank(Matrix([P.normals[j] for j in implicit]))
 
 
 def normal_fan_fm(cal, b):
@@ -27,8 +51,8 @@ def normal_fan_fm(cal, b):
     """
     P = HPolytope.from_parameter(cal, b)
     d = cal.d
-    fdims = [P.facet_dim(i) for i in range(cal.n)]
-    if P.dimension() != d:
+    fdims = [face_dim_lp(P, (i,)) for i in range(cal.n)]
+    if dimension_lp(P) != d:
         raise NotAdmissibleError("P_b is empty or lower-dimensional")
     if not P.is_bounded():
         raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")

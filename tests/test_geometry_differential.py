@@ -1,4 +1,5 @@
-"""The vertex-based normal fan and the sign-test genericity against their
+"""The vertex-based normal fan, the vertex-based face dimensions of a
+bounded HPolytope and the sign-test genericity against their
 Fourier-Motzkin and LP-only references, and the facts a Calibration
 caches for them."""
 
@@ -10,6 +11,7 @@ import pytest
 from qsecfan import (
     Calibration,
     DimensionMismatchError,
+    HPolytope,
     NotAdmissibleError,
     OnWallError,
     Rational,
@@ -23,7 +25,13 @@ from qsecfan.fan import faces_of, is_face
 from qsecfan.linalg import Matrix, dot, gale_rows, vadd, vec, vscale
 
 from conftest import cal_of, random_generic_chi
-from reference_geometry import degenerate_span_witnesses_lp, is_generic_lp, normal_fan_fm
+from reference_geometry import (
+    degenerate_span_witnesses_lp,
+    dimension_lp,
+    face_dim_lp,
+    is_generic_lp,
+    normal_fan_fm,
+)
 
 S = Scalar.coerce
 
@@ -111,6 +119,62 @@ def test_faces_of_simplicial_cones_match_the_lp(references):
             expected = [frozenset(J) for r in range(len(sigma) + 1)
                         for J in combinations(sorted(sigma), r) if is_face(cal, J, sigma)]
             assert faces_of(cal, sigma) == expected
+
+
+def assert_faces_match_lp(P):
+    """face_dim on every T of at most d+1 constraints, dimension,
+    facet_indices and is_simple agree with the LP reference."""
+    d = P.ambient_dim
+    assert P.dimension() == dimension_lp(P)
+    for r in range(d + 2):
+        for T in combinations(range(P.nfacets), r):
+            assert P.face_dim(T) == face_dim_lp(P, T), T
+    facets = [i for i in range(P.nfacets) if face_dim_lp(P, (i,)) == d - 1]
+    assert P.facet_indices() == facets
+    verts = P.vertices()
+    assert P.is_simple() == (bool(verts) and all(len(t & set(facets)) == d for _, t in verts))
+
+
+def test_face_dims_match_lp_on_the_pool(instance_pool):
+    for cal, chi, b in instance_pool:
+        P = HPolytope.from_parameter(cal, b)
+        assert P.is_bounded()
+        assert_faces_match_lp(P)
+
+
+def test_face_dims_match_lp_on_reference_instances(references):
+    rng = random.Random(37)
+    dims = set()
+    for cal in references:
+        params = [vec([1] * cal.n), vec([0] * cal.n)]
+        params += [vec([rng.randint(-2, 3) for _ in range(cal.n)]) for _ in range(4)]
+        for b in params:
+            P = HPolytope.from_parameter(cal, b)
+            assert_faces_match_lp(P)
+            dims.add(P.dimension())
+    # empty, a point and full-dimensional polytopes occurred
+    assert {-1, 0, 2, 3} <= dims
+
+
+def test_face_dims_match_lp_on_degenerate_polytopes():
+    square = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    triangle = ((1, 0), (0, 1), (-1, -1))
+    pyramid = ((0, 0, 1), (-1, 0, -1), (1, 0, -1), (0, -1, -1), (0, 1, -1))
+    cases = [
+        (2, square, (0, -2, 0, 1), -1),                           # bounded and empty
+        (2, square, (0, 1, 0, 0), 1),                             # a segment
+        (2, square, (0, 0, 0, 0), 0),                             # a point
+        (2, triangle + ((-1, 0),), (0, 0, 1, 5), 2),              # redundant, far away
+        (2, triangle + ((-1, 0),), (0, 0, 1, 1), 2),              # redundant, through a vertex
+        (2, triangle + ((1, 0), (2, 0)), (0, 0, 1, 0, 0), 2),     # duplicates of a facet
+        (3, pyramid, (0, 1, 1, 1, 1), 3),                         # apex on four facets
+    ]
+    for d, normals, offsets, dim in cases:
+        P = HPolytope(d, normals, offsets)
+        assert P.is_bounded() and P.dimension() == dim
+        assert_faces_match_lp(P)
+    # the LP path on both sides when P is unbounded
+    assert_faces_match_lp(HPolytope(2, ((1, 0), (0, 1), (1, 1)), (0, 0, -1)))
 
 
 def special_points(cal, rng):

@@ -1,5 +1,7 @@
 """Vertex enumeration, face dimensions, and the fast vertex oracle."""
 
+import pytest
+
 from qsecfan import HPolytope, Rational, Scalar, VertexOracle, virtual_indices
 from qsecfan.linalg import vec
 
@@ -98,3 +100,34 @@ def test_json_shape():
     data = unit_square().to_json()
     assert data["dimension"] == 2 and data["bounded"]
     assert len(data["vertices"]) == 4
+
+
+def test_constraint_index_out_of_range():
+    # the triangle x, y >= 0, x + y <= 1 with x <= 5 redundant as constraint 3
+    triangle = HPolytope(2, ((1, 0), (0, 1), (-1, -1), (-1, 0)), (0, 0, 1, 5))
+    orthant = HPolytope(2, ((1, 0), (0, 1)), (0, 0))
+    assert triangle.facet_dim(3) == -1
+    for P in (triangle, orthant):
+        n = P.nfacets
+        for i in (-1, n):
+            message = f"constraint index {i} out of range for {n} constraints"
+            with pytest.raises(IndexError, match=message):
+                P.facet_dim(i)
+            with pytest.raises(IndexError, match=message):
+                P.face_dim((0, i))
+
+
+def test_cached_vertices_stay_out_of_equality_and_json():
+    a, b = unit_square(), unit_square()
+    fields = set(HPolytope.__dataclass_fields__)
+    assert set(vars(a)) == fields
+    assert a == b and (hash(a), repr(a)) == (hash(b), repr(b))
+    verts = a.vertices()
+    assert a.is_bounded() and set(vars(a)) > fields and set(vars(b)) == fields
+    assert a == b and b == a and len({a, b}) == 1
+    assert (hash(a), repr(a)) == (hash(b), repr(b))
+    assert a.to_json() == unit_square().to_json()
+    # the returned list is the caller's own
+    verts.append(verts[0])
+    verts[0] = ((S(7), S(7)), frozenset())
+    assert a.vertices() == unit_square().vertices()
