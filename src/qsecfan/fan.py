@@ -3,7 +3,8 @@
 A fan stores its maximal cones as 1-based generator index subsets; all
 geometry (containment, faces, convexity) is recomputed from the
 calibration columns on demand, through exact feasibility tests or the
-facts the calibration caches (normal fans come from its basis inverses).
+facts the calibration caches (normal fans and cone membership come from
+its basis inverses).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .linalg import (
     Matrix,
     Vec,
     dot,
+    in_cone,
     is_zero_vec,
     kernel_basis,
     normalize_direction,
@@ -35,7 +37,7 @@ from .linalg import (
     integer_kernel_rank,
 )
 from .polytope import HPolytope, affine_dim, vertices_of
-from .scalar import S0, S1, Scalar
+from .scalar import S0, Scalar
 
 IndexSet = frozenset
 
@@ -59,16 +61,26 @@ def cone_is_strongly_convex(cal: Calibration, sigma) -> bool:
 
 
 def cone_contains(cal: Calibration, sigma, x: Sequence) -> bool:
-    """Membership of x in Cone(h(e_i), i in sigma)."""
-    gens = _cols(cal, sigma)
+    """Membership of x in Cone(h(e_i), i in sigma), by the rule of in_cone.
+
+    When sigma spans R^d its independent d-subsets J are the invertible
+    ones, and the coordinates of x in basis J are M_J^{-T} x, read from
+    the calibration's cached inverses; a lower-rank sigma goes through
+    in_cone.
+    """
     xx = vec(x)
-    if not gens:
-        return is_zero_vec(xx)
-    k = len(gens)
-    cons = [lp.ge([S1 if j == i else S0 for j in range(k)], 0) for i in range(k)]
-    for coord in range(cal.d):
-        cons.append(lp.eq([g[coord] for g in gens], -xx[coord]))
-    return lp.feasible(cons, k)
+    if len(xx) != cal.d:
+        raise DimensionMismatchError(f"vector of length {len(xx)} in a cone of R^{cal.d}")
+    inverses = cal.basis_inverses
+    spans = False
+    for J in combinations(sorted(i - 1 for i in sigma), cal.d):
+        Minv = inverses.get(J)
+        if Minv is None:
+            continue
+        spans = True
+        if all(dot(Minv.column(k), xx).sign() >= 0 for k in range(cal.d)):
+            return True
+    return False if spans else in_cone(_cols(cal, sigma), xx)
 
 
 def is_face(cal: Calibration, J, sigma) -> bool:
@@ -361,10 +373,12 @@ def common_refinement(f1: QuantumFan, f2: QuantumFan):
         return fan_from_rays(cal, set(f1.rays()) | set(f2.rays()), virtual)
     if cal.d != 3:
         raise UnsupportedDimensionError("refinement implemented for d <= 3")
+    hreps2 = [_cone_hrep(cal, s2) for s2 in f2.max_cones]
     cones = set()
     for s1 in f1.max_cones:
-        for s2 in f2.max_cones:
-            inter = _cone_intersection_rays(cal, s1, s2)
+        h1 = _cone_hrep(cal, s1)
+        for h2 in hreps2:
+            inter = _cone_intersection_rays(h1 + h2)
             if inter is not None:
                 cones.add(inter)
     return tuple(sorted(cones, key=sorted))
@@ -390,10 +404,11 @@ def _cone_hrep(cal: Calibration, sigma) -> list[Vec]:
     return sorted(set(normals))
 
 
-def _cone_intersection_rays(cal: Calibration, s1, s2) -> Optional[frozenset]:
-    """Extreme rays of cone(s1) & cone(s2) in d = 3, or None when the
-    intersection is lower-dimensional."""
-    cons = [lp.ge(w, 0) for w in _cone_hrep(cal, s1) + _cone_hrep(cal, s2)]
+def _cone_intersection_rays(normals: list[Vec]) -> Optional[frozenset]:
+    """Extreme rays of {x : <w,x> >= 0 for all normals} in d = 3 (the
+    intersection of two cones given by their _cone_hrep), or None when
+    it is lower-dimensional."""
+    cons = [lp.ge(w, 0) for w in normals]
     if lp.find_point([lp.con(c.coeffs, c.const, lp.GT) for c in cons], 3) is None:
         return None
     # extreme rays: intersections of facet-normal pairs lying in the cone

@@ -202,10 +202,39 @@ def solve(M: Matrix, rhs: Sequence[Scalar]) -> Optional[tuple[Vec, list[Vec]]]:
 
 
 def solve_unique(M: Matrix, rhs: Sequence[Scalar]) -> Optional[Vec]:
-    res = solve(M, rhs)
-    if res is None or res[1]:
+    """The solution of Mx = rhs when there is exactly one, else None:
+    one rref of [M | rhs], whose pivots are then exactly the columns of M."""
+    if len(rhs) != M.nrows:
+        raise DimensionMismatchError("rhs length mismatch")
+    nc = M.ncols
+    R, pivots = rref(Matrix([list(r) + [b] for r, b in zip(M.rows, vec(rhs))]))
+    if pivots != tuple(range(nc)):
         return None
-    return res[0]
+    return tuple(R.rows[i][nc] for i in range(nc))
+
+
+def in_cone(gens: Sequence[Vec], x: Sequence[Scalar]) -> bool:
+    """Membership of x in Cone(gens), decided exactly without an LP.
+
+    By Caratheodory's conic theorem x lies in the cone exactly when it
+    has nonnegative coordinates in some independent subset of gens.
+    Every independent subset extends inside gens to one of rank(gens)
+    elements, so only those are tried: a subset S qualifies when the
+    rref of the columns [S | x] has its pivots exactly on S.  With no
+    generators the cone is {0}.
+    """
+    xx = vec(x)
+    if not gens:
+        return is_zero_vec(xx)
+    if len(xx) != len(gens[0]):
+        raise DimensionMismatchError(
+            f"vector of length {len(xx)} in a cone of R^{len(gens[0])}")
+    r = rank(Matrix(gens))
+    for S in combinations(gens, r):
+        R, pivots = rref(Matrix.from_columns(list(S) + [xx], nrows=len(xx)))
+        if pivots == tuple(range(r)) and all(R.rows[i][r].sign() >= 0 for i in range(r)):
+            return True
+    return False
 
 
 def inverse(M: Matrix) -> Optional[Matrix]:

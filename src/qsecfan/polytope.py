@@ -141,22 +141,22 @@ class HPolytope:
         """All vertices with their full tight-constraint sets, sorted.
 
         A candidate comes from every d-subset of constraints whose
-        normals are independent; coincident solutions merge into one
-        vertex whose tight set is recomputed against all constraints.
+        normals are independent, unless the subset lies in the tight set
+        (taken against all constraints) of a vertex already found.
         """
         return list(self._vertices)
 
     @cached_property
     def _vertices(self) -> tuple[tuple[Vec, frozenset[int]], ...]:
-        d = self.ambient_dim
-        seen: dict[Vec, frozenset[int]] = {}
-        for subset in combinations(range(self.nfacets), d):
+        found: list[tuple[Vec, frozenset[int]]] = []
+        for subset in combinations(range(self.nfacets), self.ambient_dim):
+            if _known(found, subset):
+                continue
             M = Matrix([self.normals[i] for i in subset])
             x = solve_unique(M, [-self.offsets[i] for i in subset])
-            if x is None or x in seen or not self.contains(x):
-                continue
-            seen[x] = self.tight_at(x)
-        return tuple(sorted(seen.items()))
+            if x is not None:
+                _add_vertex(found, x, self.normals, self.offsets)
+        return tuple(sorted(found))
 
     def is_bounded(self) -> bool:
         """True when the recession cone {x : <x, normal_i> >= 0} is {0}."""
@@ -203,21 +203,36 @@ def virtual_indices(calibration, b: Sequence) -> frozenset[int]:
     return frozenset(i + 1 for i in range(calibration.n) if P.facet_dim(i) < d - 1)
 
 
+def _known(found, J) -> bool:
+    """J lies in the tight set of a vertex already found.  J is tight at a
+    unique point when its normals are independent, so its candidate is
+    that vertex (and a dependent J gives no candidate at all)."""
+    return any(t.issuperset(J) for _, t in found)
+
+
+def _add_vertex(found, x: Vec, normals, offsets) -> None:
+    """Append (x, tight set) to found when x satisfies every constraint;
+    one slack pass that stops at the first negative slack."""
+    tight = []
+    for i, (nr, o) in enumerate(zip(normals, offsets)):
+        sign = (dot(nr, x) + o).sign()
+        if sign < 0:
+            return
+        if sign == 0:
+            tight.append(i)
+    found.append((x, frozenset(tight)))
+
+
 def vertices_of(calibration, b: Sequence) -> list[tuple[Vec, frozenset[int]]]:
     """HPolytope.from_parameter(calibration, b).vertices(), solved with the
     calibration's cached basis inverses instead of one elimination per
     d-subset."""
     bb = vec(b)
-    cols = calibration.columns
-    seen: dict[Vec, frozenset[int]] = {}
+    found: list[tuple[Vec, frozenset[int]]] = []
     for J, Minv in calibration.basis_inverses.items():
-        x = Minv.matvec([-bb[j] for j in J])
-        if x in seen:
-            continue
-        slack = [dot(nr, x) + o for nr, o in zip(cols, bb)]
-        if all(s.sign() >= 0 for s in slack):
-            seen[x] = frozenset(i for i, s in enumerate(slack) if s.is_zero())
-    return sorted(seen.items())
+        if not _known(found, J):
+            _add_vertex(found, Minv.matvec([-bb[j] for j in J]), calibration.columns, bb)
+    return sorted(found)
 
 
 class VertexOracle:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from . import lp
 from .errors import (
     DegenerateInputError,
     NotAdmissibleError,
@@ -32,8 +31,8 @@ from .linalg import (
     Vec,
     chi_of_b,
     dot,
+    kernel_basis,
     normalize_direction,
-    rank,
     vadd,
     vec,
     vscale,
@@ -75,16 +74,15 @@ def projective_certificate(cal: Calibration) -> Optional[ProjectiveCertificate]:
     """
     d, n = cal.d, cal.n
     for I in combinations(range(1, n + 1), d + 1):
-        gens = [cal.column(i) for i in I]
-        if rank(Matrix(gens)) != d:
+        kern = kernel_basis(Matrix.from_columns([cal.column(i) for i in I], nrows=d))
+        if len(kern) != 1:
+            continue  # rank below d
+        # the weights form a line, so at most one of them sums to 1
+        total = sum(kern[0], S0)
+        if total.is_zero():
             continue
-        k = d + 1
-        cons = [lp.gt([S1 if j == i else S0 for j in range(k)], 0) for i in range(k)]
-        cons.append(lp.eq([1] * k, -1))
-        for coord in range(d):
-            cons.append(lp.eq([g[coord] for g in gens], 0))
-        lam = lp.find_point(cons, k)
-        if lam is not None:
+        lam = vscale(total.inv(), kern[0])
+        if all(w.sign() > 0 for w in lam):
             return ProjectiveCertificate(I, lam)
     return None
 

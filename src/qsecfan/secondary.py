@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from . import lp
 from .errors import (
     DegeneratePathError,
+    DimensionMismatchError,
     InvalidCalibrationError,
     NotAdmissibleError,
     OnWallError,
@@ -36,7 +37,7 @@ from .linalg import (
     Vec,
     dot,
     gale_rows,
-    is_zero_vec,
+    in_cone,
     kernel_basis,
     normalize_direction,
     preimage_matrix,
@@ -46,17 +47,6 @@ from .linalg import (
     vsub,
 )
 from .scalar import Rational, S0, S1, Scalar
-
-
-def _in_cone(gens: Sequence[Vec], x: Vec, m: int) -> bool:
-    """x in Cone(gens) inside R^m."""
-    if not gens:
-        return is_zero_vec(x)
-    k = len(gens)
-    cons = [lp.ge([S1 if j == i else S0 for j in range(k)], 0) for i in range(k)]
-    for coord in range(m):
-        cons.append(lp.eq([g[coord] for g in gens], -x[coord]))
-    return lp.feasible(cons, k)
 
 
 @dataclass(frozen=True)
@@ -71,13 +61,21 @@ class GaleCone:
     def m(self) -> int:
         return self.calibration.n - self.calibration.d
 
+    def _chi(self, chi: Sequence) -> Vec:
+        cc = vec(chi)
+        if len(cc) != self.m:
+            raise DimensionMismatchError(
+                f"chi of length {len(cc)} for a Gale cone in R^{self.m}")
+        return cc
+
     def contains(self, chi: Sequence) -> bool:
-        return _in_cone(list(self.generators), vec(chi), self.m)
+        """The closed cone: the Gale rows span R^(n-d), so the cone is
+        full-dimensional and its facet inequalities describe it."""
+        cc = self._chi(chi)
+        return all(dot(w, cc).sign() >= 0 for w in self.facet_normals)
 
     def interior_contains(self, chi: Sequence) -> bool:
-        cc = vec(chi)
-        if self.m == 0:
-            return True
+        cc = self._chi(chi)
         return all(dot(w, cc).sign() > 0 for w in self.facet_normals)
 
     def to_json(self) -> dict:
@@ -109,7 +107,7 @@ def degenerate_span_witnesses(cal: Calibration, chi: Sequence) -> list[Vec]:
     for r in range(m):
         for I in combinations(range(cal.n), r):
             gens = [rows[i] for i in I]
-            if not _in_cone(gens, cc, m):
+            if not in_cone(gens, cc):
                 continue
             if gens:
                 for w in kernel_basis(Matrix(gens)):

@@ -1,6 +1,7 @@
 """Shared fixtures: reference calibrations and random-instance helpers."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -94,6 +95,26 @@ def random_generic_chi(rng, cal, tries=200):
         if is_generic(cal, chi):
             return chi
     return None
+
+
+def special_points(cal, rng):
+    """chi = 0, points on Gale rays, on the hyperplanes spanned by n-d-1
+    rows (inside and outside their cone), and random generic points."""
+    rows = gale_rows(cal)
+    m = cal.n - cal.d
+    pts = [tuple([S0] * m)]
+    pts += [vscale(rng.randint(1, 5), r) for r in rows]
+    for I in combinations(range(cal.n), max(m - 1, 1)):
+        for signs in ((1, 1), (1, -1), (-1, 1)):
+            chi = tuple([S0] * m)
+            for i, s in zip(I, signs):
+                chi = vadd(chi, vscale(s * rng.randint(1, 4), rows[i]))
+            pts.append(chi)
+    for _ in range(5):
+        chi = random_generic_chi(rng, cal, tries=20)
+        if chi is not None:
+            pts.append(chi)
+    return pts
 
 
 def arrangement_normals(cal):

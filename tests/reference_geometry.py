@@ -7,18 +7,37 @@ feasibility test per constraint finds.  ``normal_fan_fm`` is the
 Fourier-Motzkin normal fan that qsecfan used before the vertex-based
 one: one ``face_dim_lp`` probe per constraint, then ``dimension_lp`` and
 ``is_bounded``.  ``is_generic_lp`` is the LP-only genericity test: a
-Caratheodory scan over every cone on fewer than n-d Gale rows.  All are
-copied unchanged apart from their names, their ``self`` argument and
-their imports, and none reads the facts cached on a Calibration.
+Caratheodory scan over every cone on fewer than n-d Gale rows;
+``_in_cone`` is its Fourier-Motzkin membership test, which
+``GaleCone.contains`` also ran.  ``cone_contains_lp`` and
+``projective_certificate_lp`` are the LP cone membership and the LP
+positive-spanning certificate that ``fan`` and ``projective`` used
+before both were read off basis coordinates and kernels.
+``hpolytope_vertices_dict`` and ``vertices_of_dict`` are the vertex
+enumerations that deduplicated vertices in a dict keyed by the vertex,
+the first through ``solve_unique_via_solve``, the ``solve_unique`` that
+ran two eliminations.  All are copied unchanged apart from their names,
+their ``self`` argument and their imports, and none but
+``vertices_of_dict`` reads the facts cached on a Calibration.
 """
 
 from itertools import combinations
 
 from qsecfan import lp
 from qsecfan.errors import NotAdmissibleError
-from qsecfan.fan import QuantumFan
-from qsecfan.linalg import Matrix, kernel_basis, is_zero_vec, normalize_direction, rank, vec
+from qsecfan.fan import QuantumFan, _cols
+from qsecfan.linalg import (
+    Matrix,
+    dot,
+    kernel_basis,
+    is_zero_vec,
+    normalize_direction,
+    rank,
+    solve,
+    vec,
+)
 from qsecfan.polytope import HPolytope
+from qsecfan.projective import ProjectiveCertificate
 from qsecfan.scalar import S0, S1
 
 
@@ -101,3 +120,75 @@ def degenerate_span_witnesses_lp(cal, chi):
 
 def is_generic_lp(cal, chi):
     return not degenerate_span_witnesses_lp(cal, chi)
+
+
+def cone_contains_lp(cal, sigma, x):
+    """Membership of x in Cone(h(e_i), i in sigma)."""
+    gens = _cols(cal, sigma)
+    xx = vec(x)
+    if not gens:
+        return is_zero_vec(xx)
+    k = len(gens)
+    cons = [lp.ge([S1 if j == i else S0 for j in range(k)], 0) for i in range(k)]
+    for coord in range(cal.d):
+        cons.append(lp.eq([g[coord] for g in gens], -xx[coord]))
+    return lp.feasible(cons, k)
+
+
+def projective_certificate_lp(cal):
+    """First lexicographic (d+1)-subset whose columns positively span R^d.
+
+    Positive spanning needs strictly positive weights and full rank;
+    boundary weights would only witness a lower-dimensional or unbounded
+    "simplex", which is why they are excluded here.
+    """
+    d, n = cal.d, cal.n
+    for I in combinations(range(1, n + 1), d + 1):
+        gens = [cal.column(i) for i in I]
+        if rank(Matrix(gens)) != d:
+            continue
+        k = d + 1
+        cons = [lp.gt([S1 if j == i else S0 for j in range(k)], 0) for i in range(k)]
+        cons.append(lp.eq([1] * k, -1))
+        for coord in range(d):
+            cons.append(lp.eq([g[coord] for g in gens], 0))
+        lam = lp.find_point(cons, k)
+        if lam is not None:
+            return ProjectiveCertificate(I, lam)
+    return None
+
+
+def solve_unique_via_solve(M, rhs):
+    res = solve(M, rhs)
+    if res is None or res[1]:
+        return None
+    return res[0]
+
+
+def hpolytope_vertices_dict(P):
+    """HPolytope.vertices: a dict keyed by the vertex, each candidate
+    checked by contains and then tight_at."""
+    d = P.ambient_dim
+    seen = {}
+    for subset in combinations(range(P.nfacets), d):
+        M = Matrix([P.normals[i] for i in subset])
+        x = solve_unique_via_solve(M, [-P.offsets[i] for i in subset])
+        if x is None or x in seen or not P.contains(x):
+            continue
+        seen[x] = P.tight_at(x)
+    return list(sorted(seen.items()))
+
+
+def vertices_of_dict(calibration, b):
+    """polytope.vertices_of: the same dict, on the cached basis inverses."""
+    bb = vec(b)
+    cols = calibration.columns
+    seen = {}
+    for J, Minv in calibration.basis_inverses.items():
+        x = Minv.matvec([-bb[j] for j in J])
+        if x in seen:
+            continue
+        slack = [dot(nr, x) + o for nr, o in zip(cols, bb)]
+        if all(s.sign() >= 0 for s in slack):
+            seen[x] = frozenset(i for i, s in enumerate(slack) if s.is_zero())
+    return sorted(seen.items())

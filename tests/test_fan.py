@@ -21,7 +21,8 @@ from qsecfan import (
     star_subdivision,
     validate_fan,
 )
-from qsecfan.fan import SupportFunction, fan_from_rays
+from qsecfan.errors import DimensionMismatchError
+from qsecfan.fan import SupportFunction, cone_contains, fan_from_rays
 from qsecfan.linalg import vec
 
 from conftest import SQ2, cal_of
@@ -63,6 +64,15 @@ def test_s_and_c_types():
     assert len(fan_automorphisms(s2)) == 6
     assert len(fan_automorphisms(c4)) == 8
     assert len(fan_automorphisms(CombinatorialType.c_type(5))) == 10
+
+
+def test_cone_contains_rejects_a_wrong_length(qex, frustum):
+    # a full-rank, a lower-rank and the empty cone
+    for cal, sigma in ((qex, {1, 2}), (qex, {1}), (qex, set()), (frustum, {1, 2, 3, 4})):
+        for x in ([1, 1, -7, 0][:cal.d + 1], [1]):
+            with pytest.raises(DimensionMismatchError,
+                               match=rf"vector of length {len(x)} in a cone of R\^{cal.d}"):
+                cone_contains(cal, sigma, vec(x))
 
 
 def test_star_subdivision_inserts_ray(p2):

@@ -24,7 +24,7 @@ from qsecfan import (
 from qsecfan.fan import faces_of, is_face
 from qsecfan.linalg import Matrix, dot, gale_rows, vadd, vec, vscale
 
-from conftest import cal_of, random_generic_chi
+from conftest import cal_of, random_generic_chi, special_points
 from reference_geometry import (
     degenerate_span_witnesses_lp,
     dimension_lp,
@@ -175,26 +175,6 @@ def test_face_dims_match_lp_on_degenerate_polytopes():
         assert_faces_match_lp(P)
     # the LP path on both sides when P is unbounded
     assert_faces_match_lp(HPolytope(2, ((1, 0), (0, 1), (1, 1)), (0, 0, -1)))
-
-
-def special_points(cal, rng):
-    """chi = 0, points on Gale rays, on the hyperplanes spanned by n-d-1
-    rows (inside and outside their cone), and random generic points."""
-    rows = gale_rows(cal)
-    m = cal.n - cal.d
-    pts = [tuple([S(0)] * m)]
-    pts += [vscale(rng.randint(1, 5), r) for r in rows]
-    for I in combinations(range(cal.n), max(m - 1, 1)):
-        for signs in ((1, 1), (1, -1), (-1, 1)):
-            chi = tuple([S(0)] * m)
-            for i, s in zip(I, signs):
-                chi = vadd(chi, vscale(s * rng.randint(1, 4), rows[i]))
-            pts.append(chi)
-    for _ in range(5):
-        chi = random_generic_chi(rng, cal, tries=20)
-        if chi is not None:
-            pts.append(chi)
-    return pts
 
 
 def test_is_generic_matches_lp_on_special_points(references):

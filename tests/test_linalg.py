@@ -9,6 +9,7 @@ from qsecfan.linalg import (
     det,
     gale_rows,
     gale_transform,
+    in_cone,
     integer_kernel_rank,
     kernel_basis,
     normalize_direction,
@@ -119,6 +120,24 @@ def test_preimage_of_chi_rejects_a_wrong_length(qex, fig5):
         with pytest.raises(DimensionMismatchError,
                            match="chi has wrong length for this calibration"):
             preimage_of_chi(cal, vec(chi))
+
+
+def test_in_cone():
+    quadrant = [vec([1, 0]), vec([0, 1]), vec([1, 1])]
+    assert in_cone(quadrant, vec([2, 3])) and in_cone(quadrant, vec([0, 5]))
+    assert not in_cone(quadrant, vec([-1, 3]))
+    ray = [vec([1, 1]), vec([2, 2])]
+    assert in_cone(ray, vec([3, 3])) and not in_cone(ray, vec([-1, -1]))
+    assert not in_cone(ray, vec([1, 2]))  # outside the span
+    assert in_cone([], vec([0, 0])) and not in_cone([], vec([0, 1]))
+
+
+def test_in_cone_rejects_a_wrong_length():
+    gens = [vec([1, 0]), vec([0, 1])]
+    for x in ([1, 1, -7], [1]):
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"vector of length {len(x)} in a cone of R\^2"):
+            in_cone(gens, vec(x))
 
 
 def test_calibration_json_round_trip(qex, frustum):

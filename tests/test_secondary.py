@@ -6,6 +6,7 @@ from qsecfan import (
     AffinePath,
     CombinatorialType,
     DegeneratePathError,
+    DimensionMismatchError,
     NotAdmissibleError,
     OnWallError,
     Rational,
@@ -37,6 +38,15 @@ def test_gale_cone_membership(qex):
     assert not gc.contains(vec([-1, 1]))
     assert is_admissible(qex, vec([1, 1]))
     assert not is_admissible(qex, vec([1, 0]))
+
+
+def test_gale_cone_rejects_a_wrong_length(qex, fig5):
+    for cal, chi in ((qex, [1, 1, 5]), (qex, [1]), (fig5, [1, 1]), (fig5, [1, 1, 1, 1])):
+        gc, m = gale_cone(cal), cal.n - cal.d
+        for test in (gc.contains, gc.interior_contains):
+            with pytest.raises(DimensionMismatchError,
+                               match=rf"chi of length {len(chi)} for a Gale cone in R\^{m}"):
+                test(vec(chi))
 
 
 def test_genericity(qex):
