@@ -21,7 +21,7 @@ from .errors import (
     QsecfanError,
 )
 from .fan import combinatorial_type, normal_fan, stabilizer_profiles
-from .linalg import Calibration, Vec, dot, gale_rows, gale_transform, vec
+from .linalg import Calibration, Vec, gale_rows, gale_transform, vec
 from .polytope import HPolytope
 from .projective import classify_dim2, path_to_projective, projective_certificate
 from .scalar import Rational, Scalar
@@ -32,7 +32,6 @@ from .secondary import (
     cross_wall,
     enumerate_chambers,
     gale_cone,
-    is_admissible,
     is_generic,
 )
 

@@ -47,8 +47,11 @@ def _cols(cal: Calibration, indices) -> list[Vec]:
 
 
 def cone_dim(cal: Calibration, sigma) -> int:
+    """Rank of the generators, read off the cached inverses for d of them."""
     if not sigma:
         return 0
+    if len(sigma) == cal.d and tuple(sorted(i - 1 for i in sigma)) in cal.basis_inverses:
+        return cal.d
     return rank(Matrix(_cols(cal, sigma)))
 
 
@@ -360,10 +363,11 @@ def common_refinement(f1: QuantumFan, f2: QuantumFan):
     """Coarsest common refinement of two complete fans over one calibration.
 
     d = 2: angular merge of the ray-index union, returned as a QuantumFan.
-    d = 3: pairwise full-dimensional cone intersections; the overlay can
-    create rays that are no generator column (the center of a flipped
-    square cone), so the result is a tuple of geometric cones, each a
-    frozenset of normalized extreme-ray vectors.
+    d = 3: the cones common to both fans, whole (each meets every other
+    cone in a proper face), plus the full-dimensional intersections of the
+    cones that differ.  Their rays can be no generator column (the center
+    of a flipped square cone), so the result is a tuple of geometric
+    cones, each a frozenset of normalized extreme-ray vectors.
     """
     if f1.calibration.columns != f2.calibration.columns:
         raise DimensionMismatchError("refinement requires one calibration")
@@ -373,9 +377,10 @@ def common_refinement(f1: QuantumFan, f2: QuantumFan):
         return fan_from_rays(cal, set(f1.rays()) | set(f2.rays()), virtual)
     if cal.d != 3:
         raise UnsupportedDimensionError("refinement implemented for d <= 3")
-    hreps2 = [_cone_hrep(cal, s2) for s2 in f2.max_cones]
-    cones = set()
-    for s1 in f1.max_cones:
+    common = set(f1.max_cones) & set(f2.max_cones)
+    cones = {_cone_intersection_rays(_cone_hrep(cal, s)) for s in common}
+    hreps2 = [_cone_hrep(cal, s2) for s2 in f2.max_cones if s2 not in common]
+    for s1 in set(f1.max_cones) - common:
         h1 = _cone_hrep(cal, s1)
         for h2 in hreps2:
             inter = _cone_intersection_rays(h1 + h2)
@@ -384,15 +389,20 @@ def common_refinement(f1: QuantumFan, f2: QuantumFan):
     return tuple(sorted(cones, key=sorted))
 
 
+def _cross3(u: Vec, v: Vec) -> Vec:
+    """u x v, which spans the kernel of the rows u, v when it is nonzero."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
 def _cone_hrep(cal: Calibration, sigma) -> list[Vec]:
     """Facet normals w (cone = {x : <w,x> >= 0 for all w}) of a
     full-dimensional cone in d = 3."""
     gens = _cols(cal, sigma)
     normals = []
     for g1, g2 in combinations(gens, 2):
-        w = (g1[1] * g2[2] - g1[2] * g2[1],
-             g1[2] * g2[0] - g1[0] * g2[2],
-             g1[0] * g2[1] - g1[1] * g2[0])
+        w = _cross3(g1, g2)
         if is_zero_vec(w):
             continue
         signs = {dot(w, g).sign() for g in gens}
@@ -407,19 +417,20 @@ def _cone_hrep(cal: Calibration, sigma) -> list[Vec]:
 def _cone_intersection_rays(normals: list[Vec]) -> Optional[frozenset]:
     """Extreme rays of {x : <w,x> >= 0 for all normals} in d = 3 (the
     intersection of two cones given by their _cone_hrep), or None when
-    it is lower-dimensional."""
-    cons = [lp.ge(w, 0) for w in normals]
-    if lp.find_point([lp.con(c.coeffs, c.const, lp.GT) for c in cons], 3) is None:
-        return None
-    # extreme rays: intersections of facet-normal pairs lying in the cone
+    it is lower-dimensional: the cones are pointed, so their intersection
+    is too, and it is full-dimensional exactly when its rays span R^3."""
     rays = set()
-    for c1, c2 in combinations(cons, 2):
-        kern = kernel_basis(Matrix([c1.coeffs, c2.coeffs]))
-        if len(kern) != 1:
+    for w1, w2 in combinations(normals, 2):
+        r = _cross3(w1, w2)
+        if is_zero_vec(r):
             continue
-        for r in (kern[0], vscale(-1, kern[0])):
-            if all(dot(c.coeffs, r).sign() >= 0 for c in cons):
-                rays.add(normalize_direction(r))
+        signs = {dot(w, r).sign() for w in normals}
+        if -1 not in signs:
+            rays.add(normalize_direction(r))
+        if 1 not in signs:
+            rays.add(normalize_direction(vscale(-1, r)))
+    if len(rays) < 3 or rank(Matrix(list(rays))) < 3:
+        return None
     return frozenset(rays)
 
 

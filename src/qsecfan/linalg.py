@@ -351,11 +351,6 @@ class Calibration:
         return self.gale * gram_inv
 
     @cached_property
-    def preimage_t(self) -> Matrix:
-        """P^T, a left inverse of k: P^T k = 1."""
-        return self.preimage.transpose()
-
-    @cached_property
     def gale_facet_normals(self) -> tuple:
         """Inward facet normals of the Gale cone, sorted, for n-d <= 3.
 

@@ -9,7 +9,7 @@ the admissible cycle-type ones, except one explicit n = 4 family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -29,7 +29,6 @@ from .linalg import (
     Calibration,
     Matrix,
     Vec,
-    chi_of_b,
     dot,
     kernel_basis,
     normalize_direction,

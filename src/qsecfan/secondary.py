@@ -28,6 +28,8 @@ from .fan import (
     CombinatorialType,
     QuantumFan,
     combinatorial_type,
+    common_refinement,
+    cone_contains,
     normal_fan,
     star_subdivision,
 )
@@ -38,6 +40,7 @@ from .linalg import (
     dot,
     gale_rows,
     in_cone,
+    is_zero_vec,
     kernel_basis,
     normalize_direction,
     preimage_matrix,
@@ -231,10 +234,16 @@ def _b_space_inequality(cal: Calibration, sigma, j: int) -> Vec:
 
 
 def _to_chi_space(cal: Calibration, c_b: Vec) -> Vec:
-    """Rewrite c . b as z . chi, where z = P^T c_b; k z == c_b certifies
-    that c . b is invariant under ker(k^T)."""
-    z = cal.preimage_t.matvec(c_b)
-    if cal.gale.matvec(z) != c_b:
+    """Rewrite c . b as z . chi, z = P^T c_b summed over the nonzero c_i.
+    h c_b == 0 certifies invariance under ker(k^T): c_b then lies in
+    im k = ker h, onto which k P^T projects, so k z == c_b."""
+    z = (S0,) * (cal.n - cal.d)
+    hc = (S0,) * cal.d
+    for i, c in enumerate(c_b):
+        if not c.is_zero():
+            z = vadd(z, vscale(c, cal.preimage.rows[i]))
+            hc = vadd(hc, vscale(c, cal.columns[i]))
+    if not is_zero_vec(hc):
         raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
     return z
 
@@ -474,7 +483,6 @@ def _classify_crossing(cal: Calibration, normal: Vec, chi_star: Vec,
         checks["on_wall_non_simplicial"] = not f0.is_simplicial()
         checks["sides_refine_on_wall"] = _refines(cal, f_minus, f0) and _refines(cal, f_plus, f0)
         if cal.d <= 3:
-            from .fan import common_refinement, cone_contains
             cr = common_refinement(f_minus, f_plus)
             if isinstance(cr, QuantumFan):
                 checks["refinement_inside_on_wall"] = _refines(cal, cr, f0)
@@ -507,7 +515,6 @@ def _classify_crossing(cal: Calibration, normal: Vec, chi_star: Vec,
 
 def _refines(cal: Calibration, fine: QuantumFan, coarse: QuantumFan) -> bool:
     """Every maximal cone of the fine fan sits inside one of the coarse fan."""
-    from .fan import cone_contains
     for s in fine.max_cones:
         if not any(all(cone_contains(cal, t, cal.column(i)) for i in s)
                    for t in coarse.max_cones):
@@ -517,7 +524,7 @@ def _refines(cal: Calibration, fine: QuantumFan, coarse: QuantumFan) -> bool:
 
 def cobordism_from_path(path: AffinePath, cal: Calibration) -> CobordismReport:
     """Walk chi(t) from t = -1 to t = 1 and report every wall crossed."""
-    chi_lo, chi_hi = path.chi(cal, -1), path.chi(cal, 1)
+    chi_lo, chi_0, chi_hi = (path.chi(cal, t) for t in (-1, 0, 1))
     for endpoint in (chi_lo, chi_hi):
         if not is_admissible(cal, endpoint) or not is_generic(cal, endpoint):
             raise DegeneratePathError("path endpoint is not admissible and generic")
@@ -530,8 +537,8 @@ def cobordism_from_path(path: AffinePath, cal: Calibration) -> CobordismReport:
         # exact exit times of the current chamber along the path
         candidates = []
         for w, _tags in ch.unique_normals():
-            a = dot(w, path.chi(cal, 0))
-            s = dot(w, path.chi(cal, 1)) - a
+            a = dot(w, chi_0)
+            s = dot(w, chi_hi) - a
             if s.is_zero():
                 continue
             t_star = -a / s
@@ -548,15 +555,22 @@ def cobordism_from_path(path: AffinePath, cal: Calibration) -> CobordismReport:
         gap = min([one - t_star, t_star - t_cur] + [t2 - t_star for t2 in later])
         eps = gap / Scalar(2)
         chi_star = path.chi(cal, t_star)
+        not_generic = overshoot = 0
         for _ in range(80):
             chi_p = path.chi(cal, t_star + eps)
-            if is_admissible(cal, chi_p) and is_generic(cal, chi_p):
-                nch = chamber_of(cal, chi_p)
-                if nch.contains(chi_star, strict=False):
-                    break
             eps = eps / Scalar(2)
+            if not (is_admissible(cal, chi_p) and is_generic(cal, chi_p)):
+                not_generic += 1
+                continue
+            nch = chamber_of(cal, chi_p)
+            if nch.contains(chi_star, strict=False):
+                break
+            overshoot += 1
         else:
-            raise DegeneratePathError("could not isolate the wall crossing")
+            raise DegeneratePathError(
+                f"could not isolate the wall crossing at t_star = {t_star!r} with "
+                f"normal {w!r}: 80 steps rejected ({not_generic} not admissible "
+                f"or not generic, {overshoot} overshot)")
         crossings.append(_classify_crossing(cal, w, chi_star, ch.fan, nch.fan, t_star))
         ch = nch
         keys.append(ch.key)

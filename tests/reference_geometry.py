@@ -19,13 +19,21 @@ the first through ``solve_unique_via_solve``, the ``solve_unique`` that
 ran two eliminations.  All are copied unchanged apart from their names,
 their ``self`` argument and their imports, and none but
 ``vertices_of_dict`` reads the facts cached on a Calibration.
+
+``common_refinement_fm`` is the d = 3 overlay that intersected every pair
+of maximal cones, each through ``cone_intersection_rays_fm``: a
+Fourier-Motzkin test that the intersection has interior points, then the
+kernels of facet-normal pairs; ``cone_hrep_ref`` is its facet-normal
+routine.  ``to_chi_space_matvec`` is the chi-space rewrite that ran the
+full matvec with P^T and certified invariance by k z == c_b; it reads
+P^T as the transpose of the cached preimage matrix.
 """
 
 from itertools import combinations
 
 from qsecfan import lp
-from qsecfan.errors import NotAdmissibleError
-from qsecfan.fan import QuantumFan, _cols
+from qsecfan.errors import DimensionMismatchError, NotAdmissibleError, UnsupportedDimensionError
+from qsecfan.fan import QuantumFan, _cols, fan_from_rays
 from qsecfan.linalg import (
     Matrix,
     dot,
@@ -35,6 +43,7 @@ from qsecfan.linalg import (
     rank,
     solve,
     vec,
+    vscale,
 )
 from qsecfan.polytope import HPolytope
 from qsecfan.projective import ProjectiveCertificate
@@ -192,3 +201,79 @@ def vertices_of_dict(calibration, b):
         if all(s.sign() >= 0 for s in slack):
             seen[x] = frozenset(i for i, s in enumerate(slack) if s.is_zero())
     return sorted(seen.items())
+
+
+def common_refinement_fm(f1, f2):
+    """Coarsest common refinement of two complete fans over one calibration.
+
+    d = 2: angular merge of the ray-index union, returned as a QuantumFan.
+    d = 3: pairwise full-dimensional cone intersections; the overlay can
+    create rays that are no generator column (the center of a flipped
+    square cone), so the result is a tuple of geometric cones, each a
+    frozenset of normalized extreme-ray vectors.
+    """
+    if f1.calibration.columns != f2.calibration.columns:
+        raise DimensionMismatchError("refinement requires one calibration")
+    cal = f1.calibration
+    virtual = f1.virtual & f2.virtual
+    if cal.d == 2:
+        return fan_from_rays(cal, set(f1.rays()) | set(f2.rays()), virtual)
+    if cal.d != 3:
+        raise UnsupportedDimensionError("refinement implemented for d <= 3")
+    hreps2 = [cone_hrep_ref(cal, s2) for s2 in f2.max_cones]
+    cones = set()
+    for s1 in f1.max_cones:
+        h1 = cone_hrep_ref(cal, s1)
+        for h2 in hreps2:
+            inter = cone_intersection_rays_fm(h1 + h2)
+            if inter is not None:
+                cones.add(inter)
+    return tuple(sorted(cones, key=sorted))
+
+
+def cone_hrep_ref(cal, sigma):
+    """Facet normals w (cone = {x : <w,x> >= 0 for all w}) of a
+    full-dimensional cone in d = 3."""
+    gens = _cols(cal, sigma)
+    normals = []
+    for g1, g2 in combinations(gens, 2):
+        w = (g1[1] * g2[2] - g1[2] * g2[1],
+             g1[2] * g2[0] - g1[0] * g2[2],
+             g1[0] * g2[1] - g1[1] * g2[0])
+        if is_zero_vec(w):
+            continue
+        signs = {dot(w, g).sign() for g in gens}
+        if 1 in signs and -1 in signs:
+            continue
+        if -1 in signs:
+            w = vscale(-1, w)
+        normals.append(normalize_direction(w))
+    return sorted(set(normals))
+
+
+def cone_intersection_rays_fm(normals):
+    """Extreme rays of {x : <w,x> >= 0 for all normals} in d = 3 (the
+    intersection of two cones given by their _cone_hrep), or None when
+    it is lower-dimensional."""
+    cons = [lp.ge(w, 0) for w in normals]
+    if lp.find_point([lp.con(c.coeffs, c.const, lp.GT) for c in cons], 3) is None:
+        return None
+    # extreme rays: intersections of facet-normal pairs lying in the cone
+    rays = set()
+    for c1, c2 in combinations(cons, 2):
+        kern = kernel_basis(Matrix([c1.coeffs, c2.coeffs]))
+        if len(kern) != 1:
+            continue
+        for r in (kern[0], vscale(-1, kern[0])):
+            if all(dot(c.coeffs, r).sign() >= 0 for c in cons):
+                rays.add(normalize_direction(r))
+    return frozenset(rays)
+
+
+def to_chi_space_matvec(cal, c_b):
+    """Rewrite c . b as z . chi, where z = P^T c_b; k z == c_b certifies
+    that c . b is invariant under ker(k^T)."""
+    z = cal.preimage.transpose().matvec(c_b)
+    if cal.gale.matvec(z) != c_b:
+        raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
+    return z

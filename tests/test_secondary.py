@@ -231,6 +231,18 @@ def test_step_beyond_reports_the_rejected_steps(qex, monkeypatch):
             "0 in the same chamber, 0 overshot)") in msg
 
 
+def test_cobordism_reports_the_rejected_steps_at_a_crossing(qex, monkeypatch):
+    path = AffinePath(vec([1, 1, 0, 1]), vec([0, 0, 2, 0]))
+    crossing = cobordism_from_path(path, qex).crossings[0]
+    endpoints = {path.chi(qex, -1), path.chi(qex, 1)}
+    monkeypatch.setattr(secondary, "is_generic", lambda cal, chi: chi in endpoints)
+    with pytest.raises(DegeneratePathError) as exc:
+        cobordism_from_path(path, qex)
+    msg = str(exc.value)
+    assert (f"at t_star = {crossing.t_star!r} with normal {crossing.wall.normal!r}: "
+            "80 steps rejected (80 not admissible or not generic, 0 overshot)") in msg
+
+
 def test_generic_interior_point_reports_its_attempts(qex, monkeypatch):
     monkeypatch.setattr(secondary, "is_generic", lambda cal, chi: False)
     with pytest.raises(NotAdmissibleError, match="in 200 attempts"):
