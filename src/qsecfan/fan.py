@@ -25,7 +25,9 @@ from .linalg import (
     Calibration,
     Matrix,
     Vec,
+    det,
     dot,
+    gale_rows,
     in_cone,
     is_zero_vec,
     kernel_basis,
@@ -461,7 +463,6 @@ def fans_isomorphic(f1: QuantumFan, f2: QuantumFan):
             continue
         flat = res[0]
         L = Matrix([flat[r * d:(r + 1) * d] for r in range(d)])
-        from .linalg import det
         if det(L).is_zero():
             continue
         tau = dict(zip(sorted(f1.virtual), sorted(f2.virtual)))
@@ -519,7 +520,6 @@ def stabilizer_profiles(cal: Calibration, I) -> tuple[StabilizerProfile, Stabili
     r = len(I) - integer_kernel_rank(H_I)
     profile_old = StabilizerProfile(r - d, len(I) - r, n - d)
 
-    from .linalg import gale_rows
     comp = sorted(set(range(1, n + 1)) - I)
     rows = gale_rows(cal)
     K = Matrix([rows[j - 1] for j in comp])  # |comp| x (n-d)

@@ -13,7 +13,8 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import DimensionMismatchError, InvalidCalibrationError, UnsupportedDimensionError
+from .errors import (DimensionMismatchError, InvalidCalibrationError, NotAdmissibleError,
+                     UnsupportedDimensionError)
 from .scalar import S0, S1, Scalar, common_field
 
 Vec = tuple[Scalar, ...]
@@ -420,6 +421,32 @@ class Calibration:
             inv = inverse(Matrix([self.columns[j] for j in J]))
             if inv is not None:
                 out[J] = inv
+        return MappingProxyType(out)
+
+    @cached_property
+    def slack_rows(self) -> Mapping[tuple[int, ...], tuple[tuple[int, Vec], ...]]:
+        """(i, y(J, i)) with y(J, i) = M_J^{-T} h(e_i) for each i outside J, in
+        increasing i, for every J of basis_inverses: the slack of constraint
+        i at the vertex M_J^{-1} (-b_J) of P_b is b_i - y(J, i) . b_J."""
+        out = {}
+        for J, Minv in self.basis_inverses.items():
+            Minv_t = Minv.transpose()
+            out[J] = tuple((i, Minv_t.matvec(h)) for i, h in enumerate(self.columns) if i not in J)
+        return MappingProxyType(out)
+
+    @cached_property
+    def chamber_forms(self) -> Mapping[tuple[int, ...], Mapping[int, Vec]]:
+        """z(J, j) = P_j - sum_k y(J, j)_k P_{J_k} by J and then by j outside J,
+        so z . chi is the slack of j at the vertex of J.  Its b-coefficients
+        c satisfy h c = h(e_j) - M_J^T y(J, j) = 0, checked per entry, so c
+        lies in im k = ker h, onto which k P^T projects: c . b = z . k^T b."""
+        P, m, out = self.preimage.rows, self.n - self.d, {}
+        for J, rows in self.slack_rows.items():
+            PJ = Matrix.from_columns([P[k] for k in J], nrows=m)
+            HJ = Matrix.from_columns([self.columns[k] for k in J], nrows=self.d)
+            if any(HJ.matvec(y) != self.columns[j] for j, y in rows):
+                raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
+            out[J] = MappingProxyType({j: vsub(P[j], PJ.matvec(y)) for j, y in rows})
         return MappingProxyType(out)
 
     def with_columns(self, columns) -> "Calibration":

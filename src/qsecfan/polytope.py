@@ -224,14 +224,26 @@ def _add_vertex(found, x: Vec, normals, offsets) -> None:
 
 
 def vertices_of(calibration, b: Sequence) -> list[tuple[Vec, frozenset[int]]]:
-    """HPolytope.from_parameter(calibration, b).vertices(), solved with the
-    calibration's cached basis inverses instead of one elimination per
-    d-subset."""
+    """HPolytope.from_parameter(calibration, b).vertices(), read off the
+    calibration's cached slack rows: J gives a vertex when every slack
+    b_i - y(J, i) . b_J is nonnegative, and only then is it solved."""
     bb = vec(b)
+    if len(bb) != calibration.n:
+        raise DimensionMismatchError("parameter length differs from n")
     found: list[tuple[Vec, frozenset[int]]] = []
-    for J, Minv in calibration.basis_inverses.items():
-        if not _known(found, J):
-            _add_vertex(found, Minv.matvec([-bb[j] for j in J]), calibration.columns, bb)
+    for J, rows in calibration.slack_rows.items():
+        if _known(found, J):
+            continue
+        bJ = [bb[j] for j in J]
+        tight = list(J)
+        for i, y in rows:
+            sign = (bb[i] - dot(y, bJ)).sign()
+            if sign < 0:
+                break
+            if sign == 0:
+                tight.append(i)
+        else:
+            found.append((calibration.basis_inverses[J].matvec([-x for x in bJ]), frozenset(tight)))
     return sorted(found)
 
 

@@ -40,7 +40,6 @@ from .linalg import (
     dot,
     gale_rows,
     in_cone,
-    is_zero_vec,
     kernel_basis,
     normalize_direction,
     preimage_matrix,
@@ -64,21 +63,14 @@ class GaleCone:
     def m(self) -> int:
         return self.calibration.n - self.calibration.d
 
-    def _chi(self, chi: Sequence) -> Vec:
-        cc = vec(chi)
-        if len(cc) != self.m:
-            raise DimensionMismatchError(
-                f"chi of length {len(cc)} for a Gale cone in R^{self.m}")
-        return cc
-
     def contains(self, chi: Sequence) -> bool:
         """The closed cone: the Gale rows span R^(n-d), so the cone is
         full-dimensional and its facet inequalities describe it."""
-        cc = self._chi(chi)
+        cc = _chi_vec(self.calibration, chi)
         return all(dot(w, cc).sign() >= 0 for w in self.facet_normals)
 
     def interior_contains(self, chi: Sequence) -> bool:
-        cc = self._chi(chi)
+        cc = _chi_vec(self.calibration, chi)
         return all(dot(w, cc).sign() > 0 for w in self.facet_normals)
 
     def to_json(self) -> dict:
@@ -86,6 +78,14 @@ class GaleCone:
             "generators": [[x.to_json() for x in g] for g in self.generators],
             "facet_normals": [[x.to_json() for x in w] for w in self.facet_normals],
         }
+
+
+def _chi_vec(cal: Calibration, chi: Sequence) -> Vec:
+    """chi as a Vec, checked to have length n-d."""
+    cc, m = vec(chi), cal.n - cal.d
+    if len(cc) != m:
+        raise DimensionMismatchError(f"chi of length {len(cc)} for a Gale cone in R^{m}")
+    return cc
 
 
 def gale_cone(cal: Calibration) -> GaleCone:
@@ -105,7 +105,7 @@ def degenerate_span_witnesses(cal: Calibration, chi: Sequence) -> list[Vec]:
     """
     rows = gale_rows(cal)
     m = cal.n - cal.d
-    cc = vec(chi)
+    cc = _chi_vec(cal, chi)
     found = []
     for r in range(m):
         for I in combinations(range(cal.n), r):
@@ -123,16 +123,18 @@ def degenerate_span_witnesses(cal: Calibration, chi: Sequence) -> list[Vec]:
 def is_generic(cal: Calibration, chi: Sequence) -> bool:
     """chi lies on no cone spanned by fewer than n-d Gale rows.
 
-    Such a cone lies in a hyperplane spanned by n-d-1 Gale rows, since the
-    rows span R^(n-d); so a nonzero sign against every wall normal proves
-    genericity.  A zero sign (or n-d <= 1, where there are no walls) is
-    settled by the exact scan of degenerate_span_witnesses.
+    By Caratheodory such a cone is spanned by independent rows, which
+    extend inside the rows to n-d-1 spanning a wall hyperplane H; so chi
+    is not generic exactly when it lies on some H and in the cone of the
+    Gale rows on H.  With n-d <= 1 degenerate_span_witnesses decides.
     """
-    cc = vec(chi)
+    cc = _chi_vec(cal, chi)
     normals = cal.wall_normals
-    if normals and all(not dot(w, cc).is_zero() for w in normals):
-        return True
-    return not degenerate_span_witnesses(cal, cc)
+    if not normals:
+        return not degenerate_span_witnesses(cal, cc)
+    return not any(
+        dot(w, cc).is_zero() and in_cone([g for g in cal.gale.rows if dot(w, g).is_zero()], cc)
+        for w in normals)
 
 
 @dataclass(frozen=True)
@@ -215,37 +217,13 @@ class Chamber:
         }
 
 
-def _b_space_inequality(cal: Calibration, sigma, j: int) -> Vec:
-    """Coefficients c with c . b = <x_sigma(b), h(e_j)> + b_j.
-
-    The vertex dual to sigma is x = -M^{-1} b_sigma, where M has rows
-    h(e_k), k in sigma; so <x, h(e_j)> = -y . b_sigma with y = M^{-T} h(e_j).
-    """
-    idx = sorted(sigma)
-    Minv = cal.basis_inverses.get(tuple(i - 1 for i in idx))
-    if Minv is None:
+def _chamber_form(cal: Calibration, sigma, j: int) -> Vec:
+    """z with z . chi = <x_sigma(b), h(e_j)> + b_j, where x_sigma(b) is the
+    vertex of P_b dual to the simplicial cone sigma (1-based indices)."""
+    forms = cal.chamber_forms.get(tuple(sorted(i - 1 for i in sigma)))
+    if forms is None:
         raise NotAdmissibleError("maximal cone does not span R^d")
-    hj = cal.column(j)
-    c = [S0] * cal.n
-    c[j - 1] = S1
-    for k_pos, k_idx in enumerate(idx):
-        c[k_idx - 1] = c[k_idx - 1] - dot(Minv.column(k_pos), hj)
-    return tuple(c)
-
-
-def _to_chi_space(cal: Calibration, c_b: Vec) -> Vec:
-    """Rewrite c . b as z . chi, z = P^T c_b summed over the nonzero c_i.
-    h c_b == 0 certifies invariance under ker(k^T): c_b then lies in
-    im k = ker h, onto which k P^T projects, so k z == c_b."""
-    z = (S0,) * (cal.n - cal.d)
-    hc = (S0,) * cal.d
-    for i, c in enumerate(c_b):
-        if not c.is_zero():
-            z = vadd(z, vscale(c, cal.preimage.rows[i]))
-            hc = vadd(hc, vscale(c, cal.columns[i]))
-    if not is_zero_vec(hc):
-        raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
-    return z
+    return forms[j - 1]
 
 
 def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
@@ -265,15 +243,13 @@ def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
         if len(shared) != cal.d - 1:
             continue
         for j in sorted(s2 - s1):
-            c_b = _b_space_inequality(cal, s1, j)
-            ineqs.append(ChamberInequality(_to_chi_space(cal, c_b), "wall",
+            ineqs.append(ChamberInequality(_chamber_form(cal, s1, j), "wall",
                                            (tuple(sorted(s1)), tuple(sorted(s2)), j)))
     for i in sorted(f.virtual):
         sigma = f.cone_containing(cal.column(i))
         if sigma is None:
             raise NotAdmissibleError(f"virtual generator {i} outside the fan support")
-        c_b = _b_space_inequality(cal, sigma, i)
-        ineqs.append(ChamberInequality(_to_chi_space(cal, c_b), "virtual", (i,)))
+        ineqs.append(ChamberInequality(_chamber_form(cal, sigma, i), "virtual", (i,)))
     ch = Chamber(cal, tuple(ineqs), combinatorial_type(f), f.virtual, cc, f)
     if not ch.contains(cc, strict=True):
         raise OnWallError("chi sits on a chamber wall",

@@ -7,7 +7,7 @@ import pytest
 
 from qsecfan import Calibration, Rational, Scalar
 from qsecfan.linalg import gale_rows, preimage_of_chi, vadd, vscale
-from qsecfan.secondary import is_admissible, is_generic
+from qsecfan.secondary import is_generic
 
 SQ2 = Scalar.sqrt(2)
 S0 = Scalar(0)

@@ -27,6 +27,13 @@ kernels of facet-normal pairs; ``cone_hrep_ref`` is its facet-normal
 routine.  ``to_chi_space_matvec`` is the chi-space rewrite that ran the
 full matvec with P^T and certified invariance by k z == c_b; it reads
 P^T as the transpose of the cached preimage matrix.
+
+``b_space_inequality`` and ``to_chi_space`` are the two steps
+``chamber_of`` ran per inequality before it read the Calibration's
+cached ``chamber_forms``: the b-coefficients of the slack of j at the
+vertex dual to sigma, from the cached basis inverse, then their sparse
+rewrite through the rows of the cached preimage matrix, certified by
+h c_b == 0.
 """
 
 from itertools import combinations
@@ -42,6 +49,7 @@ from qsecfan.linalg import (
     normalize_direction,
     rank,
     solve,
+    vadd,
     vec,
     vscale,
 )
@@ -275,5 +283,38 @@ def to_chi_space_matvec(cal, c_b):
     that c . b is invariant under ker(k^T)."""
     z = cal.preimage.transpose().matvec(c_b)
     if cal.gale.matvec(z) != c_b:
+        raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
+    return z
+
+
+def b_space_inequality(cal, sigma, j):
+    """Coefficients c with c . b = <x_sigma(b), h(e_j)> + b_j.
+
+    The vertex dual to sigma is x = -M^{-1} b_sigma, where M has rows
+    h(e_k), k in sigma; so <x, h(e_j)> = -y . b_sigma with y = M^{-T} h(e_j).
+    """
+    idx = sorted(sigma)
+    Minv = cal.basis_inverses.get(tuple(i - 1 for i in idx))
+    if Minv is None:
+        raise NotAdmissibleError("maximal cone does not span R^d")
+    hj = cal.column(j)
+    c = [S0] * cal.n
+    c[j - 1] = S1
+    for k_pos, k_idx in enumerate(idx):
+        c[k_idx - 1] = c[k_idx - 1] - dot(Minv.column(k_pos), hj)
+    return tuple(c)
+
+
+def to_chi_space(cal, c_b):
+    """Rewrite c . b as z . chi, z = P^T c_b summed over the nonzero c_i.
+    h c_b == 0 certifies invariance under ker(k^T): c_b then lies in
+    im k = ker h, onto which k P^T projects, so k z == c_b."""
+    z = (S0,) * (cal.n - cal.d)
+    hc = (S0,) * cal.d
+    for i, c in enumerate(c_b):
+        if not c.is_zero():
+            z = vadd(z, vscale(c, cal.preimage.rows[i]))
+            hc = vadd(hc, vscale(c, cal.columns[i]))
+    if not is_zero_vec(hc):
         raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
     return z

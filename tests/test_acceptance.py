@@ -10,8 +10,6 @@ import time
 import xml.dom.minidom
 from itertools import combinations
 
-import pytest
-
 from qsecfan import (
     CombinatorialType,
     HPolytope,
@@ -25,10 +23,8 @@ from qsecfan import (
     combinatorial_type,
     enumerate_chambers,
     gale_cone,
-    is_admissible,
     is_generic,
     normal_fan,
-    path_to_projective,
     projective_certificate,
     s_variety_strata,
     simplex_parameter,

@@ -1,9 +1,10 @@
 """The vertex-based normal fan, the vertex-based face dimensions of a
-bounded HPolytope and the sign-test genericity against their
+bounded HPolytope and the wall-hyperplane genericity against their
 Fourier-Motzkin and LP-only references, and the facts a Calibration
 caches for them."""
 
 import random
+from collections.abc import Mapping
 from itertools import combinations
 
 import pytest
@@ -224,20 +225,22 @@ def fig5_copy():
     return cal_of(2, [(1, 0), (0, 1), (-3, 1), (1, -3), (-2, -1)])
 
 
+def size_of(value):
+    """A matrix's shape, a flag itself, a table's sizes entry by entry,
+    else the length."""
+    if isinstance(value, Matrix):
+        return (value.nrows, value.ncols)
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, Mapping):
+        return {key: size_of(entry) for key, entry in value.items()}
+    return len(value)
+
+
 def cached_sizes(cal):
     """Size of every cached fact, by attribute name."""
     fields = set(Calibration.__dataclass_fields__)
-    out = {}
-    for name, value in vars(cal).items():
-        if name in fields:
-            continue
-        if isinstance(value, Matrix):
-            out[name] = (value.nrows, value.ncols)
-        elif isinstance(value, bool):
-            out[name] = value
-        else:
-            out[name] = len(value)
-    return out
+    return {name: size_of(value) for name, value in vars(cal).items() if name not in fields}
 
 
 def test_cached_facts_stay_out_of_equality_and_json():
@@ -260,7 +263,8 @@ def test_cached_facts_do_not_grow_with_queries():
     points = sorted(points)
     chamber_of(cal, points[0])
     sizes = cached_sizes(cal)
-    assert {"gale", "preimage", "wall_normals", "basis_inverses"} <= set(sizes)
+    assert {"gale", "preimage", "wall_normals", "basis_inverses",
+            "slack_rows", "chamber_forms"} <= set(sizes)
     for chi in points[1:]:
         chamber_of(cal, chi)
     assert cached_sizes(cal) == sizes

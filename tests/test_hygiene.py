@@ -1,9 +1,10 @@
-"""Source hygiene checks that need no linter."""
+"""Source hygiene checks, on src/qsecfan and tests, that need no linter."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qsecfan"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "qsecfan"
 
 
 def unused_module_imports(path):
@@ -30,8 +31,10 @@ def unused_module_imports(path):
 
 def test_no_unused_module_level_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    unused = {p.name: unused_module_imports(p) for p in modules}
+    tests = sorted(TESTS.glob("*.py"))
+    assert modules and tests
+    unused = {str(p.relative_to(TESTS.parent)): unused_module_imports(p)
+              for p in modules + tests}
     assert {name: found for name, found in unused.items() if found} == {}
 
 

@@ -22,13 +22,15 @@ from qsecfan import lp
 from qsecfan.fan import _cone_hrep, _cone_intersection_rays, cone_dim
 from qsecfan.linalg import Matrix, normalize_direction, preimage_of_chi, rank, vadd, vec, vscale
 from qsecfan.scalar import S0, S1
-from qsecfan.secondary import _b_space_inequality, _step_beyond, _to_chi_space
+from qsecfan.secondary import _step_beyond
 
 from conftest import random_generic_chi
 from reference_geometry import (
+    b_space_inequality,
     common_refinement_fm,
     cone_hrep_ref,
     cone_intersection_rays_fm,
+    to_chi_space,
     to_chi_space_matvec,
 )
 
@@ -193,13 +195,13 @@ def test_to_chi_space_matches_matvec_on_the_pool(instance_pool):
         f = normal_fan(cal, b)
         for sigma in f.max_cones:
             for j in range(1, cal.n + 1):
-                c_b = _b_space_inequality(cal, sigma, j)
-                assert _to_chi_space(cal, c_b) == to_chi_space_matvec(cal, c_b)
+                c_b = b_space_inequality(cal, sigma, j)
+                assert to_chi_space(cal, c_b) == to_chi_space_matvec(cal, c_b)
                 checked += 1
         for i in range(cal.n):
             e_i = tuple(S1 if k == i else S0 for k in range(cal.n))
             with pytest.raises(NotAdmissibleError) as got:
-                _to_chi_space(cal, e_i)
+                to_chi_space(cal, e_i)
             with pytest.raises(NotAdmissibleError) as want:
                 to_chi_space_matvec(cal, e_i)
             assert str(got.value) == str(want.value)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from qsecfan import HPolytope, Rational, Scalar, VertexOracle, virtual_indices
+from qsecfan import DimensionMismatchError, HPolytope, Rational, Scalar, VertexOracle, virtual_indices
 from qsecfan.linalg import vec
+from qsecfan.polytope import vertices_of
 
-from conftest import SQ2, cal_of
+from conftest import SQ2
 
 S = Scalar.coerce
 
@@ -88,6 +89,13 @@ def test_vertex_oracle_matches_enumeration(qex, fig5):
             for _, tight in P.vertices():
                 expected.add(frozenset(i + 1 for i in tight))
             assert oracle.comb_key(b) == expected
+
+
+def test_vertices_of_rejects_a_wrong_parameter_length(p2):
+    assert len(vertices_of(p2, vec([1, 1, 1]))) == 3
+    for b in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(DimensionMismatchError, match="parameter length differs from n"):
+            vertices_of(p2, vec(b))
 
 
 def test_face_dim_of_vertex_tight_set():

@@ -6,7 +6,6 @@ import pytest
 from qsecfan import (
     CombinatorialType,
     NotAdmissibleError,
-    Rational,
     Scalar,
     UnsupportedDimensionError,
     classify_dim2,
@@ -17,9 +16,9 @@ from qsecfan import (
     simplex_parameter,
     virtual_indices,
 )
-from qsecfan.linalg import dot, vec
+from qsecfan.linalg import vec
 
-from conftest import SQ2, cal_of
+from conftest import cal_of
 
 S = Scalar.coerce
 

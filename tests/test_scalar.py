@@ -1,7 +1,7 @@
 """Field axioms, exact sign and order, and JSON round-trips for Scalar."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qsecfan import Rational, Scalar

@@ -20,11 +20,11 @@ from qsecfan import (
     is_admissible,
     is_generic,
 )
-from qsecfan.linalg import gale_rows, preimage_of_chi, vadd, vec, vscale
+from qsecfan.linalg import preimage_of_chi, vadd, vec, vscale
 from qsecfan import secondary
 from qsecfan.secondary import degenerate_span_witnesses
 
-from conftest import SQ2, cal_of
+from conftest import SQ2
 
 S = Scalar.coerce
 
@@ -47,6 +47,16 @@ def test_gale_cone_rejects_a_wrong_length(qex, fig5):
             with pytest.raises(DimensionMismatchError,
                                match=rf"chi of length {len(chi)} for a Gale cone in R\^{m}"):
                 test(vec(chi))
+
+
+def test_genericity_rejects_a_wrong_length(p2, qex):
+    """n-d = 1 (p2) and n-d = 2 (qex), chi too short and too long."""
+    for cal, chi in ((p2, []), (p2, [1, 2]), (qex, [1]), (qex, [1, 1, 1])):
+        m = cal.n - cal.d
+        for test in (is_generic, degenerate_span_witnesses):
+            with pytest.raises(DimensionMismatchError,
+                               match=rf"chi of length {len(chi)} for a Gale cone in R\^{m}"):
+                test(cal, vec(chi))
 
 
 def test_genericity(qex):

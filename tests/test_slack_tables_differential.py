@@ -1,0 +1,111 @@
+"""The slack rows and chamber forms a Calibration caches, the chamber
+inequalities and vertices read from them, and the wall-hyperplane
+genericity test, against the per-call chain and the exact scan they
+replaced."""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from qsecfan import NotAdmissibleError, chamber_of, is_admissible, is_generic
+from qsecfan.linalg import dot
+from qsecfan.secondary import _chamber_form, degenerate_span_witnesses
+
+from conftest import special_points
+from reference_geometry import b_space_inequality, to_chi_space
+
+
+@pytest.fixture(scope="module")
+def references(qex, qex_t1, p2, fig5, frustum, exc4):
+    return [qex, qex_t1, p2, fig5, frustum, exc4]
+
+
+def assert_tables_match_the_chain(cal):
+    """Every d-subset J: an invertible one has one slack row and one
+    chamber form per j outside J, equal to the reference chain; a
+    singular one has neither and raises the reference's error."""
+    n, d = cal.n, cal.d
+    assert list(cal.slack_rows) == list(cal.chamber_forms) == list(cal.basis_inverses)
+    checked = 0
+    for J in combinations(range(n), d):
+        sigma = frozenset(k + 1 for k in J)
+        outside = [i for i in range(n) if i not in J]
+        if J not in cal.basis_inverses:
+            with pytest.raises(NotAdmissibleError) as want:
+                b_space_inequality(cal, sigma, outside[0] + 1)
+            with pytest.raises(NotAdmissibleError) as got:
+                _chamber_form(cal, sigma, outside[0] + 1)
+            assert str(got.value) == str(want.value)
+            continue
+        rows = cal.slack_rows[J]
+        assert [i for i, _ in rows] == outside == sorted(cal.chamber_forms[J])
+        for j, y in rows:
+            c_b = b_space_inequality(cal, sigma, j + 1)
+            assert y == tuple(-c_b[k] for k in J)
+            assert cal.chamber_forms[J][j] == to_chi_space(cal, c_b)
+            assert _chamber_form(cal, sigma, j + 1) == cal.chamber_forms[J][j]
+            checked += 1
+    return checked
+
+
+def test_tables_match_the_chain_on_every_basis(references, instance_pool):
+    checked = sum(assert_tables_match_the_chain(cal)
+                  for cal in references + [c for c, _, _ in instance_pool])
+    assert checked > 10000
+
+
+def test_singular_subsets_occur(exc4, frustum):
+    """exc4 has collinear columns and frustum four coplanar ones, so both
+    have singular d-subsets for the test above to reach."""
+    for cal in (exc4, frustum):
+        assert len(cal.basis_inverses) < len(list(combinations(range(cal.n), cal.d)))
+
+
+def test_slack_rows_give_the_slack_at_each_basic_point(instance_pool):
+    """b_i - y(J, i) . b_J is <x, h(e_i)> + b_i at x = M_J^{-1} (-b_J),
+    for every J, feasible or not."""
+    for cal, _, b in instance_pool:
+        for J, rows in cal.slack_rows.items():
+            bJ = [b[k] for k in J]
+            x = cal.basis_inverses[J].matvec([-v for v in bJ])
+            for i, y in rows:
+                assert b[i] - dot(y, bJ) == dot(cal.column(i + 1), x) + b[i]
+
+
+def test_chamber_inequalities_match_the_chain(references, instance_pool):
+    """Each wall and virtual inequality of chamber_of against the chain
+    run on its payload, where the Gale cone has facets (n-d <= 3)."""
+    rng = random.Random(46)
+    chambers = [chamber_of(cal, chi) for cal, chi, _ in instance_pool if cal.n - cal.d <= 3]
+    for cal in references:
+        chambers += [chamber_of(cal, chi) for chi in special_points(cal, rng)
+                     if is_admissible(cal, chi) and is_generic(cal, chi)]
+    kinds = set()
+    for ch in chambers:
+        cal = ch.calibration
+        for q in ch.inequalities:
+            if q.kind == "wall":
+                sigma, _, j = q.payload
+            else:
+                (j,) = q.payload
+                sigma = ch.fan.cone_containing(cal.column(j))
+            assert q.normal == to_chi_space(cal, b_space_inequality(cal, sigma, j))
+            kinds.add(q.kind)
+    assert kinds == {"wall", "virtual"}
+
+
+def test_is_generic_matches_the_scan(references, instance_pool):
+    """The wall-hyperplane test against the exact Caratheodory scan over
+    every cone on fewer than n-d Gale rows, at points on and off the
+    hyperplanes, inside and outside the Gale cone."""
+    rng = random.Random(47)
+    outcomes = set()
+    cals = references + [c for c, _, _ in instance_pool if c.n - c.d <= 3][:40]
+    for cal in cals:
+        for chi in special_points(cal, rng):
+            g = is_generic(cal, chi)
+            assert g == (not degenerate_span_witnesses(cal, chi))
+            zero_sign = any(dot(w, chi).is_zero() for w in cal.wall_normals)
+            outcomes.add((g, zero_sign))
+    assert {(True, True), (False, True), (True, False)} <= outcomes
