@@ -21,8 +21,9 @@ from .errors import (
     QsecfanError,
 )
 from .fan import combinatorial_type, normal_fan, stabilizer_profiles
-from .linalg import Calibration, Vec, gale_rows, gale_transform, vec
-from .polytope import HPolytope
+from .linalg import (Calibration, Vec, gale_rows, gale_transform, preimage_matrix, vadd, vec,
+                     vscale)
+from .polytope import HPolytope, VertexOracle
 from .projective import classify_dim2, path_to_projective, projective_certificate
 from .scalar import Rational, Scalar
 from .secondary import (
@@ -244,11 +245,9 @@ def _cmd_chambers(doc, args) -> dict:
 def _sample_census(cal: Calibration, sf, samples: int, seed: int) -> dict:
     """Random generic points classified by polytope combinatorics; the
     number of distinct classes cross-checks the enumerated chamber count."""
-    from .polytope import VertexOracle
     rng = random.Random(seed)
     rows = gale_rows(cal)
     oracle = VertexOracle(cal)
-    from .linalg import preimage_matrix, vadd, vscale
     pm = preimage_matrix(cal)
     keys = set()
     kept = 0

@@ -266,17 +266,24 @@ def normal_fan(cal: Calibration, b: Sequence) -> QuantumFan:
     face is the affine dimension of the vertices on it.
     """
     P = HPolytope.from_parameter(cal, b)
-    d = cal.d
     if not cal.positively_spanning:
         # no P_b is bounded; an empty or thin one is reported as such first
-        if P.dimension() != d:
+        if P.dimension() != cal.d:
             raise NotAdmissibleError("P_b is empty or lower-dimensional")
         raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")
-    verts = vertices_of(cal, P.offsets)
-    if affine_dim([v for v, _ in verts]) != d:
+    return _fan_of_vertices(cal, vertices_of(cal, P.offsets))
+
+
+def _fan_of_vertices(cal: Calibration, verts) -> QuantumFan:
+    """normal_fan from the vertices of a bounded P_b.  A simple vertex, on
+    exactly d constraints, has a full simplicial tangent cone: P_b is then
+    d-dimensional and those d constraints cut facets without affine_dim."""
+    d = cal.d
+    facet_set = set().union(*(t for _, t in verts if len(t) == d))
+    if not facet_set and affine_dim([v for v, _ in verts]) != d:
         raise NotAdmissibleError("P_b is empty or lower-dimensional")
-    facet_set = {i for i in range(cal.n)
-                 if affine_dim([v for v, tight in verts if i in tight]) == d - 1}
+    facet_set.update(i for i in set().union(*(t for _, t in verts)) - facet_set
+                     if affine_dim([v for v, t in verts if i in t]) == d - 1)
     virtual = frozenset(i + 1 for i in range(cal.n) if i not in facet_set)
     cones = {frozenset(i + 1 for i in tight & facet_set) for _, tight in verts}
     return QuantumFan(cal, tuple(cones), virtual, complete=True)

@@ -34,10 +34,14 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"vadd of lengths {len(u)} and {len(v)}")
     return tuple(x + y for x, y in zip(u, v))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"vsub of lengths {len(u)} and {len(v)}")
     return tuple(x - y for x, y in zip(u, v))
 
 

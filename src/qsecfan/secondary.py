@@ -27,6 +27,7 @@ from .errors import (
 from .fan import (
     CombinatorialType,
     QuantumFan,
+    _fan_of_vertices,
     combinatorial_type,
     common_refinement,
     cone_contains,
@@ -48,6 +49,7 @@ from .linalg import (
     vscale,
     vsub,
 )
+from .polytope import vertices_of
 from .scalar import Rational, S0, S1, Scalar
 
 
@@ -184,23 +186,19 @@ class Chamber:
         cal = self.calibration
         m = cal.n - cal.d
         gc = gale_cone(cal)
+        interior = [lp.gt(v, 0) for v in gc.facet_normals]
         normals = self.unique_normals()
         out = []
         for w, tags in normals:
-            cons = [lp.eq(w, 0)]
-            for w2, _ in normals:
-                if w2 != w:
-                    cons.append(lp.gt(w2, 0))
-            point = lp.find_point(cons, m)
+            cons = [lp.eq(w, 0)] + [lp.gt(w2, 0) for w2, _ in normals if w2 != w]
+            # w . chi = 0 meets the open Gale cone (positive combinations of
+            # the spanning rows g), and the facet point is sought there first,
+            # iff w . g takes both strict signs; else the facet is boundary
+            boundary = not {1, -1} <= {dot(w, g).sign() for g in gc.generators}
+            point = None if boundary else lp.find_point(cons + interior, m)
+            point = point or lp.find_point(cons, m)
             if point is None:
                 continue  # redundant inequality
-            # a wall must meet the open Gale cone; otherwise the facet is
-            # part of the admissibility boundary
-            interior_cons = cons[:1] + [lp.gt(v, 0) for v in gc.facet_normals]
-            boundary = lp.find_point(interior_cons, m) is None
-            if not boundary:
-                # move the facet point into the open Gale cone if needed
-                point = lp.find_point(cons + [lp.gt(v, 0) for v in gc.facet_normals], m) or point
             out.append(FacetRecord(w, point, boundary, tags))
         return out
 
@@ -231,11 +229,14 @@ def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
     cc = vec(chi)
     if not is_admissible(cal, cc):
         raise NotAdmissibleError("chi is not interior to the Gale cone")
-    if not is_generic(cal, cc):
+    b = preimage_matrix(cal).matvec(cc)
+    # with positively spanning columns chi is generic iff P_b is simple
+    verts = vertices_of(cal, b) if cal.positively_spanning else None
+    generic = is_generic(cal, cc) if verts is None else all(len(t) == cal.d for _, t in verts)
+    if not generic:
         raise OnWallError("chi lies on a degenerate-span cone",
                           degenerate_span_witnesses(cal, cc))
-    b = preimage_matrix(cal).matvec(cc)
-    f = normal_fan(cal, b)
+    f = normal_fan(cal, b) if verts is None else _fan_of_vertices(cal, verts)
     ineqs = []
     cones = sorted(f.max_cones, key=sorted)
     for s1, s2 in combinations(cones, 2):
@@ -263,15 +264,19 @@ def _generic_interior_point(cal: Calibration) -> Vec:
     rows = gale_rows(cal)
     m = cal.n - cal.d
     attempts = 200
+    not_generic = 0
     for attempt in range(attempts):
         chi = tuple([S0] * m)
         for i, g in enumerate(rows):
             w = Scalar(Rational(97 + 13 * (i + 1) + attempt * (i + 2) ** 2, 97))
             chi = vadd(chi, vscale(w, g))
-        if is_admissible(cal, chi) and is_generic(cal, chi):
+        admissible = is_admissible(cal, chi)
+        if admissible and is_generic(cal, chi):
             return chi
+        not_generic += admissible
     raise NotAdmissibleError(
-        f"no generic interior point found in {attempts} attempts")
+        f"no generic interior point found in {attempts} attempts "
+        f"({attempts - not_generic} not admissible, {not_generic} not generic)")
 
 
 @dataclass

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from qsecfan import Calibration, Rational, Scalar
+from qsecfan import AffinePath, Calibration, Rational, Scalar
 from qsecfan.linalg import gale_rows, preimage_of_chi, vadd, vscale
 from qsecfan.secondary import is_generic
 
@@ -95,6 +95,14 @@ def random_generic_chi(rng, cal, tries=200):
         if is_generic(cal, chi):
             return chi
     return None
+
+
+def segment(cal, chi_a, chi_b):
+    """The affine path from chi_a at t = -1 to chi_b at t = 1, through
+    their minimum-norm preimages."""
+    b_a, b_b = preimage_of_chi(cal, chi_a), preimage_of_chi(cal, chi_b)
+    return AffinePath(vscale(Rational(1, 2), vadd(b_a, b_b)),
+                      vscale(Rational(1, 2), vadd(b_b, vscale(-1, b_a))))
 
 
 def special_points(cal, rng):

@@ -34,28 +34,53 @@ cached ``chamber_forms``: the b-coefficients of the slack of j at the
 vertex dual to sigma, from the cached basis inverse, then their sparse
 rewrite through the rows of the cached preimage matrix, certified by
 h c_b == 0.
+
+``normal_fan_affine``, ``chamber_facets_3lp`` and ``chamber_of_is_generic``
+are the rules read off simple vertices and Gale-row signs replaced: the
+normal fan that ran ``affine_dim`` on the vertices of every constraint
+(and on all vertices for dim P_b), the three Fourier-Motzkin systems of
+``Chamber.facets`` per normal (irredundancy, a meeting with the open Gale
+cone, a facet point inside it) and the ``chamber_of`` that ran
+``is_generic`` and then ``normal_fan_affine``.  They are copied the same
+way and read the cached facts their originals read.
 """
 
 from itertools import combinations
 
 from qsecfan import lp
-from qsecfan.errors import DimensionMismatchError, NotAdmissibleError, UnsupportedDimensionError
-from qsecfan.fan import QuantumFan, _cols, fan_from_rays
+from qsecfan.errors import (
+    DimensionMismatchError,
+    NotAdmissibleError,
+    OnWallError,
+    UnsupportedDimensionError,
+)
+from qsecfan.fan import QuantumFan, _cols, combinatorial_type, fan_from_rays
 from qsecfan.linalg import (
     Matrix,
     dot,
     kernel_basis,
     is_zero_vec,
     normalize_direction,
+    preimage_matrix,
     rank,
     solve,
     vadd,
     vec,
     vscale,
 )
-from qsecfan.polytope import HPolytope
+from qsecfan.polytope import HPolytope, affine_dim, vertices_of
 from qsecfan.projective import ProjectiveCertificate
 from qsecfan.scalar import S0, S1
+from qsecfan.secondary import (
+    Chamber,
+    ChamberInequality,
+    FacetRecord,
+    _chamber_form,
+    degenerate_span_witnesses,
+    gale_cone,
+    is_admissible,
+    is_generic,
+)
 
 
 def dimension_lp(P):
@@ -318,3 +343,86 @@ def to_chi_space(cal, c_b):
     if not is_zero_vec(hc):
         raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
     return z
+
+
+def normal_fan_affine(cal, b):
+    """The normal fan of P_b with its virtual generator set.
+
+    One maximal cone per vertex, generated by the facet-cutting tight
+    constraints; generators whose face has dimension below d-1 (or is
+    empty) become virtual.  When the columns positively span R^d, P_b is
+    the convex hull of its vertices, so the dimension of P_b and of each
+    face is the affine dimension of the vertices on it.
+    """
+    P = HPolytope.from_parameter(cal, b)
+    d = cal.d
+    if not cal.positively_spanning:
+        # no P_b is bounded; an empty or thin one is reported as such first
+        if P.dimension() != d:
+            raise NotAdmissibleError("P_b is empty or lower-dimensional")
+        raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")
+    verts = vertices_of(cal, P.offsets)
+    if affine_dim([v for v, _ in verts]) != d:
+        raise NotAdmissibleError("P_b is empty or lower-dimensional")
+    facet_set = {i for i in range(cal.n)
+                 if affine_dim([v for v, tight in verts if i in tight]) == d - 1}
+    virtual = frozenset(i + 1 for i in range(cal.n) if i not in facet_set)
+    cones = {frozenset(i + 1 for i in tight & facet_set) for _, tight in verts}
+    return QuantumFan(cal, tuple(cones), virtual, complete=True)
+
+
+def chamber_facets_3lp(ch):
+    """Irredundant inequalities with a relative-interior facet point."""
+    cal = ch.calibration
+    m = cal.n - cal.d
+    gc = gale_cone(cal)
+    normals = ch.unique_normals()
+    out = []
+    for w, tags in normals:
+        cons = [lp.eq(w, 0)]
+        for w2, _ in normals:
+            if w2 != w:
+                cons.append(lp.gt(w2, 0))
+        point = lp.find_point(cons, m)
+        if point is None:
+            continue  # redundant inequality
+        # a wall must meet the open Gale cone; otherwise the facet is
+        # part of the admissibility boundary
+        interior_cons = cons[:1] + [lp.gt(v, 0) for v in gc.facet_normals]
+        boundary = lp.find_point(interior_cons, m) is None
+        if not boundary:
+            # move the facet point into the open Gale cone if needed
+            point = lp.find_point(cons + [lp.gt(v, 0) for v in gc.facet_normals], m) or point
+        out.append(FacetRecord(w, point, boundary, tags))
+    return out
+
+
+def chamber_of_is_generic(cal, chi):
+    """The GKZ chamber containing the generic admissible point chi."""
+    cc = vec(chi)
+    if not is_admissible(cal, cc):
+        raise NotAdmissibleError("chi is not interior to the Gale cone")
+    if not is_generic(cal, cc):
+        raise OnWallError("chi lies on a degenerate-span cone",
+                          degenerate_span_witnesses(cal, cc))
+    b = preimage_matrix(cal).matvec(cc)
+    f = normal_fan_affine(cal, b)
+    ineqs = []
+    cones = sorted(f.max_cones, key=sorted)
+    for s1, s2 in combinations(cones, 2):
+        shared = s1 & s2
+        if len(shared) != cal.d - 1:
+            continue
+        for j in sorted(s2 - s1):
+            ineqs.append(ChamberInequality(_chamber_form(cal, s1, j), "wall",
+                                           (tuple(sorted(s1)), tuple(sorted(s2)), j)))
+    for i in sorted(f.virtual):
+        sigma = f.cone_containing(cal.column(i))
+        if sigma is None:
+            raise NotAdmissibleError(f"virtual generator {i} outside the fan support")
+        ineqs.append(ChamberInequality(_chamber_form(cal, sigma, i), "virtual", (i,)))
+    ch = Chamber(cal, tuple(ineqs), combinatorial_type(f), f.virtual, cc, f)
+    if not ch.contains(cc, strict=True):
+        raise OnWallError("chi sits on a chamber wall",
+                          [q.normal for q in ineqs if dot(q.normal, cc).is_zero()])
+    return ch

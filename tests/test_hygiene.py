@@ -45,3 +45,57 @@ def test_the_scan_sees_an_unused_import(tmp_path):
                    "try:\n    import json\nexcept ImportError:\n    json = None\n"
                    "print(gcd(os.sep, json))\n")
     assert unused_module_imports(src) == [(3, "lcm")]
+
+
+def function_local_imports(path):
+    """(enclosing definitions, line, statement) of each import inside a
+    function or method body, at any depth; imports at module or class
+    level are not listed."""
+    found = []
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                is_def = not isinstance(child, ast.ClassDef)
+                visit(child, scope + [child.name], in_function or is_def)
+            elif isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
+                names = ", ".join(alias.name for alias in child.names)
+                if isinstance(child, ast.ImportFrom):
+                    stmt = f"from {'.' * child.level}{child.module or ''} import {names}"
+                else:
+                    stmt = f"import {names}"
+                found.append((".".join(scope), child.lineno, stmt))
+            else:
+                visit(child, scope, in_function)
+
+    visit(ast.parse(path.read_text()), [], False)
+    return found
+
+
+# polytope imports linalg at module level, so Calibration.positively_spanning
+# imports HPolytope when first run instead of making the import a cycle.
+ALLOWED_LOCAL_IMPORTS = {
+    ("linalg.py", "Calibration.positively_spanning", "from .polytope import HPolytope"),
+}
+
+
+def test_no_function_local_imports_in_src():
+    found = {(p.name, scope, stmt)
+             for p in sorted(SRC.glob("*.py"))
+             for scope, _, stmt in function_local_imports(p)}
+    assert found == ALLOWED_LOCAL_IMPORTS
+
+
+def test_the_scan_sees_a_function_local_import(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import os\n"
+                   "def f():\n    import json, re\n"
+                   "    def g():\n        from . import lp\n"
+                   "class C:\n    from math import pi\n"
+                   "    async def m(self):\n        from .polytope import HPolytope as H\n"
+                   "try:\n    import gmpy2\nexcept ImportError:\n    gmpy2 = None\n")
+    assert function_local_imports(src) == [
+        ("f", 3, "import json, re"),
+        ("f.g", 5, "from . import lp"),
+        ("C.m", 9, "from .polytope import HPolytope"),
+    ]

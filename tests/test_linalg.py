@@ -19,7 +19,9 @@ from qsecfan.linalg import (
     rref,
     solve,
     solve_unique,
+    vadd,
     vec,
+    vsub,
 )
 
 from conftest import SQ2, cal_of
@@ -138,6 +140,17 @@ def test_in_cone_rejects_a_wrong_length():
         with pytest.raises(DimensionMismatchError,
                            match=rf"vector of length {len(x)} in a cone of R\^2"):
             in_cone(gens, vec(x))
+
+
+def test_vadd_and_vsub_reject_a_length_mismatch():
+    """Both once zipped to the shorter length and returned a truncated sum."""
+    for fn, u, v in ((vadd, [1, 2], [3]), (vsub, [1], [3, 4]), (vadd, [], [1])):
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"{fn.__name__} of lengths {len(u)} and {len(v)}"):
+            fn(vec(u), vec(v))
+    assert vadd(vec([1, 2]), vec([3, 4])) == vec([4, 6])
+    assert vsub(vec([1]), vec([3])) == vec([-2])
+    assert vadd((), ()) == ()
 
 
 def test_calibration_json_round_trip(qex, frustum):

@@ -8,10 +8,8 @@ from itertools import combinations
 import pytest
 
 from qsecfan import (
-    AffinePath,
     DegeneratePathError,
     NotAdmissibleError,
-    Rational,
     cobordism_from_path,
     common_refinement,
     enumerate_chambers,
@@ -20,11 +18,11 @@ from qsecfan import (
 )
 from qsecfan import lp
 from qsecfan.fan import _cone_hrep, _cone_intersection_rays, cone_dim
-from qsecfan.linalg import Matrix, normalize_direction, preimage_of_chi, rank, vadd, vec, vscale
+from qsecfan.linalg import Matrix, normalize_direction, rank, vec
 from qsecfan.scalar import S0, S1
 from qsecfan.secondary import _step_beyond
 
-from conftest import random_generic_chi
+from conftest import random_generic_chi, segment
 from reference_geometry import (
     b_space_inequality,
     common_refinement_fm,
@@ -33,12 +31,6 @@ from reference_geometry import (
     to_chi_space,
     to_chi_space_matvec,
 )
-
-
-def segment(cal, chi_a, chi_b):
-    b_a, b_b = preimage_of_chi(cal, chi_a), preimage_of_chi(cal, chi_b)
-    return AffinePath(vscale(Rational(1, 2), vadd(b_a, b_b)),
-                      vscale(Rational(1, 2), vadd(b_b, vscale(-1, b_a))))
 
 
 def crossing_pairs(cal, paths):

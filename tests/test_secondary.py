@@ -255,5 +255,15 @@ def test_cobordism_reports_the_rejected_steps_at_a_crossing(qex, monkeypatch):
 
 def test_generic_interior_point_reports_its_attempts(qex, monkeypatch):
     monkeypatch.setattr(secondary, "is_generic", lambda cal, chi: False)
-    with pytest.raises(NotAdmissibleError, match="in 200 attempts"):
+    with pytest.raises(NotAdmissibleError) as exc:
         secondary._generic_interior_point(qex)
+    assert str(exc.value) == ("no generic interior point found in 200 attempts "
+                              "(0 not admissible, 200 not generic)")
+    # every other attempt outside the Gale cone: the counts split
+    calls = []
+    monkeypatch.setattr(secondary, "is_admissible",
+                        lambda cal, chi: calls.append(chi) or len(calls) % 2 == 0)
+    with pytest.raises(NotAdmissibleError) as exc:
+        secondary._generic_interior_point(qex)
+    assert str(exc.value).endswith("(100 not admissible, 100 not generic)")
+    assert len(calls) == 200
