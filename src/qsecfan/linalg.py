@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (DimensionMismatchError, InvalidCalibrationError, NotAdmissibleError,
                      UnsupportedDimensionError)
-from .scalar import S0, S1, Scalar, common_field
+from .scalar import S0, S1, IntVec, Scalar, common_field, encode
 
 Vec = tuple[Scalar, ...]
 
@@ -385,6 +385,11 @@ class Calibration:
         return tuple(sorted(normals))
 
     @cached_property
+    def gale_facet_codes(self) -> tuple[IntVec, ...]:
+        """gale_facet_normals encoded for scalar.dot_sign."""
+        return tuple(map(encode, self.gale_facet_normals))
+
+    @cached_property
     def wall_normals(self) -> tuple:
         """One normal per hyperplane spanned by n-d-1 Gale rows.
 
@@ -404,6 +409,11 @@ class Calibration:
                 seen.add(w)
                 normals.append(w)
         return tuple(normals)
+
+    @cached_property
+    def wall_codes(self) -> tuple[IntVec, ...]:
+        """wall_normals encoded for scalar.dot_sign."""
+        return tuple(map(encode, self.wall_normals))
 
     @cached_property
     def positively_spanning(self) -> bool:
@@ -452,6 +462,12 @@ class Calibration:
                 raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
             out[J] = MappingProxyType({j: vsub(P[j], PJ.matvec(y)) for j, y in rows})
         return MappingProxyType(out)
+
+    @cached_property
+    def chamber_codes(self) -> Mapping[tuple[int, ...], Mapping[int, IntVec]]:
+        """chamber_forms encoded for scalar.dot_sign, keyed the same way."""
+        return MappingProxyType({J: MappingProxyType({j: encode(z) for j, z in forms.items()})
+                                 for J, forms in self.chamber_forms.items()})
 
     def with_columns(self, columns) -> "Calibration":
         return Calibration(self.d, self.n, tuple(vec(c) for c in columns), self.virtual)

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .errors import (
     DegenerateInputError,
     NotAdmissibleError,
+    QsecfanError,
     UnsupportedDimensionError,
 )
 from .fan import (
@@ -186,7 +187,7 @@ def _segment_is_validated(cal: Calibration, target: Calibration, b: Sequence,
         try:
             ct = Calibration(cal.d, cal.n, tuple(cols), cal.virtual)
             ft = normal_fan(ct, b)
-        except Exception:
+        except QsecfanError:
             return False
         if (combinatorial_type(ft).poset, ft.virtual) != ref_key:
             return False
@@ -205,7 +206,7 @@ def _perturbation_targets(cal: Calibration):
                 cols[j - 1] = tuple(col)
                 try:
                     yield Calibration(cal.d, cal.n, tuple(cols), cal.virtual)
-                except Exception:
+                except QsecfanError:
                     continue
 
 

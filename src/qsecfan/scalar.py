@@ -10,16 +10,23 @@ comparisons are exact: the sign of p + q*sqrt(m) is decided by comparing
 p^2 against q^2*m with sign bookkeeping, never through floating point.
 A single computation may mix rational-only scalars with scalars of one
 fixed m, but never two distinct radicals.
+
+For the many sign tests of one vector against another (is chi on the
+positive side of a form?), encode() writes a vector as integer
+coordinates over a shared denominator, and dot_sign() decides the sign
+of a dot product with integer sums and the same comparison, building no
+Scalar and taking no gcd.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
-from typing import Union
+from math import gcd, lcm
+from operator import mul
+from typing import NamedTuple, Sequence, Union
 
-from .errors import DegenerateInputError, MixedFieldError
+from .errors import DegenerateInputError, DimensionMismatchError, MixedFieldError
 
 try:  # gmpy2's mpq is drop-in compatible with Fraction and much faster
     from gmpy2 import mpq as Rational
@@ -131,15 +138,7 @@ class Scalar:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, decided by integer comparisons."""
-        p, q = self._p, self._q
-        if q == 0:
-            return (p > 0) - (p < 0)
-        sq = 1 if q > 0 else -1
-        if p == 0 or (p > 0) == (q > 0):
-            return sq
-        # opposite signs: compare |p| with |q|*sqrt(m) via squares, which
-        # cannot tie for q != 0 and squarefree m >= 2
-        return -sq if p * p > q * q * self._m else sq
+        return _sign(self._p, self._q, self._m)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -287,6 +286,65 @@ def _reduced(p: int, q: int, den: int, m: int | None) -> Scalar:
     return _raw(p, q, den, m)
 
 
+def _sign(p: int, q: int, m: int | None) -> int:
+    """The sign of p + q*sqrt(m) for integers p, q and squarefree m (any
+    m when q == 0)."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    sq = 1 if q > 0 else -1
+    if p == 0 or (p > 0) == (q > 0):
+        return sq
+    # opposite signs: compare |p| with |q|*sqrt(m) via squares, which
+    # cannot tie for q != 0 and squarefree m >= 2
+    return -sq if p * p > q * q * m else sq
+
+
 S0 = Scalar(0)
 S1 = Scalar(1)
+
+
+class IntVec(NamedTuple):
+    """A vector (x_1, ..., x_k) of Scalars as integers: x_i is
+    (p_i + q_i*sqrt(m))/L for one L > 0, which is not kept, so the
+    integers are a positive multiple of the vector and give the same
+    signs against any other.  q is None and m is None when every entry
+    is rational."""
+
+    p: tuple[int, ...]
+    q: tuple[int, ...] | None
+    m: int | None
+
+
+def encode(xs: Sequence[Scalar]) -> IntVec:
+    """The IntVec of xs, over the least common denominator L; raises
+    MixedFieldError when the entries carry two distinct radicals."""
+    m = None
+    for x in xs:
+        if x._m is not None and x._m != m:
+            m = common_field(m, x._m)
+    L = lcm(*[x._den for x in xs])
+    p = tuple(x._p * (L // x._den) for x in xs)
+    q = None if m is None else tuple(x._q * (L // x._den) for x in xs)
+    return IntVec(p, q, m)
+
+
+def dot_sign(u: IntVec, v: IntVec) -> int:
+    """sign(dot(x, y)) for u = encode(x) and v = encode(y), from integer
+    sums: (a + b*sqrt(m)).(c + e*sqrt(m)) = a.c + m*b.e + (a.e + b.c)*sqrt(m).
+    Lengths must match (DimensionMismatchError otherwise, as dot raises);
+    two distinct radicals raise MixedFieldError, also where every product
+    that meets them is zero and dot would return."""
+    a, c = u.p, v.p
+    if len(a) != len(c):
+        raise DimensionMismatchError(f"dot of lengths {len(a)} and {len(c)}")
+    p = sum(map(mul, a, c))
+    if u.m is None:
+        if v.m is None:
+            return (p > 0) - (p < 0)
+        return _sign(p, sum(map(mul, a, v.q)), v.m)
+    if v.m is None:
+        return _sign(p, sum(map(mul, u.q, c)), u.m)
+    m = u.m if u.m == v.m else common_field(u.m, v.m)
+    p += m * sum(map(mul, u.q, v.q))
+    return _sign(p, sum(map(mul, a, v.q)) + sum(map(mul, u.q, c)), m)
 

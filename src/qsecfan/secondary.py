@@ -27,7 +27,6 @@ from .errors import (
 from .fan import (
     CombinatorialType,
     QuantumFan,
-    _fan_of_vertices,
     combinatorial_type,
     common_refinement,
     cone_contains,
@@ -49,17 +48,27 @@ from .linalg import (
     vscale,
     vsub,
 )
-from .polytope import vertices_of
-from .scalar import Rational, S0, S1, Scalar
+from .scalar import IntVec, Rational, S0, S1, Scalar, dot_sign, encode
+
+
+def _signs_at_least(codes, e: IntVec, lo: int) -> bool:
+    """Every encoded form has sign at least lo (0 or 1) at the encoded chi."""
+    return all(dot_sign(w, e) >= lo for w in codes)
 
 
 @dataclass(frozen=True)
 class GaleCone:
-    """Cone(k^T e_1, ..., k^T e_n) in R^(n-d) with facet normals for n-d <= 3."""
+    """Cone(k^T e_1, ..., k^T e_n) in R^(n-d) with facet normals for n-d <= 3;
+    codes are the normals encoded for dot_sign, computed when not given."""
 
     calibration: Calibration
     generators: tuple
     facet_normals: tuple
+    codes: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.codes is None:
+            object.__setattr__(self, "codes", tuple(map(encode, self.facet_normals)))
 
     @property
     def m(self) -> int:
@@ -68,12 +77,10 @@ class GaleCone:
     def contains(self, chi: Sequence) -> bool:
         """The closed cone: the Gale rows span R^(n-d), so the cone is
         full-dimensional and its facet inequalities describe it."""
-        cc = _chi_vec(self.calibration, chi)
-        return all(dot(w, cc).sign() >= 0 for w in self.facet_normals)
+        return _signs_at_least(self.codes, encode(_chi_vec(self.calibration, chi)), 0)
 
     def interior_contains(self, chi: Sequence) -> bool:
-        cc = _chi_vec(self.calibration, chi)
-        return all(dot(w, cc).sign() > 0 for w in self.facet_normals)
+        return _signs_at_least(self.codes, encode(_chi_vec(self.calibration, chi)), 1)
 
     def to_json(self) -> dict:
         return {
@@ -91,7 +98,7 @@ def _chi_vec(cal: Calibration, chi: Sequence) -> Vec:
 
 
 def gale_cone(cal: Calibration) -> GaleCone:
-    return GaleCone(cal, cal.gale.rows, cal.gale_facet_normals)
+    return GaleCone(cal, cal.gale.rows, cal.gale_facet_normals, cal.gale_facet_codes)
 
 
 def is_admissible(cal: Calibration, chi: Sequence) -> bool:
@@ -134,19 +141,27 @@ def is_generic(cal: Calibration, chi: Sequence) -> bool:
     normals = cal.wall_normals
     if not normals:
         return not degenerate_span_witnesses(cal, cc)
+    e = encode(cc)
     return not any(
-        dot(w, cc).is_zero() and in_cone([g for g in cal.gale.rows if dot(w, g).is_zero()], cc)
-        for w in normals)
+        dot_sign(code, e) == 0
+        and in_cone([g for g in cal.gale.rows if dot(w, g).is_zero()], cc)
+        for w, code in zip(normals, cal.wall_codes))
 
 
 @dataclass(frozen=True)
 class ChamberInequality:
     """<normal, chi> >= 0; kind "wall" carries (sigma, sigma', j), kind
-    "virtual" carries the virtual generator index."""
+    "virtual" carries the virtual generator index.  code is the normal
+    encoded for dot_sign, computed when not given."""
 
     normal: Vec
     kind: str
     payload: tuple
+    code: IntVec = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.code is None:
+            object.__setattr__(self, "code", encode(self.normal))
 
 
 @dataclass(frozen=True)
@@ -171,9 +186,8 @@ class Chamber:
         return (self.comb.poset, self.virtual)
 
     def contains(self, chi: Sequence, strict: bool = True) -> bool:
-        cc = vec(chi)
-        lo = 1 if strict else 0
-        return all(dot(q.normal, cc).sign() >= lo for q in self.inequalities)
+        e = encode(_chi_vec(self.calibration, chi))
+        return _signs_at_least((q.code for q in self.inequalities), e, 1 if strict else 0)
 
     def unique_normals(self) -> list[tuple[Vec, tuple]]:
         groups: dict[Vec, list] = {}
@@ -215,47 +229,70 @@ class Chamber:
         }
 
 
-def _chamber_form(cal: Calibration, sigma, j: int) -> Vec:
-    """z with z . chi = <x_sigma(b), h(e_j)> + b_j, where x_sigma(b) is the
-    vertex of P_b dual to the simplicial cone sigma (1-based indices)."""
-    forms = cal.chamber_forms.get(tuple(sorted(i - 1 for i in sigma)))
+def _chamber_inequality(cal: Calibration, sigma, j: int, kind: str,
+                        payload: tuple) -> ChamberInequality:
+    """z . chi >= 0 for z . chi = <x_sigma(b), h(e_j)> + b_j, where x_sigma(b)
+    is the vertex of P_b dual to the simplicial cone sigma (1-based
+    indices): z and its code are looked up in the calibration's tables."""
+    J = tuple(sorted(i - 1 for i in sigma))
+    forms = cal.chamber_forms.get(J)
     if forms is None:
         raise NotAdmissibleError("maximal cone does not span R^d")
-    return forms[j - 1]
+    return ChamberInequality(forms[j - 1], kind, payload, cal.chamber_codes[J][j - 1])
+
+
+def _vertex_bases(cal: Calibration, e: IntVec, cc: Vec) -> list[tuple[int, ...]]:
+    """The 0-based d-subsets J tight at a vertex of P_b, for b any preimage
+    of the admissible chi = cc encoded as e.  The slack of i at the point
+    where J is tight is z(J, i) . chi, so J is a vertex exactly when each
+    is >= 0; a zero one puts i on that vertex too, so P_b is not simple
+    and, the columns spanning R^d positively, chi is not generic."""
+    bases = []
+    for J, codes in cal.chamber_codes.items():
+        signs = {dot_sign(z, e) for z in codes.values()}
+        if -1 in signs:
+            continue
+        if 0 in signs:
+            raise OnWallError("chi lies on a degenerate-span cone",
+                              degenerate_span_witnesses(cal, cc))
+        bases.append(J)
+    return bases
 
 
 def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
-    """The GKZ chamber containing the generic admissible point chi."""
-    cc = vec(chi)
-    if not is_admissible(cal, cc):
+    """The GKZ chamber containing the generic admissible point chi, decided
+    by the signs of the calibration's encoded chi-space forms at chi."""
+    cc = _chi_vec(cal, chi)
+    e = encode(cc)
+    if not _signs_at_least(cal.gale_facet_codes, e, 1):
         raise NotAdmissibleError("chi is not interior to the Gale cone")
-    b = preimage_matrix(cal).matvec(cc)
-    # with positively spanning columns chi is generic iff P_b is simple
-    verts = vertices_of(cal, b) if cal.positively_spanning else None
-    generic = is_generic(cal, cc) if verts is None else all(len(t) == cal.d for _, t in verts)
-    if not generic:
-        raise OnWallError("chi lies on a degenerate-span cone",
-                          degenerate_span_witnesses(cal, cc))
-    f = normal_fan(cal, b) if verts is None else _fan_of_vertices(cal, verts)
+    if not cal.positively_spanning:
+        # P_b is d-dimensional for admissible chi and never bounded here
+        if not is_generic(cal, cc):
+            raise OnWallError("chi lies on a degenerate-span cone",
+                              degenerate_span_witnesses(cal, cc))
+        raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")
+    bases = _vertex_bases(cal, e, cc)
+    # every vertex is simple, so its d tight constraints cut facets
+    facets = set().union(*bases)
+    f = QuantumFan(cal, tuple(frozenset(j + 1 for j in J) for J in bases),
+                   frozenset(i + 1 for i in range(cal.n) if i not in facets))
     ineqs = []
-    cones = sorted(f.max_cones, key=sorted)
-    for s1, s2 in combinations(cones, 2):
-        shared = s1 & s2
-        if len(shared) != cal.d - 1:
+    for s1, s2 in combinations(f.max_cones, 2):
+        if len(s1 & s2) != cal.d - 1:
             continue
         for j in sorted(s2 - s1):
-            ineqs.append(ChamberInequality(_chamber_form(cal, s1, j), "wall",
-                                           (tuple(sorted(s1)), tuple(sorted(s2)), j)))
+            ineqs.append(_chamber_inequality(cal, s1, j, "wall",
+                                             (tuple(sorted(s1)), tuple(sorted(s2)), j)))
     for i in sorted(f.virtual):
         sigma = f.cone_containing(cal.column(i))
         if sigma is None:
             raise NotAdmissibleError(f"virtual generator {i} outside the fan support")
-        ineqs.append(ChamberInequality(_chamber_form(cal, sigma, i), "virtual", (i,)))
-    ch = Chamber(cal, tuple(ineqs), combinatorial_type(f), f.virtual, cc, f)
-    if not ch.contains(cc, strict=True):
+        ineqs.append(_chamber_inequality(cal, sigma, i, "virtual", (i,)))
+    if not _signs_at_least((q.code for q in ineqs), e, 1):
         raise OnWallError("chi sits on a chamber wall",
-                          [q.normal for q in ineqs if dot(q.normal, cc).is_zero()])
-    return ch
+                          [q.normal for q in ineqs if dot_sign(q.code, e) == 0])
+    return Chamber(cal, tuple(ineqs), combinatorial_type(f), f.virtual, cc, f)
 
 
 def _generic_interior_point(cal: Calibration) -> Vec:

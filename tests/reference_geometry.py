@@ -43,6 +43,13 @@ normal fan that ran ``affine_dim`` on the vertices of every constraint
 cone, a facet point inside it) and the ``chamber_of`` that ran
 ``is_generic`` and then ``normal_fan_affine``.  They are copied the same
 way and read the cached facts their originals read.
+
+``chamber_of_vertices`` is the ``chamber_of`` that the signs of the
+encoded chamber forms at chi replaced: b = P chi, then ``vertices_of``
+and the simplicity check on their tight sets, then the fan of those
+vertices, with each inequality's form looked up by ``_chamber_form``.
+Its chambers encode their inequality normals on construction, as the
+forms come without codes.
 """
 
 from itertools import combinations
@@ -54,7 +61,14 @@ from qsecfan.errors import (
     OnWallError,
     UnsupportedDimensionError,
 )
-from qsecfan.fan import QuantumFan, _cols, combinatorial_type, fan_from_rays
+from qsecfan.fan import (
+    QuantumFan,
+    _cols,
+    _fan_of_vertices,
+    combinatorial_type,
+    fan_from_rays,
+    normal_fan,
+)
 from qsecfan.linalg import (
     Matrix,
     dot,
@@ -75,7 +89,6 @@ from qsecfan.secondary import (
     Chamber,
     ChamberInequality,
     FacetRecord,
-    _chamber_form,
     degenerate_span_witnesses,
     gale_cone,
     is_admissible,
@@ -407,6 +420,49 @@ def chamber_of_is_generic(cal, chi):
                           degenerate_span_witnesses(cal, cc))
     b = preimage_matrix(cal).matvec(cc)
     f = normal_fan_affine(cal, b)
+    ineqs = []
+    cones = sorted(f.max_cones, key=sorted)
+    for s1, s2 in combinations(cones, 2):
+        shared = s1 & s2
+        if len(shared) != cal.d - 1:
+            continue
+        for j in sorted(s2 - s1):
+            ineqs.append(ChamberInequality(_chamber_form(cal, s1, j), "wall",
+                                           (tuple(sorted(s1)), tuple(sorted(s2)), j)))
+    for i in sorted(f.virtual):
+        sigma = f.cone_containing(cal.column(i))
+        if sigma is None:
+            raise NotAdmissibleError(f"virtual generator {i} outside the fan support")
+        ineqs.append(ChamberInequality(_chamber_form(cal, sigma, i), "virtual", (i,)))
+    ch = Chamber(cal, tuple(ineqs), combinatorial_type(f), f.virtual, cc, f)
+    if not ch.contains(cc, strict=True):
+        raise OnWallError("chi sits on a chamber wall",
+                          [q.normal for q in ineqs if dot(q.normal, cc).is_zero()])
+    return ch
+
+
+def _chamber_form(cal, sigma, j):
+    """z with z . chi = <x_sigma(b), h(e_j)> + b_j, where x_sigma(b) is the
+    vertex of P_b dual to the simplicial cone sigma (1-based indices)."""
+    forms = cal.chamber_forms.get(tuple(sorted(i - 1 for i in sigma)))
+    if forms is None:
+        raise NotAdmissibleError("maximal cone does not span R^d")
+    return forms[j - 1]
+
+
+def chamber_of_vertices(cal, chi):
+    """The GKZ chamber containing the generic admissible point chi."""
+    cc = vec(chi)
+    if not is_admissible(cal, cc):
+        raise NotAdmissibleError("chi is not interior to the Gale cone")
+    b = preimage_matrix(cal).matvec(cc)
+    # with positively spanning columns chi is generic iff P_b is simple
+    verts = vertices_of(cal, b) if cal.positively_spanning else None
+    generic = is_generic(cal, cc) if verts is None else all(len(t) == cal.d for _, t in verts)
+    if not generic:
+        raise OnWallError("chi lies on a degenerate-span cone",
+                          degenerate_span_witnesses(cal, cc))
+    f = normal_fan(cal, b) if verts is None else _fan_of_vertices(cal, verts)
     ineqs = []
     cones = sorted(f.max_cones, key=sorted)
     for s1, s2 in combinations(cones, 2):

@@ -99,3 +99,28 @@ def test_the_scan_sees_a_function_local_import(tmp_path):
         ("f.g", 5, "from . import lp"),
         ("C.m", 9, "from .polytope import HPolytope"),
     ]
+
+
+SCALAR_FIELDS = frozenset({"_p", "_q", "_den", "_m"})
+
+
+def scalar_field_reads(path):
+    """(line, attribute) of each access to an attribute named like one of
+    Scalar's integer fields, on any object; a getattr by string is not seen."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr in SCALAR_FIELDS)
+
+
+def test_only_scalar_reads_the_integer_fields():
+    """scalar.py owns the (p, q, den, m) coding; every other module goes
+    through Scalar's methods or scalar.encode and scalar.dot_sign."""
+    found = {p.name: scalar_field_reads(p) for p in sorted(SRC.glob("*.py"))}
+    assert found.pop("scalar.py")
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def test_the_scan_sees_a_scalar_field_read(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def f(x, y):\n    _m = x.m\n    return x._p * y._den, getattr(x, '_q')\n"
+                   "class C:\n    _q = 1\n    def g(self):\n        self._m = self._mm\n")
+    assert scalar_field_reads(src) == [(3, "_den"), (3, "_p"), (7, "_m")]

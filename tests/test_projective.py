@@ -16,6 +16,7 @@ from qsecfan import (
     simplex_parameter,
     virtual_indices,
 )
+from qsecfan import projective
 from qsecfan.linalg import vec
 
 from conftest import cal_of
@@ -97,6 +98,30 @@ def test_path_exceptional_needs_calibration_segment(exc4):
     assert rep.segment_steps is not None
     assert projective_certificate(rep.target_calibration) is not None
     assert rep.cobordism is not None
+
+
+def test_segment_validation_lets_a_bug_through(exc4, monkeypatch):
+    """Only the package's own errors mean "this segment fails"; a bug in
+    normal_fan along the segment propagates."""
+    real = projective.normal_fan
+
+    def broken_off_exc4(cal, b):
+        if cal != exc4:
+            raise RuntimeError("bug in normal_fan")
+        return real(cal, b)
+
+    monkeypatch.setattr(projective, "normal_fan", broken_off_exc4)
+    with pytest.raises(RuntimeError, match="bug in normal_fan"):
+        path_to_projective(exc4, vec([1, 1, 1, 1]))
+
+
+def test_perturbation_targets_let_a_bug_through(exc4, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("bug in Calibration")
+
+    monkeypatch.setattr(projective, "Calibration", broken)
+    with pytest.raises(RuntimeError, match="bug in Calibration"):
+        next(projective._perturbation_targets(exc4))
 
 
 def test_path_requires_simplicial_start(frustum):

@@ -1,5 +1,7 @@
 """Chambers, walls, and wall crossings of the parameter space."""
 
+import dataclasses
+
 import pytest
 
 from qsecfan import (
@@ -57,6 +59,19 @@ def test_genericity_rejects_a_wrong_length(p2, qex):
             with pytest.raises(DimensionMismatchError,
                                match=rf"chi of length {len(chi)} for a Gale cone in R\^{m}"):
                 test(cal, vec(chi))
+
+
+def test_chamber_contains_rejects_a_wrong_length(qex, fig5, p2):
+    """Chamber.contains checks the length itself, so a chamber without
+    inequalities rejects a wrong chi too."""
+    for cal, chi in ((qex, [1, 1, 5]), (qex, [1]), (fig5, [1, 1]), (p2, [1, 1])):
+        ch = enumerate_chambers(cal).chambers[0]
+        m = cal.n - cal.d
+        for c in (ch, dataclasses.replace(ch, inequalities=())):
+            for strict in (True, False):
+                with pytest.raises(DimensionMismatchError,
+                                   match=rf"chi of length {len(chi)} for a Gale cone in R\^{m}"):
+                    c.contains(vec(chi), strict=strict)
 
 
 def test_genericity(qex):

@@ -10,7 +10,8 @@ import pytest
 
 from qsecfan import NotAdmissibleError, chamber_of, is_admissible, is_generic
 from qsecfan.linalg import dot
-from qsecfan.secondary import _chamber_form, degenerate_span_witnesses
+from qsecfan.scalar import encode
+from qsecfan.secondary import _chamber_inequality, degenerate_span_witnesses
 
 from conftest import special_points
 from reference_geometry import b_space_inequality, to_chi_space
@@ -23,10 +24,11 @@ def references(qex, qex_t1, p2, fig5, frustum, exc4):
 
 def assert_tables_match_the_chain(cal):
     """Every d-subset J: an invertible one has one slack row and one
-    chamber form per j outside J, equal to the reference chain; a
-    singular one has neither and raises the reference's error."""
+    chamber form and its code per j outside J, equal to the reference
+    chain; a singular one has none and raises the reference's error."""
     n, d = cal.n, cal.d
-    assert list(cal.slack_rows) == list(cal.chamber_forms) == list(cal.basis_inverses)
+    assert list(cal.slack_rows) == list(cal.chamber_forms) == list(cal.basis_inverses) \
+        == list(cal.chamber_codes)
     checked = 0
     for J in combinations(range(n), d):
         sigma = frozenset(k + 1 for k in J)
@@ -35,16 +37,19 @@ def assert_tables_match_the_chain(cal):
             with pytest.raises(NotAdmissibleError) as want:
                 b_space_inequality(cal, sigma, outside[0] + 1)
             with pytest.raises(NotAdmissibleError) as got:
-                _chamber_form(cal, sigma, outside[0] + 1)
+                _chamber_inequality(cal, sigma, outside[0] + 1, "wall", ())
             assert str(got.value) == str(want.value)
             continue
         rows = cal.slack_rows[J]
-        assert [i for i, _ in rows] == outside == sorted(cal.chamber_forms[J])
+        assert [i for i, _ in rows] == outside == sorted(cal.chamber_forms[J]) \
+            == sorted(cal.chamber_codes[J])
         for j, y in rows:
             c_b = b_space_inequality(cal, sigma, j + 1)
             assert y == tuple(-c_b[k] for k in J)
             assert cal.chamber_forms[J][j] == to_chi_space(cal, c_b)
-            assert _chamber_form(cal, sigma, j + 1) == cal.chamber_forms[J][j]
+            assert cal.chamber_codes[J][j] == encode(cal.chamber_forms[J][j])
+            q = _chamber_inequality(cal, sigma, j + 1, "wall", ())
+            assert q.normal == cal.chamber_forms[J][j] and q.code is cal.chamber_codes[J][j]
             checked += 1
     return checked
 
@@ -75,7 +80,8 @@ def test_slack_rows_give_the_slack_at_each_basic_point(instance_pool):
 
 def test_chamber_inequalities_match_the_chain(references, instance_pool):
     """Each wall and virtual inequality of chamber_of against the chain
-    run on its payload, where the Gale cone has facets (n-d <= 3)."""
+    run on its payload, where the Gale cone has facets (n-d <= 3); its
+    code is the calibration's table entry, not a fresh encoding."""
     rng = random.Random(46)
     chambers = [chamber_of(cal, chi) for cal, chi, _ in instance_pool if cal.n - cal.d <= 3]
     for cal in references:
@@ -91,6 +97,7 @@ def test_chamber_inequalities_match_the_chain(references, instance_pool):
                 (j,) = q.payload
                 sigma = ch.fan.cone_containing(cal.column(j))
             assert q.normal == to_chi_space(cal, b_space_inequality(cal, sigma, j))
+            assert q.code is cal.chamber_codes[tuple(sorted(k - 1 for k in sigma))][j - 1]
             kinds.add(q.kind)
     assert kinds == {"wall", "virtual"}
 
