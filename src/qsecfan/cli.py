@@ -41,12 +41,8 @@ EXIT_INVALID_INPUT = 2
 EXIT_DEGENERATE = 3
 
 
-def _scalar_from_json(x) -> Scalar:
-    return Scalar.from_json(x)
-
-
 def _vec_from_json(xs) -> Vec:
-    return tuple(_scalar_from_json(x) for x in xs)
+    return tuple(Scalar.from_json(x) for x in xs)
 
 
 def _load_document(path: Optional[str]) -> dict:
@@ -324,6 +320,8 @@ _COMMANDS = {
     "stabilizers": _cmd_stabilizers,
 }
 
+_SVG_KINDS = {"chambers": "secondary", "fan": "fan"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -345,15 +343,9 @@ def main(argv: Optional[list] = None) -> int:
     try:
         doc = _load_document(args.input)
         if args.command == "plot" or args.format == "svg":
-            if args.command == "chambers":
-                cal = _calibration(doc)
-                mark = _vec_from_json(doc["chi"]) if "chi" in doc else None
-                _emit(args, _plot_secondary(cal, mark))
-            elif args.command == "fan":
-                cal = _calibration(doc)
-                _emit(args, _plot_fan(cal, _vec_from_json(doc["b"])))
-            else:
-                _emit(args, _cmd_plot(doc, args))
+            # chambers and fan draw their own kind, the rest --kind or the document's
+            args.kind = _SVG_KINDS.get(args.command, args.kind)
+            _emit(args, _cmd_plot(doc, args))
             return EXIT_OK
         _dump(args, _COMMANDS[args.command](doc, args))
         return EXIT_OK

@@ -3,8 +3,8 @@
 A fan stores its maximal cones as 1-based generator index subsets; all
 geometry (containment, faces, convexity) is recomputed from the
 calibration columns on demand, through exact feasibility tests or the
-facts the calibration caches (normal fans and cone membership come from
-its basis inverses).
+facts the calibration caches (normal fans come from the scan of its
+chamber codes, cone membership from its basis inverses).
 """
 
 from __future__ import annotations

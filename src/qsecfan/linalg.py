@@ -359,29 +359,23 @@ class Calibration:
     def gale_facet_normals(self) -> tuple:
         """Inward facet normals of the Gale cone, sorted, for n-d <= 3.
 
-        Every facet contains n-d-1 independent Gale rows, so candidates are
-        kernel directions of (n-d-1)-subsets, kept when all rows land on
-        one side.
+        Every facet contains n-d-1 independent Gale rows, so it lies on a
+        wall hyperplane (for n-d = 1, on the hyperplane {0}); a wall normal
+        is kept, turned to the side of the rows, when every row lands on
+        one side of it.
         """
         m = self.n - self.d
         if m == 0:
             return ()
         if m > 3:
             raise UnsupportedDimensionError("facet enumeration implemented for n-d <= 3")
-        gens = self.gale.rows
         normals = set()
-        for sub in combinations(gens, m - 1):
-            kern = kernel_basis(Matrix(sub)) if sub else \
-                [tuple([S1])]  # m == 1: the only direction
-            if len(kern) != 1:
+        for w in self.wall_normals if m > 1 else ((S1,),):
+            signs = {dot(w, g).sign() for g in self.gale.rows}
+            if {1, -1} <= signs:
                 continue
-            w = kern[0]
-            signs = {dot(w, g).sign() for g in gens}
-            if 1 in signs and -1 in signs:
-                continue
-            if -1 in signs:
-                w = vscale(-1, w)
-            normals.add(normalize_direction(w))
+            # w is normalized, so -w is too
+            normals.add(vscale(-1, w) if -1 in signs else w)
         return tuple(sorted(normals))
 
     @cached_property
@@ -438,29 +432,22 @@ class Calibration:
         return MappingProxyType(out)
 
     @cached_property
-    def slack_rows(self) -> Mapping[tuple[int, ...], tuple[tuple[int, Vec], ...]]:
-        """(i, y(J, i)) with y(J, i) = M_J^{-T} h(e_i) for each i outside J, in
-        increasing i, for every J of basis_inverses: the slack of constraint
-        i at the vertex M_J^{-1} (-b_J) of P_b is b_i - y(J, i) . b_J."""
-        out = {}
+    def chamber_forms(self) -> Mapping[tuple[int, ...], Mapping[int, Vec]]:
+        """z(J, j) = P_j - sum_k y_k P_{J_k} with y = M_J^{-T} h(e_j), by J in
+        basis_inverses and then by j outside J in increasing order, so z . chi
+        is the slack <x, h(e_j)> + b_j at the vertex x = M_J^{-1} (-b_J) of
+        P_b.  Its b-coefficients c satisfy h c = h(e_j) - M_J^T y = 0, checked
+        per entry, so c lies in im k = ker h, onto which k P^T projects:
+        c . b = z . k^T b for every b."""
+        P, m, out = self.preimage.rows, self.n - self.d, {}
         for J, Minv in self.basis_inverses.items():
             Minv_t = Minv.transpose()
-            out[J] = tuple((i, Minv_t.matvec(h)) for i, h in enumerate(self.columns) if i not in J)
-        return MappingProxyType(out)
-
-    @cached_property
-    def chamber_forms(self) -> Mapping[tuple[int, ...], Mapping[int, Vec]]:
-        """z(J, j) = P_j - sum_k y(J, j)_k P_{J_k} by J and then by j outside J,
-        so z . chi is the slack of j at the vertex of J.  Its b-coefficients
-        c satisfy h c = h(e_j) - M_J^T y(J, j) = 0, checked per entry, so c
-        lies in im k = ker h, onto which k P^T projects: c . b = z . k^T b."""
-        P, m, out = self.preimage.rows, self.n - self.d, {}
-        for J, rows in self.slack_rows.items():
             PJ = Matrix.from_columns([P[k] for k in J], nrows=m)
             HJ = Matrix.from_columns([self.columns[k] for k in J], nrows=self.d)
-            if any(HJ.matvec(y) != self.columns[j] for j, y in rows):
+            ys = {j: Minv_t.matvec(h) for j, h in enumerate(self.columns) if j not in J}
+            if any(HJ.matvec(y) != self.columns[j] for j, y in ys.items()):
                 raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
-            out[J] = MappingProxyType({j: vsub(P[j], PJ.matvec(y)) for j, y in rows})
+            out[J] = MappingProxyType({j: vsub(P[j], PJ.matvec(y)) for j, y in ys.items()})
         return MappingProxyType(out)
 
     @cached_property

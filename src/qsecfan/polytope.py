@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import lp
 from .errors import DimensionMismatchError
 from .linalg import Matrix, Vec, dot, rank, solve_unique, vec, vsub
-from .scalar import Scalar
+from .scalar import IntVec, Scalar, dot_sign, encode
 
 
 def affine_dim(points: Sequence[Vec]) -> int:
@@ -223,27 +223,36 @@ def _add_vertex(found, x: Vec, normals, offsets) -> None:
     found.append((x, frozenset(tight)))
 
 
-def vertices_of(calibration, b: Sequence) -> list[tuple[Vec, frozenset[int]]]:
-    """HPolytope.from_parameter(calibration, b).vertices(), read off the
-    calibration's cached slack rows: J gives a vertex when every slack
-    b_i - y(J, i) . b_J is nonnegative, and only then is it solved."""
-    bb = vec(b)
-    if len(bb) != calibration.n:
-        raise DimensionMismatchError("parameter length differs from n")
-    found: list[tuple[Vec, frozenset[int]]] = []
-    for J, rows in calibration.slack_rows.items():
-        if _known(found, J):
-            continue
-        bJ = [bb[j] for j in J]
+def basis_scan(calibration, e: IntVec) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """(J, tight) for every invertible 0-based d-subset J whose basic point
+    x_J = M_J^{-1} (-b_J) lies in P_b, for every b with k^T b = chi encoded
+    as e.  The slack of i at x_J is z(J, i) . chi, the chamber code of
+    (J, i), so J is kept when each sign is >= 0, read up to the first
+    negative one; tight is J followed by the i whose slack is zero."""
+    for J, codes in calibration.chamber_codes.items():
         tight = list(J)
-        for i, y in rows:
-            sign = (bb[i] - dot(y, bJ)).sign()
+        for i, z in codes.items():
+            sign = dot_sign(z, e)
             if sign < 0:
                 break
             if sign == 0:
                 tight.append(i)
         else:
-            found.append((calibration.basis_inverses[J].matvec([-x for x in bJ]), frozenset(tight)))
+            yield J, tight
+
+
+def vertices_of(calibration, b: Sequence) -> list[tuple[Vec, frozenset[int]]]:
+    """HPolytope.from_parameter(calibration, b).vertices(), read off the
+    basis_scan of chi = k^T b; a kept J is solved only when its vertex is
+    not yet known."""
+    bb = vec(b)
+    if len(bb) != calibration.n:
+        raise DimensionMismatchError("parameter length differs from n")
+    found: list[tuple[Vec, frozenset[int]]] = []
+    for J, tight in basis_scan(calibration, encode(calibration.gale_t.matvec(bb))):
+        if not _known(found, J):
+            x = calibration.basis_inverses[J].matvec([-bb[j] for j in J])
+            found.append((x, frozenset(tight)))
     return sorted(found)
 
 

@@ -48,6 +48,7 @@ from .linalg import (
     vscale,
     vsub,
 )
+from .polytope import basis_scan
 from .scalar import IntVec, Rational, S0, S1, Scalar, dot_sign, encode
 
 
@@ -243,16 +244,12 @@ def _chamber_inequality(cal: Calibration, sigma, j: int, kind: str,
 
 def _vertex_bases(cal: Calibration, e: IntVec, cc: Vec) -> list[tuple[int, ...]]:
     """The 0-based d-subsets J tight at a vertex of P_b, for b any preimage
-    of the admissible chi = cc encoded as e.  The slack of i at the point
-    where J is tight is z(J, i) . chi, so J is a vertex exactly when each
-    is >= 0; a zero one puts i on that vertex too, so P_b is not simple
-    and, the columns spanning R^d positively, chi is not generic."""
+    of the admissible chi = cc encoded as e, from polytope.basis_scan.  A
+    vertex on more than d constraints makes P_b not simple and, the
+    columns spanning R^d positively, chi not generic."""
     bases = []
-    for J, codes in cal.chamber_codes.items():
-        signs = {dot_sign(z, e) for z in codes.values()}
-        if -1 in signs:
-            continue
-        if 0 in signs:
+    for J, tight in basis_scan(cal, e):
+        if len(tight) > cal.d:
             raise OnWallError("chi lies on a degenerate-span cone",
                               degenerate_span_witnesses(cal, cc))
         bases.append(J)
@@ -501,15 +498,8 @@ def _classify_crossing(cal: Calibration, normal: Vec, chi_star: Vec,
         checks["on_wall_non_simplicial"] = not f0.is_simplicial()
         checks["sides_refine_on_wall"] = _refines(cal, f_minus, f0) and _refines(cal, f_plus, f0)
         if cal.d <= 3:
-            cr = common_refinement(f_minus, f_plus)
-            if isinstance(cr, QuantumFan):
-                checks["refinement_inside_on_wall"] = _refines(cal, cr, f0)
-            else:
-                # d = 3: geometric overlay cones, each must sit in an on-wall cone
-                checks["refinement_inside_on_wall"] = all(
-                    any(all(cone_contains(cal, t, r) for r in rays)
-                        for t in f0.max_cones)
-                    for rays in cr)
+            checks["refinement_inside_on_wall"] = _refines(
+                cal, common_refinement(f_minus, f_plus), f0)
         index = None
         if wall.circuit is not None:
             index = (len(wall.circuit[0]), len(wall.circuit[1]))
@@ -531,13 +521,14 @@ def _classify_crossing(cal: Calibration, normal: Vec, chi_star: Vec,
     return WallCrossingReport(t_star, wall, f_minus, f0, f_plus, index, checks)
 
 
-def _refines(cal: Calibration, fine: QuantumFan, coarse: QuantumFan) -> bool:
-    """Every maximal cone of the fine fan sits inside one of the coarse fan."""
-    for s in fine.max_cones:
-        if not any(all(cone_contains(cal, t, cal.column(i)) for i in s)
-                   for t in coarse.max_cones):
-            return False
-    return True
+def _refines(cal: Calibration, fine, coarse: QuantumFan) -> bool:
+    """Every cone of fine sits inside a maximal cone of coarse.  fine is a
+    QuantumFan or, as the d = 3 overlay of common_refinement, a tuple of
+    cones given by their rays."""
+    if isinstance(fine, QuantumFan):
+        fine = ([cal.column(i) for i in s] for s in fine.max_cones)
+    return all(any(all(cone_contains(cal, t, r) for r in rays) for t in coarse.max_cones)
+               for rays in fine)
 
 
 def cobordism_from_path(path: AffinePath, cal: Calibration) -> CobordismReport:

@@ -49,7 +49,13 @@ encoded chamber forms at chi replaced: b = P chi, then ``vertices_of``
 and the simplicity check on their tight sets, then the fan of those
 vertices, with each inequality's form looked up by ``_chamber_form``.
 Its chambers encode their inequality normals on construction, as the
-forms come without codes.
+forms come without codes.  It calls ``vertices_of_dict`` in place of
+``vertices_of``, which now runs the chamber-code scan of ``chamber_of``
+itself; both return the same list.
+
+``gale_facet_normals_subsets`` is the Gale-cone facet enumeration that
+``Calibration.gale_facet_normals`` ran before it took its candidates from
+the wall normals: one kernel per (n-d-1)-subset of Gale rows.
 """
 
 from itertools import combinations
@@ -457,7 +463,7 @@ def chamber_of_vertices(cal, chi):
         raise NotAdmissibleError("chi is not interior to the Gale cone")
     b = preimage_matrix(cal).matvec(cc)
     # with positively spanning columns chi is generic iff P_b is simple
-    verts = vertices_of(cal, b) if cal.positively_spanning else None
+    verts = vertices_of_dict(cal, b) if cal.positively_spanning else None
     generic = is_generic(cal, cc) if verts is None else all(len(t) == cal.d for _, t in verts)
     if not generic:
         raise OnWallError("chi lies on a degenerate-span cone",
@@ -482,3 +488,32 @@ def chamber_of_vertices(cal, chi):
         raise OnWallError("chi sits on a chamber wall",
                           [q.normal for q in ineqs if dot(q.normal, cc).is_zero()])
     return ch
+
+
+def gale_facet_normals_subsets(cal):
+    """Inward facet normals of the Gale cone, sorted, for n-d <= 3.
+
+    Every facet contains n-d-1 independent Gale rows, so candidates are
+    kernel directions of (n-d-1)-subsets, kept when all rows land on
+    one side.
+    """
+    m = cal.n - cal.d
+    if m == 0:
+        return ()
+    if m > 3:
+        raise UnsupportedDimensionError("facet enumeration implemented for n-d <= 3")
+    gens = cal.gale.rows
+    normals = set()
+    for sub in combinations(gens, m - 1):
+        kern = kernel_basis(Matrix(sub)) if sub else \
+            [tuple([S1])]  # m == 1: the only direction
+        if len(kern) != 1:
+            continue
+        w = kern[0]
+        signs = {dot(w, g).sign() for g in gens}
+        if 1 in signs and -1 in signs:
+            continue
+        if -1 in signs:
+            w = vscale(-1, w)
+        normals.add(normalize_direction(w))
+    return tuple(sorted(normals))

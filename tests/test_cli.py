@@ -150,3 +150,19 @@ def test_exit_code_degenerate(tmp_path):
     # a path whose endpoint sits on a wall
     p.write_text(json.dumps(QEX_DOC))
     assert main(["wall-cross", "--input", str(p), "--path", "0,0,1,1;1,1,0,0"]) == 3
+
+
+def test_svg_format_of_chambers_and_fan_prints_the_plot(doc_path, capsys):
+    """chambers and fan with --format svg print the secondary-fan and the
+    fan plot, whatever --kind says."""
+    def printed(*args):
+        assert main(list(args) + ["--input", doc_path]) == 0
+        return capsys.readouterr().out
+
+    secondary = printed("plot", "--kind", "secondary")
+    fan = printed("plot", "--kind", "fan")
+    svg_ok(secondary)
+    svg_ok(fan)
+    assert secondary != fan
+    assert printed("chambers", "--format", "svg") == secondary
+    assert printed("fan", "--format", "svg", "--kind", "polytope") == fan

@@ -17,6 +17,7 @@ from qsecfan import (
     OnWallError,
     Rational,
     Scalar,
+    UnsupportedDimensionError,
     chamber_of,
     is_admissible,
     is_generic,
@@ -25,11 +26,12 @@ from qsecfan import (
 from qsecfan.fan import faces_of, is_face
 from qsecfan.linalg import Matrix, dot, gale_rows, vadd, vec, vscale
 
-from conftest import cal_of, random_generic_chi, special_points
+from conftest import cal_of, random_calibration, random_generic_chi, special_points
 from reference_geometry import (
     degenerate_span_witnesses_lp,
     dimension_lp,
     face_dim_lp,
+    gale_facet_normals_subsets,
     is_generic_lp,
     normal_fan_fm,
 )
@@ -221,6 +223,26 @@ def test_on_wall_error_carries_the_lp_witnesses(qex, fig5, frustum):
             assert list(exc.value.equalities) == degenerate_span_witnesses_lp(cal, chi)
 
 
+def test_gale_facet_normals_match_the_subset_scan(references, instance_pool):
+    """The facets read off the wall normals against the kernel of every
+    (n-d-1)-subset of Gale rows, for n-d = 1, 2, 3, rational and not."""
+    rng = random.Random(37)
+    cals = references + [c for c, _, _ in instance_pool if c.n - c.d <= 3]
+    while len(cals) < 600:
+        d = rng.randint(1, 3)
+        cal = random_calibration(rng, d, d + rng.randint(1, 3), irrational=rng.random() < 0.5)
+        if cal is not None:
+            cals.append(cal)
+    for cal in cals:
+        assert cal.gale_facet_normals == gale_facet_normals_subsets(cal)
+    assert {c.n - c.d for c in cals} == {1, 2, 3}
+    assert any(c.field_m for c in cals if c.n - c.d == 3)
+    too_big = cal_of(2, [(1, 0), (0, 1), (-1, -1), (1, 1), (2, 1), (1, 2)])
+    for fn in (lambda c: c.gale_facet_normals, gale_facet_normals_subsets):
+        with pytest.raises(UnsupportedDimensionError):
+            fn(too_big)
+
+
 def fig5_copy():
     return cal_of(2, [(1, 0), (0, 1), (-3, 1), (1, -3), (-2, -1)])
 
@@ -263,8 +285,10 @@ def test_cached_facts_do_not_grow_with_queries():
     points = sorted(points)
     chamber_of(cal, points[0])
     sizes = cached_sizes(cal)
-    assert {"gale", "preimage", "wall_normals", "basis_inverses",
-            "slack_rows", "chamber_forms"} <= set(sizes)
+    assert set(sizes) == {"gale", "gale_t", "preimage", "gale_facet_normals",
+                          "gale_facet_codes", "wall_normals", "wall_codes",
+                          "positively_spanning", "basis_inverses", "chamber_forms",
+                          "chamber_codes"}
     for chi in points[1:]:
         chamber_of(cal, chi)
     assert cached_sizes(cal) == sizes

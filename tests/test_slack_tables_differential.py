@@ -1,7 +1,6 @@
-"""The slack rows and chamber forms a Calibration caches, the chamber
-inequalities and vertices read from them, and the wall-hyperplane
-genericity test, against the per-call chain and the exact scan they
-replaced."""
+"""The chamber forms a Calibration caches, the chamber inequalities and
+vertex slacks read from them, and the wall-hyperplane genericity test,
+against the per-call chain and the exact scan they replaced."""
 
 import random
 from itertools import combinations
@@ -9,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from qsecfan import NotAdmissibleError, chamber_of, is_admissible, is_generic
-from qsecfan.linalg import dot
+from qsecfan.linalg import dot, is_zero_vec, vadd, vec
 from qsecfan.scalar import encode
 from qsecfan.secondary import _chamber_inequality, degenerate_span_witnesses
 
@@ -23,12 +22,11 @@ def references(qex, qex_t1, p2, fig5, frustum, exc4):
 
 
 def assert_tables_match_the_chain(cal):
-    """Every d-subset J: an invertible one has one slack row and one
-    chamber form and its code per j outside J, equal to the reference
-    chain; a singular one has none and raises the reference's error."""
+    """Every d-subset J: an invertible one has one chamber form and its
+    code per j outside J, equal to the reference chain; a singular one
+    has none and raises the reference's error."""
     n, d = cal.n, cal.d
-    assert list(cal.slack_rows) == list(cal.chamber_forms) == list(cal.basis_inverses) \
-        == list(cal.chamber_codes)
+    assert list(cal.chamber_forms) == list(cal.basis_inverses) == list(cal.chamber_codes)
     checked = 0
     for J in combinations(range(n), d):
         sigma = frozenset(k + 1 for k in J)
@@ -40,12 +38,9 @@ def assert_tables_match_the_chain(cal):
                 _chamber_inequality(cal, sigma, outside[0] + 1, "wall", ())
             assert str(got.value) == str(want.value)
             continue
-        rows = cal.slack_rows[J]
-        assert [i for i, _ in rows] == outside == sorted(cal.chamber_forms[J]) \
-            == sorted(cal.chamber_codes[J])
-        for j, y in rows:
+        assert list(cal.chamber_forms[J]) == outside == list(cal.chamber_codes[J])
+        for j in outside:
             c_b = b_space_inequality(cal, sigma, j + 1)
-            assert y == tuple(-c_b[k] for k in J)
             assert cal.chamber_forms[J][j] == to_chi_space(cal, c_b)
             assert cal.chamber_codes[J][j] == encode(cal.chamber_forms[J][j])
             q = _chamber_inequality(cal, sigma, j + 1, "wall", ())
@@ -67,15 +62,26 @@ def test_singular_subsets_occur(exc4, frustum):
         assert len(cal.basis_inverses) < len(list(combinations(range(cal.n), cal.d)))
 
 
-def test_slack_rows_give_the_slack_at_each_basic_point(instance_pool):
-    """b_i - y(J, i) . b_J is <x, h(e_i)> + b_i at x = M_J^{-1} (-b_J),
-    for every J, feasible or not."""
-    for cal, _, b in instance_pool:
-        for J, rows in cal.slack_rows.items():
-            bJ = [b[k] for k in J]
-            x = cal.basis_inverses[J].matvec([-v for v in bJ])
-            for i, y in rows:
-                assert b[i] - dot(y, bJ) == dot(cal.column(i + 1), x) + b[i]
+def test_chamber_forms_give_the_slack_at_each_basic_point(instance_pool):
+    """z(J, i) . k^T b is <x_J, h(e_i)> + b_i at x_J = M_J^{-1} (-b_J), for
+    every J, feasible or not, and every i outside J: at the pool's b = P chi
+    and at translates b + h^T x, which lie outside im P and have the same
+    chi but other basic points."""
+    rng = random.Random(48)
+    translates = 0
+    for cal, chi, b in instance_pool:
+        x = vec([rng.randint(-5, 5) for _ in range(cal.d)])
+        b2 = vadd(b, tuple(dot(x, h) for h in cal.columns))
+        if not is_zero_vec(x):
+            assert not is_zero_vec(cal.matrix().matvec(b2))  # h b2 = h h^T x != 0
+            translates += 1
+        for bb in (b, b2):
+            assert cal.gale_t.matvec(bb) == chi
+            for J, forms in cal.chamber_forms.items():
+                xJ = cal.basis_inverses[J].matvec([-bb[k] for k in J])
+                for i, z in forms.items():
+                    assert dot(z, chi) == dot(xJ, cal.column(i + 1)) + bb[i]
+    assert translates > 150
 
 
 def test_chamber_inequalities_match_the_chain(references, instance_pool):
