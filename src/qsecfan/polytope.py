@@ -169,8 +169,8 @@ class HPolytope:
         unit = [0] * d
         for j in range(d):
             for s in (1, -1):
-                unit[j] = s
-                if lp.feasible(rows + [lp.eq(unit, -1 if s > 0 else 1)], d):
+                unit[j] = s  # probe s * x_j = 1
+                if lp.feasible(rows + [lp.eq(unit, -1)], d):
                     return False
             unit[j] = 0
         return True

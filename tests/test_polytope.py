@@ -2,7 +2,8 @@
 
 import pytest
 
-from qsecfan import DimensionMismatchError, HPolytope, Rational, Scalar, VertexOracle, virtual_indices
+from qsecfan import (Calibration, DimensionMismatchError, HPolytope, NotAdmissibleError, Rational,
+                     Scalar, VertexOracle, normal_fan, virtual_indices)
 from qsecfan.linalg import vec
 from qsecfan.polytope import vertices_of
 
@@ -45,6 +46,27 @@ def test_unbounded():
     assert not P.is_bounded()
     assert P.dimension() == 2
     assert P.vertices() == [((S(0), S(0)), frozenset({0, 1}))]
+
+
+def test_half_line_pointing_down_is_unbounded():
+    """x <= 0 recedes along x = -1, the direction a probe of x = +1 misses."""
+    assert not HPolytope(1, ((-1,),), (0,)).is_bounded()
+
+
+def test_cut_corner_recedes_into_the_negative_quadrant():
+    """{x1 <= 1, x2 <= 1, x1 + x2 <= 1} is an unbounded 2-dimensional region
+    with three edges, so no face dimension comes from its two vertices."""
+    P = HPolytope(2, ((-1, 0), (0, -1), (-1, -1)), (1, 1, 1))
+    assert not P.is_bounded()
+    assert P.dimension() == 2
+    assert [P.facet_dim(i) for i in range(3)] == [1, 1, 1]
+
+
+def test_columns_in_a_closed_half_plane_do_not_positively_span():
+    cal = Calibration(2, 3, ((-1, 0), (0, -1), (-1, -1)))
+    assert not cal.positively_spanning
+    with pytest.raises(NotAdmissibleError, match="P_b is unbounded"):
+        normal_fan(cal, vec([1, 1, 1]))
 
 
 def test_irrational_vertex_coordinates(qex):
