@@ -21,11 +21,10 @@ from .errors import (
     QsecfanError,
 )
 from .fan import combinatorial_type, normal_fan, stabilizer_profiles
-from .linalg import (Calibration, Vec, gale_rows, gale_transform, preimage_matrix, vadd, vec,
-                     vscale)
-from .polytope import HPolytope, VertexOracle
+from .linalg import Calibration, Vec, gale_rows, gale_transform, vadd, vec, vscale
+from .polytope import HPolytope, basis_scan
 from .projective import classify_dim2, path_to_projective, projective_certificate
-from .scalar import Rational, Scalar
+from .scalar import Rational, Scalar, encode
 from .secondary import (
     AffinePath,
     chamber_of,
@@ -243,8 +242,6 @@ def _sample_census(cal: Calibration, sf, samples: int, seed: int) -> dict:
     number of distinct classes cross-checks the enumerated chamber count."""
     rng = random.Random(seed)
     rows = gale_rows(cal)
-    oracle = VertexOracle(cal)
-    pm = preimage_matrix(cal)
     keys = set()
     kept = 0
     while kept < samples:
@@ -255,7 +252,9 @@ def _sample_census(cal: Calibration, sf, samples: int, seed: int) -> dict:
         if not is_generic(cal, chi):
             continue
         kept += 1
-        keys.add(oracle.comb_key(pm.matvec(chi)))
+        # basis_scan keeps J when the basic point x_J lies in P_b, for any
+        # preimage b of chi, as VertexOracle.comb_key does
+        keys.add(frozenset(frozenset(j + 1 for j in J) for J, _ in basis_scan(cal, encode(chi))))
     return {"samples": samples, "distinct_classes": len(keys),
             "chambers": len(sf.chambers),
             "match": len(keys) == len(sf.chambers)}

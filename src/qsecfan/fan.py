@@ -39,7 +39,7 @@ from .linalg import (
     integer_kernel_rank,
 )
 from .polytope import HPolytope, affine_dim, vertices_of
-from .scalar import S0, Scalar
+from .scalar import S0, Scalar, dot_sign, encode
 
 IndexSet = frozenset
 
@@ -69,23 +69,22 @@ def cone_contains(cal: Calibration, sigma, x: Sequence) -> bool:
     """Membership of x in Cone(h(e_i), i in sigma), by the rule of in_cone.
 
     When sigma spans R^d its independent d-subsets J are the invertible
-    ones, and the coordinates of x in basis J are M_J^{-T} x, read from
-    the calibration's cached inverses; a lower-rank sigma goes through
-    in_cone.
+    ones, and the signs of the coordinates M_J^{-T} x of x in basis J are
+    read against the calibration's encoded inverse columns; a lower-rank
+    sigma goes through in_cone.
     """
     xx = vec(x)
     if len(xx) != cal.d:
         raise DimensionMismatchError(f"vector of length {len(xx)} in a cone of R^{cal.d}")
-    inverses = cal.basis_inverses
-    spans = False
+    codes, e = cal.inverse_codes, None
     for J in combinations(sorted(i - 1 for i in sigma), cal.d):
-        Minv = inverses.get(J)
-        if Minv is None:
+        columns = codes.get(J)
+        if columns is None:
             continue
-        spans = True
-        if all(dot(Minv.column(k), xx).sign() >= 0 for k in range(cal.d)):
+        e = e or encode(xx)
+        if all(dot_sign(c, e) >= 0 for c in columns):
             return True
-    return False if spans else in_cone(_cols(cal, sigma), xx)
+    return False if e else in_cone(_cols(cal, sigma), xx)
 
 
 def is_face(cal: Calibration, J, sigma) -> bool:

@@ -15,7 +15,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (DimensionMismatchError, InvalidCalibrationError, NotAdmissibleError,
                      UnsupportedDimensionError)
-from .scalar import S0, S1, IntVec, Scalar, common_field, encode
+from . import lp
+from .scalar import S0, S1, IntVec, Scalar, common_field, dot_sign, encode
 
 Vec = tuple[Scalar, ...]
 
@@ -157,22 +158,22 @@ def rank(M: Matrix) -> int:
 def det(M: Matrix) -> Scalar:
     if M.nrows != M.ncols:
         raise DimensionMismatchError("determinant of non-square matrix")
-    rows = [list(r) for r in M.rows]
-    n = M.nrows
-    acc = S1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
-        if pr is None:
-            return S0
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            acc = -acc
-        acc = acc * rows[c][c]
-        inv = rows[c][c].inv()
-        for i in range(c + 1, n):
-            if not rows[i][c].is_zero():
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return minor(M.rows)
+
+
+def minor(rows: Sequence[Sequence[Scalar]]) -> Scalar:
+    """The determinant of the square matrix with these rows, by Laplace
+    expansion along the first row: a closed form up to size 3, exact for
+    any size, with no division."""
+    if len(rows) <= 1:
+        return rows[0][0] if rows else S1
+    if len(rows) == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    acc = S0
+    for c, x in enumerate(rows[0]):
+        if not x.is_zero():
+            term = x * minor([r[:c] + r[c + 1:] for r in rows[1:]])
+            acc = acc - term if c % 2 else acc + term
     return acc
 
 
@@ -343,6 +344,14 @@ class Calibration:
         return Matrix.from_columns(kernel_basis(self.matrix()), nrows=self.n)
 
     @cached_property
+    def free_columns(self) -> tuple[int, ...]:
+        """F, the free columns of rref(h) in increasing order.  kernel_basis
+        sets column t of k to 1 at F[t], its last nonzero entry, and to 0 at
+        the other free columns, so the Gale rows at F are the identity."""
+        return tuple(max(i for i, g in enumerate(self.gale.rows) if not g[t].is_zero())
+                     for t in range(self.n - self.d))
+
+    @cached_property
     def gale_t(self) -> Matrix:
         """k^T, the map b -> chi."""
         return self.gale.transpose()
@@ -369,9 +378,11 @@ class Calibration:
             return ()
         if m > 3:
             raise UnsupportedDimensionError("facet enumeration implemented for n-d <= 3")
+        rows = [encode(g) for g in self.gale.rows]
+        walls = zip(self.wall_normals, self.wall_codes) if m > 1 else [((S1,), encode((S1,)))]
         normals = set()
-        for w in self.wall_normals if m > 1 else ((S1,),):
-            signs = {dot(w, g).sign() for g in self.gale.rows}
+        for w, code in walls:
+            signs = {dot_sign(code, g) for g in rows}
             if {1, -1} <= signs:
                 continue
             # w is normalized, so -w is too
@@ -385,20 +396,22 @@ class Calibration:
 
     @cached_property
     def wall_normals(self) -> tuple:
-        """One normal per hyperplane spanned by n-d-1 Gale rows.
-
+        """One normal per hyperplane spanned by n-d-1 Gale rows: their signed
+        minors (-1)^t det(rows without column t), turned so that the last
+        nonzero entry (where kernel_basis puts its 1) is positive, normalized.
         Every wall of the secondary fan, and every cone on fewer than n-d
-        Gale rows, lies in one of these hyperplanes.  Empty when n-d <= 1.
-        """
+        Gale rows, lies in one of these hyperplanes.  Empty when n-d <= 1."""
         m = self.n - self.d
         if m <= 1:
             return ()
         normals, seen = [], set()
         for sub in combinations(self.gale.rows, m - 1):
-            kern = kernel_basis(Matrix(sub))
-            if len(kern) != 1:
+            w = tuple(-x if t % 2 else x for t, x in
+                      enumerate(minor([g[:t] + g[t + 1:] for g in sub]) for t in range(m)))
+            last = next((x for x in reversed(w) if not x.is_zero()), None)
+            if last is None:
                 continue
-            w = normalize_direction(kern[0])
+            w = normalize_direction(w if last.sign() > 0 else vscale(-1, w))
             if w not in seen:
                 seen.add(w)
                 normals.append(w)
@@ -411,43 +424,73 @@ class Calibration:
 
     @cached_property
     def positively_spanning(self) -> bool:
-        """The columns positively span R^d: the recession cone
-        {x : <x, h(e_i)> >= 0} of every P_b is {0}."""
-        from .polytope import HPolytope
+        """The columns positively span R^d, so every P_b is bounded: some
+        w has g . w > 0 for every Gale row g (k w > 0 lies in ker h).  For
+        n-d <= 3: no Gale row is zero and the Gale cone is pointed, its
+        facet normals spanning R^(n-d); beyond, one feasibility test."""
+        m = self.n - self.d
+        if m > 3:
+            return lp.feasible([lp.gt(g) for g in self.gale.rows], m)
+        return (m >= 1 and not any(is_zero_vec(g) for g in self.gale.rows)
+                and rank(Matrix(self.gale_facet_normals)) == m)
 
-        return HPolytope(self.d, self.columns, (S0,) * self.n).is_bounded()
+    @cached_property
+    def brackets(self) -> tuple[Scalar, ...]:
+        """[J] = det M_J for every 0-based d-subset J, in lexicographic
+        order, where M_J has rows h(e_j), j in J."""
+        return tuple(minor([self.columns[j] for j in J])
+                     for J in combinations(range(self.n), self.d))
 
     @cached_property
     def basis_inverses(self) -> Mapping[tuple[int, ...], Matrix]:
-        """M_J^{-1} for every 0-based d-subset J (in lexicographic order)
-        whose columns are independent, where M_J has rows h(e_j), j in J.
-
-        The vertex of P_b where J is tight is M_J^{-1} (-b_J).
-        """
-        out = {}
-        for J in combinations(range(self.n), self.d):
-            inv = inverse(Matrix([self.columns[j] for j in J]))
-            if inv is not None:
-                out[J] = inv
+        """M_J^{-1} = adj(M_J) / [J] for every 0-based d-subset J (in
+        lexicographic order) with [J] != 0: entry (i, k) is (-1)^(i+k) times
+        the minor of M_J without row k and column i, over [J].  The vertex
+        of P_b where J is tight is M_J^{-1} (-b_J)."""
+        d, out = self.d, {}
+        for J, bracket in zip(combinations(range(self.n), d), self.brackets):
+            if bracket.is_zero():
+                continue
+            rows, scale = [self.columns[j] for j in J], bracket.inv()
+            adj = [[minor([r[:i] + r[i + 1:] for q, r in enumerate(rows) if q != k])
+                    for k in range(d)] for i in range(d)]
+            out[J] = Matrix([[-(scale * a) if (i + k) % 2 else scale * a for k, a in enumerate(row)]
+                             for i, row in enumerate(adj)])
         return MappingProxyType(out)
 
     @cached_property
+    def inverse_codes(self) -> Mapping[tuple[int, ...], tuple[IntVec, ...]]:
+        """The columns of each M_J^{-1} in basis_inverses, encoded for
+        scalar.dot_sign: their signs against x are those of M_J^{-T} x, the
+        coordinates of x in the basis h(e_j), j in J."""
+        return MappingProxyType({J: tuple(encode(Minv.column(k)) for k in range(self.d))
+                                 for J, Minv in self.basis_inverses.items()})
+
+    @cached_property
     def chamber_forms(self) -> Mapping[tuple[int, ...], Mapping[int, Vec]]:
-        """z(J, j) = P_j - sum_k y_k P_{J_k} with y = M_J^{-T} h(e_j), by J in
-        basis_inverses and then by j outside J in increasing order, so z . chi
-        is the slack <x, h(e_j)> + b_j at the vertex x = M_J^{-1} (-b_J) of
-        P_b.  Its b-coefficients c satisfy h c = h(e_j) - M_J^T y = 0, checked
-        per entry, so c lies in im k = ker h, onto which k P^T projects:
-        c . b = z . k^T b for every b."""
-        P, m, out = self.preimage.rows, self.n - self.d, {}
-        for J, Minv in self.basis_inverses.items():
-            Minv_t = Minv.transpose()
-            PJ = Matrix.from_columns([P[k] for k in J], nrows=m)
-            HJ = Matrix.from_columns([self.columns[k] for k in J], nrows=self.d)
-            ys = {j: Minv_t.matvec(h) for j, h in enumerate(self.columns) if j not in J}
-            if any(HJ.matvec(y) != self.columns[j] for j, y in ys.items()):
-                raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
-            out[J] = MappingProxyType({j: vsub(P[j], PJ.matvec(y)) for j, y in ys.items()})
+        """z(J, j), by J in basis_inverses and then by j outside J in
+        increasing order: the circuit c = e_j - sum_k y_k e_{J_k} read at the
+        free columns F, with y = M_J^{-T} h(e_j), y_k = [J with J_k -> j] / [J]
+        by Cramer's rule.  h c = 0 is checked per entry, so c = k c_F and
+        z . k^T b = c . b, the slack <x, h(e_j)> + b_j at the vertex
+        x = M_J^{-1} (-b_J) of P_b, for every b."""
+        d, F, out = self.d, self.free_columns, {}
+        bracket = dict(zip(combinations(range(self.n), d), self.brackets))
+        for J in self.basis_inverses:
+            scale = bracket[J].inv()
+            HJ = Matrix.from_columns([self.columns[k] for k in J], nrows=d)
+            forms = {}
+            for j in (j for j in range(self.n) if j not in J):
+                y = []
+                for k in range(d):
+                    rest = J[:k] + J[k + 1:]
+                    p = sum(i < j for i in rest)  # j sorts into place p
+                    yk = scale * bracket[rest[:p] + (j,) + rest[p:]]
+                    y.append(-yk if (k - p) % 2 else yk)
+                if HJ.matvec(y) != self.columns[j]:
+                    raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
+                forms[j] = tuple(S1 if f == j else -y[J.index(f)] if f in J else S0 for f in F)
+            out[J] = MappingProxyType(forms)
         return MappingProxyType(out)
 
     @cached_property
@@ -499,6 +542,17 @@ def preimage_of_chi(c: Calibration, chi: Sequence[Scalar]) -> Vec:
     if len(chi) != c.n - c.d:
         raise DimensionMismatchError("chi has wrong length for this calibration")
     return c.preimage.matvec(vec(chi))
+
+
+def preimage_at_free(c: Calibration, chi: Sequence[Scalar]) -> Vec:
+    """The b with chi at the free columns F and zeros elsewhere: k^T b = chi,
+    as the Gale rows at F are the identity."""
+    if len(chi) != c.n - c.d:
+        raise DimensionMismatchError("chi has wrong length for this calibration")
+    b = [S0] * c.n
+    for f, x in zip(c.free_columns, vec(chi)):
+        b[f] = x
+    return tuple(b)
 
 
 def chi_of_b(c: Calibration, b: Sequence[Scalar]) -> Vec:

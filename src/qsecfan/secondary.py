@@ -1,8 +1,8 @@
 """The secondary fan in chi-space R^(n-d).
 
 Chambers are carved out of the Gale cone by two kinds of linear
-inequalities in b (both pushed forward to chi through the minimum-norm
-preimage): convexity of the piecewise-linear support function across
+inequalities in b (both read in chi as circuits of the columns, see
+Calibration.chamber_forms): convexity of the piecewise-linear support function across
 each pair of adjacent maximal cones, and redundancy of each virtual
 generator's constraint.  Walls between chambers either toggle a virtual
 generator (divisorial, a star subdivision) or exchange triangulations
@@ -42,7 +42,7 @@ from .linalg import (
     in_cone,
     kernel_basis,
     normalize_direction,
-    preimage_matrix,
+    preimage_at_free,
     vadd,
     vec,
     vscale,
@@ -489,7 +489,8 @@ class CobordismReport:
 def _classify_crossing(cal: Calibration, normal: Vec, chi_star: Vec,
                        f_minus: QuantumFan, f_plus: QuantumFan,
                        t_star: Optional[Scalar]) -> WallCrossingReport:
-    f0 = normal_fan(cal, preimage_matrix(cal).matvec(chi_star))
+    # every preimage of chi_star gives a translate of one P_b, so one fan
+    f0 = normal_fan(cal, preimage_at_free(cal, chi_star))
     rays_minus, rays_plus = set(f_minus.rays()), set(f_plus.rays())
     checks: dict = {}
     if rays_minus == rays_plus:

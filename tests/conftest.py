@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from qsecfan import AffinePath, Calibration, Rational, Scalar
+from qsecfan import AffinePath, Calibration, InvalidCalibrationError, Rational, Scalar
 from qsecfan.linalg import gale_rows, preimage_of_chi, vadd, vscale
 from qsecfan.secondary import is_generic
 
@@ -82,6 +82,32 @@ def random_calibration(rng, d, n, irrational=False, max_entry=4, geometric=False
     if geometric and not cal.is_geometric():
         return None
     return cal
+
+
+def unconstrained_calibration(rng, d, m, kind, irrational=False):
+    """A calibration of n = d + m random nonzero columns with no spanning
+    constraint, or None when the draw has rank below d.  kind "free" draws
+    entries in [-3, 3]; "half" keeps every column in the closed half-space
+    s * x_r >= 0, so the columns never positively span; "coloop" (d >= 2)
+    puts every column but the last on the hyperplane x_r = 0, so the last
+    is a coloop and its Gale row is zero."""
+    r, s = rng.randrange(d), rng.choice((1, -1))
+    cols = []
+    while len(cols) < d + m:
+        c = [Scalar(rng.randint(-3, 3)) for _ in range(d)]
+        if irrational and rng.random() < 0.5:
+            j = rng.randrange(d)
+            c[j] = c[j] + Scalar(0, rng.choice((-1, 1)), 2)
+        if kind == "half" and c[r].sign() * s < 0:
+            c[r] = -c[r]
+        if kind == "coloop" and len(cols) < d + m - 1:
+            c[r] = S0
+        if not all(x.is_zero() for x in c):
+            cols.append(c)
+    try:
+        return Calibration(d, d + m, tuple(map(tuple, cols)), frozenset())
+    except InvalidCalibrationError:
+        return None
 
 
 def random_generic_chi(rng, cal, tries=200):

@@ -56,8 +56,22 @@ itself; both return the same list.
 ``gale_facet_normals_subsets`` is the Gale-cone facet enumeration that
 ``Calibration.gale_facet_normals`` ran before it took its candidates from
 the wall normals: one kernel per (n-d-1)-subset of Gale rows.
+
+``basis_inverses_rref``, ``chamber_forms_preimage``,
+``positively_spanning_fm``, ``wall_normals_kernel`` and
+``cone_contains_dot`` are the routes that exact minors and sign codes
+replaced: one rref inverse per d-subset, the chamber forms pushed through
+the preimage matrix P = k (k^T k)^{-1}, the Fourier-Motzkin recession
+probes of ``HPolytope.is_bounded`` on the columns, one kernel per
+(n-d-1)-subset of Gale rows, and cone membership by Scalar ``dot``
+against the inverse columns.  They read no cached fact but the Gale
+transform, and P and ``basis_inverses`` (``chamber_forms_preimage`` and
+``cone_contains_dot``, as their originals did).  ``sample_census_oracle`` is the ``chambers
+--samples`` census that classified each sample by
+``VertexOracle.comb_key`` at b = P chi.
 """
 
+import random
 from itertools import combinations
 
 from qsecfan import lp
@@ -78,19 +92,23 @@ from qsecfan.fan import (
 from qsecfan.linalg import (
     Matrix,
     dot,
+    gale_rows,
+    in_cone,
+    inverse,
     kernel_basis,
     is_zero_vec,
     normalize_direction,
     preimage_matrix,
+    vsub,
     rank,
     solve,
     vadd,
     vec,
     vscale,
 )
-from qsecfan.polytope import HPolytope, affine_dim, vertices_of
+from qsecfan.polytope import HPolytope, VertexOracle, affine_dim, vertices_of
 from qsecfan.projective import ProjectiveCertificate
-from qsecfan.scalar import S0, S1
+from qsecfan.scalar import S0, S1, Rational, Scalar
 from qsecfan.secondary import (
     Chamber,
     ChamberInequality,
@@ -517,3 +535,93 @@ def gale_facet_normals_subsets(cal):
             w = vscale(-1, w)
         normals.add(normalize_direction(w))
     return tuple(sorted(normals))
+
+
+def basis_inverses_rref(cal):
+    """M_J^{-1} for every 0-based d-subset J (in lexicographic order)
+    whose columns are independent, where M_J has rows h(e_j), j in J."""
+    out = {}
+    for J in combinations(range(cal.n), cal.d):
+        inv = inverse(Matrix([cal.columns[j] for j in J]))
+        if inv is not None:
+            out[J] = inv
+    return out
+
+
+def chamber_forms_preimage(cal):
+    """z(J, j) = P_j - sum_k y_k P_{J_k} with y = M_J^{-T} h(e_j), by J in
+    basis_inverses and then by j outside J in increasing order; the
+    b-coefficients c satisfy h c = h(e_j) - M_J^T y = 0, checked per entry."""
+    P, m, out = preimage_matrix(cal).rows, cal.n - cal.d, {}
+    for J, Minv in cal.basis_inverses.items():
+        Minv_t = Minv.transpose()
+        PJ = Matrix.from_columns([P[k] for k in J], nrows=m)
+        HJ = Matrix.from_columns([cal.columns[k] for k in J], nrows=cal.d)
+        ys = {j: Minv_t.matvec(h) for j, h in enumerate(cal.columns) if j not in J}
+        if any(HJ.matvec(y) != cal.columns[j] for j, y in ys.items()):
+            raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
+        out[J] = {j: vsub(P[j], PJ.matvec(y)) for j, y in ys.items()}
+    return out
+
+
+def positively_spanning_fm(cal):
+    """The columns positively span R^d: the recession cone
+    {x : <x, h(e_i)> >= 0} of every P_b is {0}."""
+    return HPolytope(cal.d, cal.columns, (S0,) * cal.n).is_bounded()
+
+
+def wall_normals_kernel(cal):
+    """One normal per hyperplane spanned by n-d-1 Gale rows."""
+    m = cal.n - cal.d
+    if m <= 1:
+        return ()
+    normals, seen = [], set()
+    for sub in combinations(cal.gale.rows, m - 1):
+        kern = kernel_basis(Matrix(sub))
+        if len(kern) != 1:
+            continue
+        w = normalize_direction(kern[0])
+        if w not in seen:
+            seen.add(w)
+            normals.append(w)
+    return tuple(normals)
+
+
+def cone_contains_dot(cal, sigma, x):
+    """Membership of x in Cone(h(e_i), i in sigma), by the rule of in_cone."""
+    xx = vec(x)
+    if len(xx) != cal.d:
+        raise DimensionMismatchError(f"vector of length {len(xx)} in a cone of R^{cal.d}")
+    inverses = cal.basis_inverses
+    spans = False
+    for J in combinations(sorted(i - 1 for i in sigma), cal.d):
+        Minv = inverses.get(J)
+        if Minv is None:
+            continue
+        spans = True
+        if all(dot(Minv.column(k), xx).sign() >= 0 for k in range(cal.d)):
+            return True
+    return False if spans else in_cone(_cols(cal, sigma), xx)
+
+
+def sample_census_oracle(cal, sf, samples, seed):
+    """Random generic points classified by polytope combinatorics; the
+    number of distinct classes cross-checks the enumerated chamber count."""
+    rng = random.Random(seed)
+    rows = gale_rows(cal)
+    oracle = VertexOracle(cal)
+    pm = preimage_matrix(cal)
+    keys = set()
+    kept = 0
+    while kept < samples:
+        chi = tuple([Scalar(0)] * (cal.n - cal.d))
+        for g in rows:
+            w = Scalar(Rational(rng.randint(1, 10000), 9973))
+            chi = vadd(chi, vscale(w, g))
+        if not is_generic(cal, chi):
+            continue
+        kept += 1
+        keys.add(oracle.comb_key(pm.matvec(chi)))
+    return {"samples": samples, "distinct_classes": len(keys),
+            "chambers": len(sf.chambers),
+            "match": len(keys) == len(sf.chambers)}

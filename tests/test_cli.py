@@ -1,5 +1,6 @@
 """Round-trips, determinism, exit codes, and SVG well-formedness."""
 
+import hashlib
 import json
 import xml.dom.minidom
 
@@ -67,6 +68,25 @@ def test_chambers_deterministic(doc_path, tmp_path):
     data = json.loads(out1.read_text())
     assert len(data["chambers"]) == 3
     assert data["sample_census"]["match"]
+
+
+# sha256 of `chambers --samples 300 --seed 11` on qex and fig5 as the census
+# printed them when it classified each sample by VertexOracle.comb_key at
+# b = P chi; fig5's 300 samples miss two thin chambers, so "match" is false
+SAMPLED_CHAMBERS_SHA256 = {
+    "qex": "49169ce4e25408733071fddc6a99975d96da6fcc6f05b8477b68f5d417a3652b",
+    "fig5": "b322078b7ba9bae909b6462b9dd083f6ded37467b21319037f07db50df9f21ca",
+}
+
+
+def test_chambers_samples_output_is_unchanged(qex, fig5, tmp_path):
+    for name, cal in (("qex", qex), ("fig5", fig5)):
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps({"calibration": cal.to_json()}))
+        code, out = run(["chambers", "--input", str(src), "--samples", "300", "--seed", "11"],
+                        tmp_path, f"{name}.out")
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLED_CHAMBERS_SHA256[name]
 
 
 def test_wall_cross_and_cobordism(doc_path, tmp_path):

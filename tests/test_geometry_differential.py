@@ -285,10 +285,10 @@ def test_cached_facts_do_not_grow_with_queries():
     points = sorted(points)
     chamber_of(cal, points[0])
     sizes = cached_sizes(cal)
-    assert set(sizes) == {"gale", "gale_t", "preimage", "gale_facet_normals",
+    assert set(sizes) == {"gale", "free_columns", "gale_facet_normals",
                           "gale_facet_codes", "wall_normals", "wall_codes",
-                          "positively_spanning", "basis_inverses", "chamber_forms",
-                          "chamber_codes"}
+                          "positively_spanning", "brackets", "basis_inverses",
+                          "inverse_codes", "chamber_forms", "chamber_codes"}
     for chi in points[1:]:
         chamber_of(cal, chi)
     assert cached_sizes(cal) == sizes

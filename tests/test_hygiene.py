@@ -72,18 +72,11 @@ def function_local_imports(path):
     return found
 
 
-# polytope imports linalg at module level, so Calibration.positively_spanning
-# imports HPolytope when first run instead of making the import a cycle.
-ALLOWED_LOCAL_IMPORTS = {
-    ("linalg.py", "Calibration.positively_spanning", "from .polytope import HPolytope"),
-}
-
-
 def test_no_function_local_imports_in_src():
     found = {(p.name, scope, stmt)
              for p in sorted(SRC.glob("*.py"))
              for scope, _, stmt in function_local_imports(p)}
-    assert found == ALLOWED_LOCAL_IMPORTS
+    assert found == set()
 
 
 def test_the_scan_sees_a_function_local_import(tmp_path):
