@@ -6,6 +6,7 @@ benchmark's golden calibrations and unconstrained column sets."""
 
 import json
 import random
+from functools import reduce
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,7 +24,7 @@ from qsecfan import (
 )
 from qsecfan.cli import _sample_census
 from qsecfan.fan import cone_contains
-from qsecfan.linalg import is_zero_vec, preimage_at_free, preimage_matrix, vec, vscale
+from qsecfan.linalg import is_zero_vec, preimage_at_free, preimage_matrix, vadd, vec, vscale
 from qsecfan.scalar import encode
 
 from conftest import unconstrained_calibration
@@ -136,7 +137,7 @@ def membership_probes(cal, rng):
     """Columns, their negatives, the column sum and small random vectors."""
     cols = list(cal.columns)
     probes = cols + [vscale(-1, c) for c in cols]
-    probes.append(tuple(sum(xs, vscale(0, cols[0])[0]) for xs in zip(*cols)))
+    probes.append(reduce(vadd, cols))
     probes += [vec([rng.randint(-2, 2) for _ in range(cal.d)]) for _ in range(3)]
     return probes
 
