@@ -2,11 +2,12 @@
 
 Chambers are carved out of the Gale cone by two kinds of linear
 inequalities in b (both read in chi as circuits of the columns, see
-Calibration.chamber_forms): convexity of the piecewise-linear support function across
-each pair of adjacent maximal cones, and redundancy of each virtual
-generator's constraint.  Walls between chambers either toggle a virtual
-generator (divisorial, a star subdivision) or exchange triangulations
-of a non-simplicial cone (flipping, described by a signed circuit).
+Calibration.chamber_forms): convexity of the piecewise-linear support
+function across each pair of adjacent maximal cones, and redundancy of
+each virtual generator's constraint.  Walls between chambers either
+toggle a virtual generator (divisorial, a star subdivision) or exchange
+triangulations of a non-simplicial cone (flipping, described by a signed
+circuit).
 """
 
 from __future__ import annotations
