@@ -274,9 +274,10 @@ def normal_fan(cal: Calibration, b: Sequence) -> QuantumFan:
 
 
 def _fan_of_vertices(cal: Calibration, verts) -> QuantumFan:
-    """normal_fan from the vertices of a bounded P_b.  A simple vertex, on
-    exactly d constraints, has a full simplicial tangent cone: P_b is then
-    d-dimensional and those d constraints cut facets without affine_dim."""
+    """normal_fan from the (vertex, tight set) pairs of a bounded P_b.  A
+    simple vertex, on exactly d constraints, has a full simplicial tangent
+    cone: P_b is then d-dimensional and those d constraints cut facets without
+    affine_dim, the only reader of vertex coordinates (None when all are simple)."""
     d = cal.d
     facet_set = set().union(*(t for _, t in verts if len(t) == d))
     if not facet_set and affine_dim([v for v, _ in verts]) != d:
@@ -408,12 +409,14 @@ def _cone_hrep(cal: Calibration, sigma) -> list[Vec]:
     """Facet normals w (cone = {x : <w,x> >= 0 for all w}) of a
     full-dimensional cone in d = 3."""
     gens = _cols(cal, sigma)
+    codes = [encode(g) for g in gens]
     normals = []
     for g1, g2 in combinations(gens, 2):
         w = _cross3(g1, g2)
         if is_zero_vec(w):
             continue
-        signs = {dot(w, g).sign() for g in gens}
+        e = encode(w)
+        signs = {dot_sign(e, c) for c in codes}
         if 1 in signs and -1 in signs:
             continue
         if -1 in signs:
@@ -427,12 +430,14 @@ def _cone_intersection_rays(normals: list[Vec]) -> Optional[frozenset]:
     intersection of two cones given by their _cone_hrep), or None when
     it is lower-dimensional: the cones are pointed, so their intersection
     is too, and it is full-dimensional exactly when its rays span R^3."""
+    codes = [encode(w) for w in normals]
     rays = set()
     for w1, w2 in combinations(normals, 2):
         r = _cross3(w1, w2)
         if is_zero_vec(r):
             continue
-        signs = {dot(w, r).sign() for w in normals}
+        e = encode(r)
+        signs = {dot_sign(c, e) for c in codes}
         if -1 not in signs:
             rays.add(normalize_direction(r))
         if 1 not in signs:

@@ -358,7 +358,10 @@ class Calibration:
 
     @cached_property
     def preimage(self) -> Matrix:
-        """P = k (k^T k)^{-1}; see preimage_matrix."""
+        """P = k (k^T k)^{-1}; see preimage_matrix.  When n = d, k itself
+        (n x 0): a Matrix has no 0 x n shape for k^T."""
+        if self.n == self.d:
+            return self.gale
         gram_inv = inverse(self.gale_t * self.gale)
         if gram_inv is None:
             raise DimensionMismatchError("Gale transform is rank-deficient")

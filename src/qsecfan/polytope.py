@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import lp
 from .errors import DimensionMismatchError
-from .linalg import Matrix, Vec, dot, rank, solve_unique, vec, vsub
+from .linalg import Calibration, Matrix, Vec, dot, is_zero_vec, rank, solve_unique, vec, vsub
 from .scalar import IntVec, Scalar, dot_sign, encode
 
 
@@ -83,21 +83,13 @@ class HPolytope:
 
         Returns None when that face is empty.
         """
-        base = []
-        for i in range(self.nfacets):
-            rel = lp.EQ if i in extra_eq else lp.GE
-            base.append(lp.con(self.normals[i], self.offsets[i], rel))
-        if not lp.feasible(base, self.ambient_dim):
+        d = self.ambient_dim
+        base = [lp.con(nr, o, lp.EQ if i in extra_eq else lp.GE)
+                for i, (nr, o) in enumerate(zip(self.normals, self.offsets))]
+        if not lp.feasible(base, d):
             return None
-        implicit = list(extra_eq)
-        for i in range(self.nfacets):
-            if i in extra_eq:
-                continue
-            probe = list(base)
-            probe[i] = lp.gt(self.normals[i], self.offsets[i])
-            if not lp.feasible(probe, self.ambient_dim):
-                implicit.append(i)
-        return implicit
+        return list(extra_eq) + [i for i in range(self.nfacets)
+                                 if i not in extra_eq and lp.implied_equality(base, i, d)]
 
     def _face_dim_lp(self, tight: Sequence[int]) -> int:
         """face_dim from the implicit equalities; valid for unbounded P."""
@@ -159,21 +151,19 @@ class HPolytope:
         return tuple(sorted(found))
 
     def is_bounded(self) -> bool:
-        """True when the recession cone {x : <x, normal_i> >= 0} is {0}."""
+        """True when the recession cone {x : <x, normal_i> >= 0} is {0}: by
+        Gale duality, when the nonzero normals positively span R^d."""
         return self._bounded
 
     @cached_property
     def _bounded(self) -> bool:
-        rows = [lp.ge(nr, 0) for nr in self.normals]
         d = self.ambient_dim
-        unit = [0] * d
-        for j in range(d):
-            for s in (1, -1):
-                unit[j] = s  # probe s * x_j = 1
-                if lp.feasible(rows + [lp.eq(unit, -1)], d):
-                    return False
-            unit[j] = 0
-        return True
+        if d == 0:
+            return True
+        normals = tuple(nr for nr in self.normals if not is_zero_vec(nr))
+        if rank(Matrix(normals)) < d:
+            return False  # a line lies in the recession cone
+        return Calibration(d, len(normals), normals).positively_spanning
 
     def is_simple(self) -> bool:
         """Every vertex lies on exactly d facets."""

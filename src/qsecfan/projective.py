@@ -28,10 +28,8 @@ from .fan import (
 )
 from .linalg import (
     Calibration,
-    Matrix,
     Vec,
     dot,
-    kernel_basis,
     normalize_direction,
     vadd,
     vec,
@@ -73,17 +71,17 @@ def projective_certificate(cal: Calibration) -> Optional[ProjectiveCertificate]:
     "simplex", which is why they are excluded here.
     """
     d, n = cal.d, cal.n
-    for I in combinations(range(1, n + 1), d + 1):
-        kern = kernel_basis(Matrix.from_columns([cal.column(i) for i in I], nrows=d))
-        if len(kern) != 1:
-            continue  # rank below d
-        # the weights form a line, so at most one of them sums to 1
-        total = sum(kern[0], S0)
+    bracket = dict(zip(combinations(range(n), d), cal.brackets))
+    for I in combinations(range(n), d + 1):
+        # sum_t (-1)^t [I - I_t] h(e_{I_t}) = 0 spans the dependences, and is
+        # zero exactly when rank < d: at most one of them sums to 1
+        dep = [(-1) ** t * bracket[I[:t] + I[t + 1:]] for t in range(d + 1)]
+        total = sum(dep, S0)
         if total.is_zero():
             continue
-        lam = vscale(total.inv(), kern[0])
+        lam = vscale(total.inv(), dep)
         if all(w.sign() > 0 for w in lam):
-            return ProjectiveCertificate(I, lam)
+            return ProjectiveCertificate(tuple(i + 1 for i in I), lam)
     return None
 
 

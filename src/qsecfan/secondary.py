@@ -28,6 +28,7 @@ from .errors import (
 from .fan import (
     CombinatorialType,
     QuantumFan,
+    _fan_of_vertices,
     combinatorial_type,
     common_refinement,
     cone_contains,
@@ -243,20 +244,6 @@ def _chamber_inequality(cal: Calibration, sigma, j: int, kind: str,
     return ChamberInequality(forms[j - 1], kind, payload, cal.chamber_codes[J][j - 1])
 
 
-def _vertex_bases(cal: Calibration, e: IntVec, cc: Vec) -> list[tuple[int, ...]]:
-    """The 0-based d-subsets J tight at a vertex of P_b, for b any preimage
-    of the admissible chi = cc encoded as e, from polytope.basis_scan.  A
-    vertex on more than d constraints makes P_b not simple and, the
-    columns spanning R^d positively, chi not generic."""
-    bases = []
-    for J, tight in basis_scan(cal, e):
-        if len(tight) > cal.d:
-            raise OnWallError("chi lies on a degenerate-span cone",
-                              degenerate_span_witnesses(cal, cc))
-        bases.append(J)
-    return bases
-
-
 def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
     """The GKZ chamber containing the generic admissible point chi, decided
     by the signs of the calibration's encoded chi-space forms at chi."""
@@ -270,11 +257,11 @@ def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
             raise OnWallError("chi lies on a degenerate-span cone",
                               degenerate_span_witnesses(cal, cc))
         raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")
-    bases = _vertex_bases(cal, e, cc)
-    # every vertex is simple, so its d tight constraints cut facets
-    facets = set().union(*bases)
-    f = QuantumFan(cal, tuple(frozenset(j + 1 for j in J) for J in bases),
-                   frozenset(i + 1 for i in range(cal.n) if i not in facets))
+    tight_sets = [frozenset(tight) for _, tight in basis_scan(cal, e)]
+    if any(len(t) > cal.d for t in tight_sets):  # P_b is not simple
+        raise OnWallError("chi lies on a degenerate-span cone",
+                          degenerate_span_witnesses(cal, cc))
+    f = _fan_of_vertices(cal, [(None, t) for t in tight_sets])
     ineqs = []
     for s1, s2 in combinations(f.max_cones, 2):
         if len(s1 & s2) != cal.d - 1:
@@ -330,31 +317,40 @@ class SecondaryFan:
         }
 
 
-def _step_beyond(cal: Calibration, ch: Chamber, facet: FacetRecord):
-    """A chamber just across the facet, found by walking a shrinking step
-    against the facet normal and verifying adjacency."""
-    halvings = 120
+def _step_into(cal: Calibration, point: Vec, step: Vec, key, halvings: int):
+    """The first chamber at an admissible generic point + eps * step, eps = 1,
+    1/2, ..., that is not keyed key and holds point in its closure (else the
+    step overshot), or None; with the counts of steps rejected as not
+    admissible or not generic, in the chamber keyed key, and overshot."""
     not_generic = same = overshoot = 0
     eps = S1
     for _ in range(halvings):
-        cand = vsub(facet.point, vscale(eps, facet.normal))
+        cand = vadd(point, vscale(eps, step))
         eps = eps / Scalar(2)
         if not is_admissible(cal, cand) or not is_generic(cal, cand):
             not_generic += 1
             continue
         nch = chamber_of(cal, cand)
-        if nch.key == ch.key:
+        if nch.key == key:
             same += 1
-            continue
-        # the facet point must lie on the neighbor's closure, otherwise the
-        # step overshot into a further chamber
-        if nch.contains(facet.point, strict=False):
-            return nch
-        overshoot += 1
-    raise DegeneratePathError(
-        f"could not step across the chamber facet with normal {facet.normal!r}: "
-        f"{halvings} steps rejected ({not_generic} not admissible or not generic, "
-        f"{same} in the same chamber, {overshoot} overshot)")
+        elif nch.contains(point, strict=False):
+            return nch, (not_generic, same, overshoot)
+        else:
+            overshoot += 1
+    return None, (not_generic, same, overshoot)
+
+
+def _step_beyond(cal: Calibration, ch: Chamber, facet: FacetRecord):
+    """A chamber just across the facet, found by walking a shrinking step
+    against the facet normal and verifying adjacency."""
+    nch, (not_generic, same, overshoot) = _step_into(
+        cal, facet.point, vscale(-1, facet.normal), ch.key, 120)
+    if nch is None:
+        raise DegeneratePathError(
+            f"could not step across the chamber facet with normal {facet.normal!r}: "
+            f"120 steps rejected ({not_generic} not admissible or not generic, "
+            f"{same} in the same chamber, {overshoot} overshot)")
+    return nch
 
 
 def enumerate_chambers(cal: Calibration) -> SecondaryFan:
@@ -564,20 +560,11 @@ def cobordism_from_path(path: AffinePath, cal: Calibration) -> CobordismReport:
             raise DegeneratePathError("path hits a codimension-2 locus")
         later = [c[0] for c in candidates[1:]]
         gap = min([one - t_star, t_star - t_cur] + [t2 - t_star for t2 in later])
-        eps = gap / Scalar(2)
         chi_star = path.chi(cal, t_star)
-        not_generic = overshoot = 0
-        for _ in range(80):
-            chi_p = path.chi(cal, t_star + eps)
-            eps = eps / Scalar(2)
-            if not (is_admissible(cal, chi_p) and is_generic(cal, chi_p)):
-                not_generic += 1
-                continue
-            nch = chamber_of(cal, chi_p)
-            if nch.contains(chi_star, strict=False):
-                break
-            overshoot += 1
-        else:
+        # chi is affine in t: chi_star + eps * step = chi(t_star + eps * gap / 2), past w
+        step = vscale(gap / Scalar(2), vsub(chi_hi, chi_0))
+        nch, (not_generic, _, overshoot) = _step_into(cal, chi_star, step, ch.key, 80)
+        if nch is None:
             raise DegeneratePathError(
                 f"could not isolate the wall crossing at t_star = {t_star!r} with "
                 f"normal {w!r}: 80 steps rejected ({not_generic} not admissible "

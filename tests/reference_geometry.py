@@ -6,7 +6,9 @@ vertices: the rank of the implicit equalities that one Fourier-Motzkin
 feasibility test per constraint finds.  ``normal_fan_fm`` is the
 Fourier-Motzkin normal fan that qsecfan used before the vertex-based
 one: one ``face_dim_lp`` probe per constraint, then ``dimension_lp`` and
-``is_bounded``.  ``is_generic_lp`` is the LP-only genericity test: a
+``is_bounded_fm``, the 2d Fourier-Motzkin recession probes that
+``HPolytope.is_bounded`` ran before it read boundedness off Gale
+duality.  ``is_generic_lp`` is the LP-only genericity test: a
 Caratheodory scan over every cone on fewer than n-d Gale rows;
 ``_in_cone`` is its Fourier-Motzkin membership test, which
 ``GaleCone.contains`` also ran.  ``cone_contains_lp`` and
@@ -62,7 +64,7 @@ the wall normals: one kernel per (n-d-1)-subset of Gale rows.
 ``cone_contains_dot`` are the routes that exact minors and sign codes
 replaced: one rref inverse per d-subset, the chamber forms pushed through
 the preimage matrix P = k (k^T k)^{-1}, the Fourier-Motzkin recession
-probes of ``HPolytope.is_bounded`` on the columns, one kernel per
+probes of ``is_bounded_fm`` on the columns, one kernel per
 (n-d-1)-subset of Gale rows, and cone membership by Scalar ``dot``
 against the inverse columns.  They read no cached fact but the Gale
 transform, and P and ``basis_inverses`` (``chamber_forms_preimage`` and
@@ -152,7 +154,7 @@ def normal_fan_fm(cal, b):
     fdims = [face_dim_lp(P, (i,)) for i in range(cal.n)]
     if dimension_lp(P) != d:
         raise NotAdmissibleError("P_b is empty or lower-dimensional")
-    if not P.is_bounded():
+    if not is_bounded_fm(P):
         raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")
     facet_set = {i for i in range(cal.n) if fdims[i] == d - 1}
     virtual = frozenset(i + 1 for i in range(cal.n) if fdims[i] < d - 1)
@@ -564,10 +566,24 @@ def chamber_forms_preimage(cal):
     return out
 
 
+def is_bounded_fm(P):
+    """True when the recession cone {x : <x, normal_i> >= 0} is {0}."""
+    rows = [lp.ge(nr, 0) for nr in P.normals]
+    d = P.ambient_dim
+    unit = [0] * d
+    for j in range(d):
+        for s in (1, -1):
+            unit[j] = s  # probe s * x_j = 1
+            if lp.feasible(rows + [lp.eq(unit, -1)], d):
+                return False
+        unit[j] = 0
+    return True
+
+
 def positively_spanning_fm(cal):
     """The columns positively span R^d: the recession cone
     {x : <x, h(e_i)> >= 0} of every P_b is {0}."""
-    return HPolytope(cal.d, cal.columns, (S0,) * cal.n).is_bounded()
+    return is_bounded_fm(HPolytope(cal.d, cal.columns, (S0,) * cal.n))
 
 
 def wall_normals_kernel(cal):

@@ -117,3 +117,51 @@ def test_the_scan_sees_a_scalar_field_read(tmp_path):
     src.write_text("def f(x, y):\n    _m = x.m\n    return x._p * y._den, getattr(x, '_q')\n"
                    "class C:\n    _q = 1\n    def g(self):\n        self._m = self._mm\n")
     assert scalar_field_reads(src) == [(3, "_den"), (3, "_p"), (7, "_m")]
+
+
+def unread_private_definitions(paths):
+    """(file name, name) of each module-level private def or class (one
+    leading underscore) that no other module-level statement of any of the
+    files reads: as a name, an attribute or an imported name.  Reads
+    inside the definition itself, such as recursion, do not count."""
+    defined, read = [], set()
+    for path in paths:
+        for stmt in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                own = stmt.name
+                defined.append((path.name, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                read.update(name for name in names if name != own)
+    return sorted((file, name) for file, name in defined if name not in read)
+
+
+def test_every_private_definition_in_src_is_read():
+    """A retired code path leaves no private helper behind."""
+    assert unread_private_definitions(sorted(SRC.glob("*.py"))) == []
+
+
+def test_the_scan_sees_an_unread_private_definition(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used():\n    return 1\n"
+        "def _dead():\n    return _used()\n"
+        "def _recursive(k):\n    return _recursive(k - 1) if k else 0\n"
+        "class _Kept:\n    pass\n"
+        "class _Unread:\n    def _method(self):\n        return 0\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+        "_CONSTANT = 3\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import _Kept\n"
+        "import a\n"
+        "def public():\n    return a._used(), _Kept\n")
+    assert unread_private_definitions([tmp_path / "a.py", tmp_path / "b.py"]) == [
+        ("a.py", "_Unread"), ("a.py", "_dead"), ("a.py", "_recursive")]

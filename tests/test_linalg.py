@@ -117,6 +117,15 @@ def test_preimage_round_trip(qex, fig5):
         assert pm.matvec(chi) == b
 
 
+def test_preimage_of_chi_when_n_equals_d():
+    # k is n x 0; a Matrix has no 0 x n shape for k^T, so P is k itself
+    cal = Calibration(2, 2, ((1, 0), (0, 1)))
+    assert preimage_of_chi(cal, ()) == (S(0), S(0))
+    pm = preimage_matrix(cal)
+    assert (pm.nrows, pm.ncols) == (2, 0)
+    assert chi_of_b(cal, vec([3, -1])) == ()
+
+
 def test_preimage_of_chi_rejects_a_wrong_length(qex, fig5):
     for cal, chi in ((qex, [1, 2, 3]), (fig5, [1, 2]), (fig5, [])):
         with pytest.raises(DimensionMismatchError,
