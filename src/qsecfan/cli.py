@@ -99,13 +99,14 @@ def _fmt(x: float) -> str:
 
 
 class SvgCanvas:
-    """Minimal SVG 1.1 writer mapping a rational viewport to pixel space."""
+    """Minimal SVG 1.1 writer mapping a rational viewport to size x size pixels."""
 
-    def __init__(self, xmin, ymin, xmax, ymax, size=400):
+    size = 400
+
+    def __init__(self, xmin, ymin, xmax, ymax):
         if not (xmax > xmin and ymax > ymin):
             raise DegenerateInputError("degenerate plot viewport")
         self.xmin, self.ymin, self.xmax, self.ymax = xmin, ymin, xmax, ymax
-        self.size = size
         self.parts: list[str] = []
 
     def _map(self, x: float, y: float) -> tuple[float, float]:
@@ -162,7 +163,7 @@ def _plot_polytope(cal: Calibration, b) -> str:
     return cv.render()
 
 
-def _plot_fan(cal: Calibration, b, ray_length=1.0) -> str:
+def _plot_fan(cal: Calibration, b) -> str:
     if cal.d != 2:
         raise DegenerateInputError("fan plots need d = 2")
     f = normal_fan(cal, b)
@@ -170,7 +171,7 @@ def _plot_fan(cal: Calibration, b, ray_length=1.0) -> str:
     for i in range(1, cal.n + 1):
         ux, uy = _unit(cal.column(i))
         dashed = i in f.virtual
-        cv.line((0.0, 0.0), (ray_length * ux, ray_length * uy), dashed=dashed)
+        cv.line((0.0, 0.0), (ux, uy), dashed=dashed)
     return cv.render()
 
 

@@ -27,15 +27,14 @@ from .linalg import (
     Vec,
     det,
     dot,
+    facet_normals,
     gale_rows,
     in_cone,
-    is_zero_vec,
     kernel_basis,
     normalize_direction,
     rank,
     solve,
     vec,
-    vscale,
     integer_kernel_rank,
 )
 from .polytope import HPolytope, affine_dim, vertices_of
@@ -409,42 +408,19 @@ def _cone_hrep(cal: Calibration, sigma) -> list[Vec]:
     """Facet normals w (cone = {x : <w,x> >= 0 for all w}) of a
     full-dimensional cone in d = 3."""
     gens = _cols(cal, sigma)
-    codes = [encode(g) for g in gens]
-    normals = []
-    for g1, g2 in combinations(gens, 2):
-        w = _cross3(g1, g2)
-        if is_zero_vec(w):
-            continue
-        e = encode(w)
-        signs = {dot_sign(e, c) for c in codes}
-        if 1 in signs and -1 in signs:
-            continue
-        if -1 in signs:
-            w = vscale(-1, w)
-        normals.append(normalize_direction(w))
-    return sorted(set(normals))
+    return sorted(facet_normals((_cross3(g1, g2) for g1, g2 in combinations(gens, 2)), gens))
 
 
 def _cone_intersection_rays(normals: list[Vec]) -> Optional[frozenset]:
     """Extreme rays of {x : <w,x> >= 0 for all normals} in d = 3 (the
     intersection of two cones given by their _cone_hrep), or None when
     it is lower-dimensional: the cones are pointed, so their intersection
-    is too, and it is full-dimensional exactly when its rays span R^3."""
-    codes = [encode(w) for w in normals]
-    rays = set()
-    for w1, w2 in combinations(normals, 2):
-        r = _cross3(w1, w2)
-        if is_zero_vec(r):
-            continue
-        e = encode(r)
-        signs = {dot_sign(c, e) for c in codes}
-        if -1 not in signs:
-            rays.add(normalize_direction(r))
-        if 1 not in signs:
-            rays.add(normalize_direction(vscale(-1, r)))
+    is too, its rays are the facet normals of Cone(normals), and it is
+    full-dimensional exactly when they span R^3."""
+    rays = facet_normals((_cross3(w1, w2) for w1, w2 in combinations(normals, 2)), normals)
     if len(rays) < 3 or rank(Matrix(list(rays))) < 3:
         return None
-    return frozenset(rays)
+    return rays
 
 
 def fans_isomorphic(f1: QuantumFan, f2: QuantumFan):

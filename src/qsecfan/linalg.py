@@ -15,7 +15,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (DimensionMismatchError, InvalidCalibrationError, NotAdmissibleError,
                      UnsupportedDimensionError)
-from . import lp
 from .scalar import S0, S1, IntVec, Scalar, common_field, dot_sign, encode
 
 Vec = tuple[Scalar, ...]
@@ -219,6 +218,24 @@ def solve_unique(M: Matrix, rhs: Sequence[Scalar]) -> Optional[Vec]:
     return tuple(R.rows[i][nc] for i in range(nc))
 
 
+def facet_normals(candidates: Iterable[Sequence[Scalar]], vectors: Sequence[Sequence[Scalar]]) -> frozenset:
+    """The inward facet normals of Cone(vectors), normalized, from
+    candidates that hold a normal of every hyperplane the vectors span:
+    each nonzero candidate with every vector on one side of it, turned to
+    that side.  When the cone is full-dimensional these are also the
+    extreme rays of its dual {x : <v, x> >= 0 for every vector v}."""
+    codes = [encode(v) for v in vectors]
+    found = set()
+    for w in candidates:
+        if is_zero_vec(w):
+            continue
+        e = encode(w)
+        signs = {dot_sign(e, c) for c in codes}
+        if not {1, -1} <= signs:
+            found.add(normalize_direction(vscale(-1, w) if -1 in signs else w))
+    return frozenset(found)
+
+
 def in_cone(gens: Sequence[Vec], x: Sequence[Scalar]) -> bool:
     """Membership of x in Cone(gens), decided exactly without an LP.
 
@@ -370,27 +387,14 @@ class Calibration:
     @cached_property
     def gale_facet_normals(self) -> tuple:
         """Inward facet normals of the Gale cone, sorted, for n-d <= 3.
-
         Every facet contains n-d-1 independent Gale rows, so it lies on a
-        wall hyperplane (for n-d = 1, on the hyperplane {0}); a wall normal
-        is kept, turned to the side of the rows, when every row lands on
-        one side of it.
-        """
+        wall hyperplane (for n-d = 1, on the hyperplane {0})."""
         m = self.n - self.d
         if m == 0:
             return ()
         if m > 3:
             raise UnsupportedDimensionError("facet enumeration implemented for n-d <= 3")
-        rows = [encode(g) for g in self.gale.rows]
-        walls = zip(self.wall_normals, self.wall_codes) if m > 1 else [((S1,), encode((S1,)))]
-        normals = set()
-        for w, code in walls:
-            signs = {dot_sign(code, g) for g in rows}
-            if {1, -1} <= signs:
-                continue
-            # w is normalized, so -w is too
-            normals.add(vscale(-1, w) if -1 in signs else w)
-        return tuple(sorted(normals))
+        return tuple(sorted(facet_normals(self.wall_normals if m > 1 else ((S1,),), self.gale.rows)))
 
     @cached_property
     def gale_facet_codes(self) -> tuple[IntVec, ...]:
@@ -427,15 +431,21 @@ class Calibration:
 
     @cached_property
     def positively_spanning(self) -> bool:
-        """The columns positively span R^d, so every P_b is bounded: some
-        w has g . w > 0 for every Gale row g (k w > 0 lies in ker h).  For
-        n-d <= 3: no Gale row is zero and the Gale cone is pointed, its
-        facet normals spanning R^(n-d); beyond, one feasibility test."""
-        m = self.n - self.d
-        if m > 3:
-            return lp.feasible([lp.gt(g) for g in self.gale.rows], m)
-        return (m >= 1 and not any(is_zero_vec(g) for g in self.gale.rows)
-                and rank(Matrix(self.gale_facet_normals)) == m)
+        """Cone(h) = R^d, so every P_b is bounded: no d-1 columns S that
+        span a hyperplane have every column on one side of it.  Column i
+        lies on the side sign([S with i]) (-1)^(#S after i), read off the
+        brackets; S spans no hyperplane when all of these are 0."""
+        if self.d == 0:
+            return True  # R^0 is the cone of no columns
+        sign = dict(zip(combinations(range(self.n), self.d), (b.sign() for b in self.brackets)))
+        for S in combinations(range(self.n), self.d - 1):
+            sides = set()
+            for i in (i for i in range(self.n) if i not in S):
+                p = sum(s < i for s in S)  # i sorts into place p
+                sides.add(sign[S[:p] + (i,) + S[p:]] * (-1) ** (self.d - 1 - p))
+            if len(sides - {0}) == 1:
+                return False
+        return True
 
     @cached_property
     def brackets(self) -> tuple[Scalar, ...]:

@@ -106,7 +106,8 @@ def gale_cone(cal: Calibration) -> GaleCone:
 
 def is_admissible(cal: Calibration, chi: Sequence) -> bool:
     """chi interior to the Gale cone, equivalently dim P_chi = d."""
-    return gale_cone(cal).interior_contains(vec(chi))
+    cc = _chi_vec(cal, chi)  # before gale_cone, which raises for n-d > 3
+    return gale_cone(cal).interior_contains(cc)
 
 
 def degenerate_span_witnesses(cal: Calibration, chi: Sequence) -> list[Vec]:

@@ -71,6 +71,15 @@ transform, and P and ``basis_inverses`` (``chamber_forms_preimage`` and
 ``cone_contains_dot``, as their originals did).  ``sample_census_oracle`` is the ``chambers
 --samples`` census that classified each sample by
 ``VertexOracle.comb_key`` at b = P chi.
+
+``positively_spanning_gale`` and ``cone_intersection_rays_cross`` are the
+routes that ``linalg.facet_normals`` and the bracket rule of
+``Calibration.positively_spanning`` replaced: positive spanning as a
+pointed Gale cone (no zero Gale row, facet normals of full rank) for
+n-d <= 3 and one Fourier-Motzkin feasibility test of the strict Gale rows
+beyond, which reads the cached Gale transform and Gale facet normals;
+and the d = 3 cone intersection that kept each cross product of two
+normals, and its negative, with every normal on one side of it.
 """
 
 import random
@@ -86,6 +95,7 @@ from qsecfan.errors import (
 from qsecfan.fan import (
     QuantumFan,
     _cols,
+    _cross3,
     _fan_of_vertices,
     combinatorial_type,
     fan_from_rays,
@@ -110,7 +120,7 @@ from qsecfan.linalg import (
 )
 from qsecfan.polytope import HPolytope, VertexOracle, affine_dim, vertices_of
 from qsecfan.projective import ProjectiveCertificate
-from qsecfan.scalar import S0, S1, Rational, Scalar
+from qsecfan.scalar import S0, S1, Rational, Scalar, dot_sign, encode
 from qsecfan.secondary import (
     Chamber,
     ChamberInequality,
@@ -584,6 +594,40 @@ def positively_spanning_fm(cal):
     """The columns positively span R^d: the recession cone
     {x : <x, h(e_i)> >= 0} of every P_b is {0}."""
     return is_bounded_fm(HPolytope(cal.d, cal.columns, (S0,) * cal.n))
+
+
+def positively_spanning_gale(cal):
+    """The columns positively span R^d, so every P_b is bounded: some
+    w has g . w > 0 for every Gale row g (k w > 0 lies in ker h).  For
+    n-d <= 3: no Gale row is zero and the Gale cone is pointed, its
+    facet normals spanning R^(n-d); beyond, one feasibility test."""
+    m = cal.n - cal.d
+    if m > 3:
+        return lp.feasible([lp.gt(g) for g in cal.gale.rows], m)
+    return (m >= 1 and not any(is_zero_vec(g) for g in cal.gale.rows)
+            and rank(Matrix(cal.gale_facet_normals)) == m)
+
+
+def cone_intersection_rays_cross(normals):
+    """Extreme rays of {x : <w,x> >= 0 for all normals} in d = 3 (the
+    intersection of two cones given by their _cone_hrep), or None when
+    it is lower-dimensional: the cones are pointed, so their intersection
+    is too, and it is full-dimensional exactly when its rays span R^3."""
+    codes = [encode(w) for w in normals]
+    rays = set()
+    for w1, w2 in combinations(normals, 2):
+        r = _cross3(w1, w2)
+        if is_zero_vec(r):
+            continue
+        e = encode(r)
+        signs = {dot_sign(c, e) for c in codes}
+        if -1 not in signs:
+            rays.add(normalize_direction(r))
+        if 1 not in signs:
+            rays.add(normalize_direction(vscale(-1, r)))
+    if len(rays) < 3 or rank(Matrix(list(rays))) < 3:
+        return None
+    return frozenset(rays)
 
 
 def wall_normals_kernel(cal):

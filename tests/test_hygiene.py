@@ -165,3 +165,54 @@ def test_the_scan_sees_an_unread_private_definition(tmp_path):
         "def public():\n    return a._used(), _Kept\n")
     assert unread_private_definitions([tmp_path / "a.py", tmp_path / "b.py"]) == [
         ("a.py", "_Unread"), ("a.py", "_dead"), ("a.py", "_recursive")]
+
+
+LAYERS = ("errors", "scalar", "linalg", "lp", "polytope", "fan", "secondary", "projective",
+          "cli")
+
+
+def upward_imports(path, layers=LAYERS):
+    """(line, module) of each import, at any depth, of a package module
+    ranked at or above the file's own module in layers: from . import m,
+    from .m import ..., import qsecfan.m and from qsecfan(.m) import ....
+    A name imported from the package itself that is no ranked module is
+    read as the package __init__, which ranks above every module."""
+    rank = {name: k for k, name in enumerate(layers)}
+    own = rank[path.stem]
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".") if node.level == 0 else \
+                ["qsecfan"] + (node.module or "").split(".")
+            if parts[0] != "qsecfan":
+                continue
+            names = parts[1:2] if len(parts) > 1 and parts[1] else \
+                [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name.split(".")[1] for alias in node.names
+                     if alias.name.startswith("qsecfan.")]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if rank.get(name, len(layers)) >= own]
+    return sorted(found)
+
+
+def test_src_imports_only_lower_layers():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert {p.stem for p in modules} == set(LAYERS)
+    found = {p.name: upward_imports(p) for p in modules}
+    assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+def test_the_scan_sees_an_upward_import(tmp_path):
+    src = tmp_path / "linalg.py"
+    src.write_text("from __future__ import annotations\n"
+                   "from . import lp, scalar\n"
+                   "from .errors import QsecfanError\n"
+                   "from .fan import normal_fan\n"
+                   "import qsecfan.polytope, os\n"
+                   "from qsecfan import Scalar\n"
+                   "from qsecfan.linalg import vec\n"
+                   "def f():\n    from .secondary import chamber_of\n")
+    assert upward_imports(src) == [(2, "lp"), (4, "fan"), (5, "polytope"), (6, "Scalar"),
+                                   (7, "linalg"), (9, "secondary")]
