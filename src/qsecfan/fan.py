@@ -263,13 +263,12 @@ def normal_fan(cal: Calibration, b: Sequence) -> QuantumFan:
     the convex hull of its vertices, so the dimension of P_b and of each
     face is the affine dimension of the vertices on it.
     """
-    P = HPolytope.from_parameter(cal, b)
     if not cal.positively_spanning:
         # no P_b is bounded; an empty or thin one is reported as such first
-        if P.dimension() != cal.d:
+        if HPolytope.from_parameter(cal, b).dimension() != cal.d:
             raise NotAdmissibleError("P_b is empty or lower-dimensional")
         raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")
-    return _fan_of_vertices(cal, vertices_of(cal, P.offsets))
+    return _fan_of_vertices(cal, vertices_of(cal, b))
 
 
 def _fan_of_vertices(cal: Calibration, verts) -> QuantumFan:
@@ -501,6 +500,8 @@ def stabilizer_profiles(cal: Calibration, I) -> tuple[StabilizerProfile, Stabili
     """
     I = frozenset(I)
     d, n = cal.d, cal.n
+    if not I <= set(range(1, n + 1)):
+        raise DimensionMismatchError(f"cone indices must lie in 1..{n}")
     H_I = Matrix.from_columns(_cols(cal, I), nrows=d)
     if rank(H_I) != d:
         raise NotAdmissibleError("stratum cone is not full-dimensional")

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from . import lp
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidCalibrationError
 from .linalg import Calibration, Matrix, Vec, dot, is_zero_vec, rank, solve_unique, vec, vsub
 from .scalar import IntVec, Scalar, dot_sign, encode
 
@@ -47,11 +47,13 @@ class HPolytope:
 
     @classmethod
     def from_parameter(cls, calibration, b: Sequence) -> "HPolytope":
-        """P_b = {x : <x, h(e_i)> >= -b_i for every generator}."""
+        """P_b = {x : <x, h(e_i)> >= -b_i}, bounded iff the columns positively span."""
         bb = vec(b)
         if len(bb) != calibration.n:
             raise DimensionMismatchError("parameter length differs from n")
-        return cls(calibration.d, tuple(calibration.columns), bb)
+        P = cls(calibration.d, tuple(calibration.columns), bb)
+        object.__setattr__(P, "_bounded", calibration.positively_spanning)
+        return P
 
     @property
     def nfacets(self) -> int:
@@ -122,8 +124,11 @@ class HPolytope:
         return affine_dim([v for v, t in self._vertices if T <= t])
 
     def facet_indices(self) -> list[int]:
+        """Constraints that cut a facet: the d tight at a simple vertex, whose
+        tangent cone is full and simplicial, and the rest by facet_dim."""
         d = self.ambient_dim
-        return [i for i in range(self.nfacets) if self.facet_dim(i) == d - 1]
+        simple = set().union(*(t for _, t in self._vertices if len(t) == d))
+        return [i for i in range(self.nfacets) if i in simple or self.facet_dim(i) == d - 1]
 
     # vertices() and is_bounded() are computed once, on first use, and kept
     # in the instance __dict__ by cached_property, outside the dataclass
@@ -157,21 +162,17 @@ class HPolytope:
 
     @cached_property
     def _bounded(self) -> bool:
-        d = self.ambient_dim
-        if d == 0:
-            return True
         normals = tuple(nr for nr in self.normals if not is_zero_vec(nr))
-        if rank(Matrix(normals)) < d:
-            return False  # a line lies in the recession cone
-        return Calibration(d, len(normals), normals).positively_spanning
+        try:
+            return Calibration(self.ambient_dim, len(normals), normals).positively_spanning
+        except InvalidCalibrationError:
+            return False  # rank below d: a line lies in the recession cone
 
     def is_simple(self) -> bool:
         """Every vertex lies on exactly d facets."""
         facets = set(self.facet_indices())
-        verts = self.vertices()
-        if not verts:
-            return False
-        return all(len(t & facets) == self.ambient_dim for _, t in verts)
+        verts = self._vertices
+        return bool(verts) and all(len(t & facets) == self.ambient_dim for _, t in verts)
 
     def to_json(self) -> dict:
         verts = self.vertices()
@@ -187,10 +188,10 @@ class HPolytope:
 
 
 def virtual_indices(calibration, b: Sequence) -> frozenset[int]:
-    """1-based generators whose constraint does not cut a facet of P_b."""
-    P = HPolytope.from_parameter(calibration, b)
-    d = calibration.d
-    return frozenset(i + 1 for i in range(calibration.n) if P.facet_dim(i) < d - 1)
+    """1-based generators whose constraint does not cut a facet of P_b; a
+    nonzero column's face has dimension at most d-1, so not facet_dim."""
+    facets = set(HPolytope.from_parameter(calibration, b).facet_indices())
+    return frozenset(i + 1 for i in range(calibration.n) if i not in facets)
 
 
 def _known(found, J) -> bool:

@@ -40,6 +40,7 @@ from .linalg import (
     Matrix,
     Vec,
     dot,
+    facet_normals,
     gale_rows,
     in_cone,
     kernel_basis,
@@ -211,8 +212,8 @@ class Chamber:
             cons = [lp.eq(w, 0)] + [lp.gt(w2, 0) for w2, _ in normals if w2 != w]
             # w . chi = 0 meets the open Gale cone (positive combinations of
             # the spanning rows g), and the facet point is sought there first,
-            # iff w . g takes both strict signs; else the facet is boundary
-            boundary = not {1, -1} <= {dot(w, g).sign() for g in gc.generators}
+            # unless w leaves every g on one side: then the facet is boundary
+            boundary = bool(facet_normals((w,), gc.generators))
             point = None if boundary else lp.find_point(cons + interior, m)
             point = point or lp.find_point(cons, m)
             if point is None:

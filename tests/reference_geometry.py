@@ -80,6 +80,13 @@ n-d <= 3 and one Fourier-Motzkin feasibility test of the strict Gale rows
 beyond, which reads the cached Gale transform and Gale facet normals;
 and the d = 3 cone intersection that kept each cross product of two
 normals, and its negative, with every normal on one side of it.
+
+``facet_indices_probe``, ``virtual_indices_probe`` and
+``is_bounded_rank`` are the routes that the facts a P_b already holds
+replaced: one ``facet_dim`` probe per constraint for the facets and
+again for the virtual generators, and boundedness from a second
+Calibration of the nonzero normals, after a rank test and a d = 0
+branch, even when P_b came from a calibration that knew the answer.
 """
 
 import random
@@ -102,6 +109,7 @@ from qsecfan.fan import (
     normal_fan,
 )
 from qsecfan.linalg import (
+    Calibration,
     Matrix,
     dot,
     gale_rows,
@@ -685,3 +693,25 @@ def sample_census_oracle(cal, sf, samples, seed):
     return {"samples": samples, "distinct_classes": len(keys),
             "chambers": len(sf.chambers),
             "match": len(keys) == len(sf.chambers)}
+
+
+def facet_indices_probe(P):
+    d = P.ambient_dim
+    return [i for i in range(P.nfacets) if P.facet_dim(i) == d - 1]
+
+
+def virtual_indices_probe(calibration, b):
+    """1-based generators whose constraint does not cut a facet of P_b."""
+    P = HPolytope.from_parameter(calibration, b)
+    d = calibration.d
+    return frozenset(i + 1 for i in range(calibration.n) if P.facet_dim(i) < d - 1)
+
+
+def is_bounded_rank(P):
+    d = P.ambient_dim
+    if d == 0:
+        return True
+    normals = tuple(nr for nr in P.normals if not is_zero_vec(nr))
+    if rank(Matrix(normals)) < d:
+        return False  # a line lies in the recession cone
+    return Calibration(d, len(normals), normals).positively_spanning

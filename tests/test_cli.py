@@ -186,3 +186,17 @@ def test_svg_format_of_chambers_and_fan_prints_the_plot(doc_path, capsys):
     assert secondary != fan
     assert printed("chambers", "--format", "svg") == secondary
     assert printed("fan", "--format", "svg", "--kind", "polytope") == fan
+
+
+@pytest.mark.parametrize("cone", [[0, 1], [1, 9]])
+def test_stabilizers_report_a_cone_index_outside_1_to_n_as_invalid_input(
+        cone, tmp_path, capsys):
+    doc = {"calibration": {"d": 2, "n": 4, "virtual": [],
+                           "columns": [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]]},
+           "cone": cone}
+    p = tmp_path / "square.json"
+    p.write_text(json.dumps(doc))
+    assert main(["stabilizers", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:") and "1..4" in captured.err

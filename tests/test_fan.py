@@ -179,3 +179,13 @@ def test_fan_from_rays_orders_the_circle(fig5):
     f = fan_from_rays(fig5, range(1, 6))
     assert len(f.max_cones) == 5
     assert is_complete(f)
+
+
+@pytest.mark.parametrize("cone", [[0, 1], [1, 9], [-1, 2], [1, 2, 5]])
+def test_stabilizer_profiles_reject_indices_outside_1_to_n(cone):
+    """Index 0 once read column n through negative indexing, and 9 ran
+    off the end of the columns of the unit square (n = 4)."""
+    square = cal_of(2, [(1, 0), (0, 1), (-1, 0), (0, -1)])
+    with pytest.raises(DimensionMismatchError, match=r"1\.\.4"):
+        stabilizer_profiles(square, frozenset(cone))
+    assert stabilizer_profiles(square, frozenset({1, 2}))[2]  # a simplicial cone

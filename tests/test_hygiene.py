@@ -119,6 +119,18 @@ def test_the_scan_sees_a_scalar_field_read(tmp_path):
     assert scalar_field_reads(src) == [(3, "_den"), (3, "_p"), (7, "_m")]
 
 
+def names_read(node):
+    """Each name node reads, at any depth: as a name, an attribute or an
+    imported name."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.ImportFrom):
+            yield from (alias.name for alias in child.names)
+
+
 def unread_private_definitions(paths):
     """(file name, name) of each module-level private def or class (one
     leading underscore) that no other module-level statement of any of the
@@ -132,16 +144,7 @@ def unread_private_definitions(paths):
                     and stmt.name.startswith("_") and not stmt.name.startswith("__"):
                 own = stmt.name
                 defined.append((path.name, own))
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    names = [node.id]
-                elif isinstance(node, ast.Attribute):
-                    names = [node.attr]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [alias.name for alias in node.names]
-                else:
-                    continue
-                read.update(name for name in names if name != own)
+            read.update(name for name in names_read(stmt) if name != own)
     return sorted((file, name) for file, name in defined if name not in read)
 
 
@@ -165,6 +168,42 @@ def test_the_scan_sees_an_unread_private_definition(tmp_path):
         "def public():\n    return a._used(), _Kept\n")
     assert unread_private_definitions([tmp_path / "a.py", tmp_path / "b.py"]) == [
         ("a.py", "_Unread"), ("a.py", "_dead"), ("a.py", "_recursive")]
+
+
+def unreferenced_public_definitions(module, users):
+    """Each module-level public def or class of module (no leading
+    underscore) that no file of users reads, sorted."""
+    defined = [stmt.name for stmt in ast.parse(module.read_text()).body
+               if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not stmt.name.startswith("_")]
+    read = {name for path in users for name in names_read(ast.parse(path.read_text()))}
+    return sorted(name for name in defined if name not in read)
+
+
+def test_every_reference_route_is_read_by_a_test():
+    """A retired route stays in reference_geometry.py only while some
+    differential test compares against it."""
+    users = sorted(TESTS.glob("test_*.py"))
+    assert users
+    assert unreferenced_public_definitions(TESTS / "reference_geometry.py", users) == []
+
+
+def test_the_scan_sees_an_unreferenced_public_definition(tmp_path):
+    (tmp_path / "ref.py").write_text(
+        "def used():\n    return 1\n"
+        "def via_attribute():\n    return 2\n"
+        "def only_internal():\n    return used()\n"
+        "class Kept:\n    pass\n"
+        "class Unread:\n    def method(self):\n        return 0\n"
+        "def _private():\n    return 3\n"
+        "async def unread_async():\n    return 4\n")
+    (tmp_path / "test_a.py").write_text(
+        "from ref import used, Kept\n"
+        "import ref\n"
+        "def test_x():\n    only_internal = ref.via_attribute()\n"
+        "    assert used() and Kept\n")
+    assert unreferenced_public_definitions(tmp_path / "ref.py", [tmp_path / "test_a.py"]) == [
+        "Unread", "only_internal", "unread_async"]
 
 
 LAYERS = ("errors", "scalar", "linalg", "lp", "polytope", "fan", "secondary", "projective",
