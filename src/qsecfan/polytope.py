@@ -188,8 +188,8 @@ class HPolytope:
 
 
 def virtual_indices(calibration, b: Sequence) -> frozenset[int]:
-    """1-based generators whose constraint does not cut a facet of P_b; a
-    nonzero column's face has dimension at most d-1, so not facet_dim."""
+    """1-based generators whose constraint cuts no facet of P_b: the
+    complement of facet_indices (a nonzero column's face has dim <= d-1)."""
     facets = set(HPolytope.from_parameter(calibration, b).facet_indices())
     return frozenset(i + 1 for i in range(calibration.n) if i not in facets)
 
