@@ -149,6 +149,8 @@ def _plot_polytope(cal: Calibration, b) -> str:
     P = HPolytope.from_parameter(cal, b)
     if cal.d != 2:
         raise DegenerateInputError("polytope plots need d = 2")
+    if not P.is_bounded():
+        raise NotAdmissibleError("P_b is unbounded, it is not the hull of its vertices")
     verts = [(float(v[0]), float(v[1])) for v, _ in P.vertices()]
     if len(verts) < 3:
         raise NotAdmissibleError("nothing to plot: fewer than 3 vertices")

@@ -322,6 +322,8 @@ class Calibration:
 
     def column(self, i: int) -> Vec:
         """1-based generator column h(e_i)."""
+        if not 1 <= i <= self.n:
+            raise DimensionMismatchError("generator index must lie in 1..n")
         return self.columns[i - 1]
 
     @property

@@ -1,11 +1,11 @@
 """H-polytopes with exact vertex enumeration and face dimensions.
 
-A polytope is {x in R^d : <x, normal_i> + offset_i >= 0}.  Vertices
-come from solving all d-subsets of tight constraints.  A bounded
-polytope is the convex hull of its vertices and each face the convex
-hull of the vertices on it (Ziegler, Lectures on Polytopes, ch. 2), so
-its face dimensions are affine dimensions of vertex sets.  An unbounded
-one is not; its face dimensions come from the rank of the
+A polytope is {x in R^d : <x, normal_i> + offset_i >= 0}.  Its vertices
+come by Cramer's rule on the brackets of its normals' Calibration.  A
+bounded polytope is the convex hull of its vertices and each face the
+convex hull of the vertices on it (Ziegler, Lectures on Polytopes,
+ch. 2), so its face dimensions are affine dimensions of vertex sets.  An
+unbounded one is not; its face dimensions come from the rank of the
 implicit-equality normals, detected by exact feasibility tests.
 """
 
@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import lp
 from .errors import DimensionMismatchError, InvalidCalibrationError
-from .linalg import Calibration, Matrix, Vec, dot, is_zero_vec, rank, solve_unique, vec, vsub
+from .linalg import Calibration, Matrix, Vec, dot, is_zero_vec, minor, rank, vec, vsub
 from .scalar import IntVec, Scalar, dot_sign, encode
 
 
@@ -52,7 +52,7 @@ class HPolytope:
         if len(bb) != calibration.n:
             raise DimensionMismatchError("parameter length differs from n")
         P = cls(calibration.d, tuple(calibration.columns), bb)
-        object.__setattr__(P, "_bounded", calibration.positively_spanning)
+        object.__setattr__(P, "_calibration", calibration)
         return P
 
     @property
@@ -130,43 +130,48 @@ class HPolytope:
         simple = set().union(*(t for _, t in self._vertices if len(t) == d))
         return [i for i in range(self.nfacets) if i in simple or self.facet_dim(i) == d - 1]
 
-    # vertices() and is_bounded() are computed once, on first use, and kept
+    # _calibration and _vertices are computed once, on first use, and kept
     # in the instance __dict__ by cached_property, outside the dataclass
     # fields, so they take no part in ==, hash, repr or to_json.
+
+    @cached_property
+    def _calibration(self) -> Optional[Calibration]:
+        """The Calibration of the nonzero normals in order (from_parameter's own),
+        or None when their rank is below d: a line lies in the recession cone."""
+        normals = tuple(nr for nr in self.normals if not is_zero_vec(nr))
+        try:
+            return Calibration(self.ambient_dim, len(normals), normals)
+        except InvalidCalibrationError:
+            return None
 
     def vertices(self) -> list[tuple[Vec, frozenset[int]]]:
         """All vertices with their full tight-constraint sets, sorted.
 
-        A candidate comes from every d-subset of constraints whose
-        normals are independent, unless the subset lies in the tight set
-        (taken against all constraints) of a vertex already found.
+        A candidate x_k = det(M_J, column k := -offset_J) / [J] comes from every
+        d-subset J of nonzero normals with [J] != 0, unless J lies in the tight
+        set (taken against all constraints) of a vertex already found.
         """
         return list(self._vertices)
 
     @cached_property
     def _vertices(self) -> tuple[tuple[Vec, frozenset[int]], ...]:
-        found: list[tuple[Vec, frozenset[int]]] = []
-        for subset in combinations(range(self.nfacets), self.ambient_dim):
-            if _known(found, subset):
+        cal, found = self._calibration, []
+        if cal is None:
+            return ()
+        nonzero = [i for i, nr in enumerate(self.normals) if not is_zero_vec(nr)]
+        for J, bracket in zip(combinations(nonzero, self.ambient_dim), cal.brackets):
+            if bracket.is_zero() or _known(found, J):
                 continue
-            M = Matrix([self.normals[i] for i in subset])
-            x = solve_unique(M, [-self.offsets[i] for i in subset])
-            if x is not None:
-                _add_vertex(found, x, self.normals, self.offsets)
+            rows, scale = [(self.normals[j], -self.offsets[j]) for j in J], bracket.inv()
+            x = tuple(scale * minor([nr[:k] + (c,) + nr[k + 1:] for nr, c in rows])
+                      for k in range(self.ambient_dim))
+            _add_vertex(found, x, self.normals, self.offsets)
         return tuple(sorted(found))
 
     def is_bounded(self) -> bool:
         """True when the recession cone {x : <x, normal_i> >= 0} is {0}: by
         Gale duality, when the nonzero normals positively span R^d."""
-        return self._bounded
-
-    @cached_property
-    def _bounded(self) -> bool:
-        normals = tuple(nr for nr in self.normals if not is_zero_vec(nr))
-        try:
-            return Calibration(self.ambient_dim, len(normals), normals).positively_spanning
-        except InvalidCalibrationError:
-            return False  # rank below d: a line lies in the recession cone
+        return self._calibration is not None and self._calibration.positively_spanning
 
     def is_simple(self) -> bool:
         """Every vertex lies on exactly d facets."""
@@ -265,6 +270,8 @@ class VertexOracle:
         """The set of 1-based tight d-subsets that are vertices of P_b."""
         cal = self.calibration
         bb = vec(b)
+        if len(bb) != cal.n:
+            raise DimensionMismatchError("parameter length differs from n")
         out = []
         for J, Minv in self.subsets:
             x = Minv.matvec([-bb[j] for j in J])

@@ -203,6 +203,20 @@ def census_classes(cal, rng, samples):
     return len(set(cells.values()))
 
 
+@pytest.fixture
+def calibrations_built(monkeypatch):
+    """A list that gets one entry per Calibration constructed."""
+    built = []
+    post_init = Calibration.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Calibration, "__post_init__", counted)
+    return built
+
+
 def random_instance(rng, d, n, irrational=False):
     """(calibration, chi, b) with chi generic interior, or None."""
     cal = random_calibration(rng, d, n, irrational=irrational)

@@ -200,3 +200,19 @@ def test_stabilizers_report_a_cone_index_outside_1_to_n_as_invalid_input(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invalid input:") and "1..4" in captured.err
+
+
+def test_plot_of_an_unbounded_polytope_is_not_admissible(tmp_path, capsys):
+    """Columns in a closed half-plane give an unbounded P_b, which is not
+    the hull of its vertices: plot exits 3 as fan does, and draws nothing."""
+    doc = {"calibration": {"d": 2, "n": 5, "virtual": [],
+                           "columns": [["1", "0"], ["0", "1"], ["1", "1"], ["-1", "2"],
+                                       ["2", "1"]]},
+           "b": ["0", "1", "1", "3", "0"]}
+    p = tmp_path / "half_plane.json"
+    p.write_text(json.dumps(doc))
+    assert main(["fan", "--input", str(p)]) == 3
+    capsys.readouterr()
+    assert main(["plot", "--kind", "polytope", "--input", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unbounded" in captured.err

@@ -189,3 +189,21 @@ def test_stabilizer_profiles_reject_indices_outside_1_to_n(cone):
     with pytest.raises(DimensionMismatchError, match=r"1\.\.4"):
         stabilizer_profiles(square, frozenset(cone))
     assert stabilizer_profiles(square, frozenset({1, 2}))[2]  # a simplicial cone
+
+
+@pytest.mark.parametrize("i", [0, -1, 5])
+def test_star_subdivision_rejects_a_generator_index_outside_1_to_n(i):
+    """Index 0 once read column n through negative indexing and put a
+    generator 0 into the cones; 5 ran off the end of the columns (n = 4)."""
+    cal = cal_of(2, [(1, 0), (0, 1), (-1, -1), (1, 1)])
+    f = normal_fan(cal, vec([0, 0, 1, 5]))
+    with pytest.raises(DimensionMismatchError, match=r"generator index must lie in 1\.\.n"):
+        star_subdivision(f, i)
+    assert all(0 < j <= 4 for sigma in star_subdivision(f, 4).max_cones for j in sigma)
+
+
+@pytest.mark.parametrize("rays", [[0, 1, 2, 3], [1, 2, 3, 5]])
+def test_fan_from_rays_rejects_a_generator_index_outside_1_to_n(rays):
+    cal = cal_of(2, [(1, 0), (0, 1), (-1, -1), (1, 1)])
+    with pytest.raises(DimensionMismatchError, match=r"generator index must lie in 1\.\.n"):
+        fan_from_rays(cal, rays)

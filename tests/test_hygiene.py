@@ -206,6 +206,45 @@ def test_the_scan_sees_an_unreferenced_public_definition(tmp_path):
         "Unread", "only_internal", "unread_async"]
 
 
+ELIMINATION = frozenset({"rref", "solve_unique", "inverse"})
+
+
+def elimination_imports(path):
+    """(line, name) of each import of rref, solve_unique or inverse, from
+    any module and under any alias, and of each read of one as an
+    attribute of a name linalg (after from . import linalg)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in ELIMINATION]
+        elif isinstance(node, ast.Attribute) and node.attr in ELIMINATION \
+                and isinstance(node.value, ast.Name) and node.value.id == "linalg":
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_elimination_stays_in_linalg():
+    """Row reduction is linalg's own: every other module reads ranks,
+    kernels, brackets and cached inverses instead."""
+    found = {p.name: elimination_imports(p) for p in sorted(SRC.glob("*.py"))
+             if p.name != "linalg.py"}
+    assert "polytope.py" in found
+    assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+def test_the_scan_sees_an_elimination_import(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from .linalg import Matrix, rref as _rref, vec\n"
+                   "from . import linalg\n"
+                   "from qsecfan.linalg import inverse\n"
+                   "def f(M, b, obj):\n"
+                   "    from .linalg import solve_unique\n"
+                   "    return linalg.solve_unique(M, b), linalg.rank(M), obj.inverse\n")
+    assert elimination_imports(src) == [(1, "rref"), (3, "inverse"), (5, "solve_unique"),
+                                        (6, "solve_unique")]
+
+
 LAYERS = ("errors", "scalar", "linalg", "lp", "polytope", "fan", "secondary", "projective",
           "cli")
 

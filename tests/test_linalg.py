@@ -133,6 +133,13 @@ def test_preimage_of_chi_rejects_a_wrong_length(qex, fig5):
             preimage_of_chi(cal, vec(chi))
 
 
+def test_calibration_column_is_one_based(fig5):
+    assert fig5.column(1) == fig5.columns[0] and fig5.column(fig5.n) == fig5.columns[-1]
+    for i in (0, -1, fig5.n + 1):
+        with pytest.raises(DimensionMismatchError, match=r"generator index must lie in 1\.\.n"):
+            fig5.column(i)
+
+
 def test_in_cone():
     quadrant = [vec([1, 0]), vec([0, 1]), vec([1, 1])]
     assert in_cone(quadrant, vec([2, 3])) and in_cone(quadrant, vec([0, 5]))

@@ -2,26 +2,31 @@
 from kernels and vertex enumeration deduplicated by tight sets, against
 the LP and dict-based references they replaced."""
 
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from qsecfan import (
+    Calibration,
     HPolytope,
     NotAdmissibleError,
     Rational,
+    Scalar,
     gale_cone,
     normal_fan,
     projective_certificate,
 )
+from qsecfan import linalg
 from qsecfan.fan import cone_contains, facets_of
 from qsecfan.linalg import Matrix, gale_rows, in_cone, solve_unique, vadd, vec, vscale, vsub
 from qsecfan.polytope import vertices_of
 from qsecfan.projective import _perturbation_targets
 from qsecfan.scalar import S0
 
-from conftest import cal_of, random_calibration, special_points
+from conftest import SQ2, cal_of, random_calibration, special_points
 from reference_geometry import (
     _in_cone,
     cone_contains_lp,
@@ -244,6 +249,118 @@ def test_vertices_match_the_dict_loop_on_degenerate_polytopes(frustum, qex_t1):
         (2, ((1, 0), (0, 1), (1, 1)), (0, 0, -1)),       # unbounded
     ]:
         assert_same_vertices(HPolytope(d, normals, offsets))
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "golden.json"
+
+
+def faces_pool():
+    """The benchmark's 48 faces calibrations, each with its parameter b."""
+    faces = json.loads(GOLDEN.read_text())["faces"]["instances"]
+    assert len(faces) == 48
+    return [(Calibration.from_json(inst["calibration"]), vec(Scalar.from_json(x) for x in inst["b"]))
+            for inst in faces]
+
+
+def test_vertices_match_the_dict_loop_on_the_faces_pool():
+    for cal, b in faces_pool():
+        verts = assert_same_vertices(HPolytope.from_parameter(cal, b), cal)
+        assert verts
+        # built directly, the polytope asks its own Calibration of the same columns
+        assert HPolytope(cal.d, cal.columns, b).vertices() == verts
+
+
+def test_vertices_match_the_dict_loop_on_sqrt2_parameters():
+    """Q(sqrt(2)) columns with rational, irrational and non-generic b."""
+    rng = random.Random(46)
+    crowded, cals = 0, []
+    while len(cals) < 6:
+        cal = random_calibration(rng, rng.choice([2, 3]), rng.randint(4, 6), irrational=True)
+        if cal is not None and cal.field_m == 2:
+            cals.append(cal)
+    for cal in cals:
+        params = [vec([1] * cal.n), vec([0] * cal.n)]
+        params += [vec([rng.randint(-2, 2) + rng.randint(-1, 1) * SQ2 for _ in range(cal.n)])
+                   for _ in range(12)]
+        for b in params:
+            verts = assert_same_vertices(HPolytope.from_parameter(cal, b), cal)
+            crowded += any(len(t) > cal.d for _, t in verts)
+    assert crowded
+
+
+TRIANGLE = ((1, 0), (0, 1), (-1, -1))
+
+
+@pytest.mark.parametrize("d, normals, offsets, count", [
+    (2, TRIANGLE + ((0, 0),), (1, 1, 1, -1), 0),                   # a zero normal, offset -1: empty
+    (2, TRIANGLE + ((0, 0),), (1, 1, 1, 0), 3),                    # ... offset 0: tight everywhere
+    (2, TRIANGLE + ((0, 0),), (1, 1, 1, 1), 3),                    # ... offset 1: no cut
+    (2, ((0, 0),) + TRIANGLE + ((0, 0),), (0, 1, 1, 1, 2), 3),     # zero normals around the rest
+    (2, ((1, 0), (-1, 0), (2, 0)), (1, 1, 1), 0),                  # rank 1 < d: a strip
+    (2, ((0, 0), (0, 0)), (1, 0), 0),                              # rank 0: the plane
+    (3, ((1, 0, 0), (0, 1, 0), (-1, -1, 0)), (1, 1, 1), 0),        # rank 2 < d: a prism
+    (0, (), (), 1),                                                # R^0: one point
+    (0, ((),), (-1,), 0),                                          # R^0, empty
+    (0, ((), ()), (1, 0), 1),                                      # R^0, one tight zero row
+    (2, ((1, 0), (0, 1), (-SQ2, -1)), (1, 1, 1), 3),               # a Q(sqrt 2) triangle
+    (2, ((1, 0), (0, 1), (-SQ2, -1), (-1, -SQ2)), (SQ2, 1, 1, 1), 4),
+    (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -SQ2, -1)), (1, 0, SQ2, 2), 4),
+])
+def test_vertices_match_the_dict_loop_on_polytopes_built_directly(d, normals, offsets, count):
+    assert len(assert_same_vertices(HPolytope(d, normals, offsets))) == count
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """A list that gets one entry per linalg.rref call."""
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda M: calls.append(M) or rref(M))
+    return calls
+
+
+CACHED_ELIMINATION = ("basis_inverses", "inverse_codes", "chamber_forms", "chamber_codes")
+
+
+def test_a_parameter_polytope_reads_its_facts_off_its_calibration(calibrations_built,
+                                                                  rref_calls, fig5):
+    """is_bounded, vertices, facet_indices and face_dim of a P_b build no
+    Calibration, fill none of the calibration's inverse tables and find
+    the vertices with no row reduction."""
+    params = [(fig5.columns, [1] * fig5.n), (((1, 0), (0, 1), (-1, 1)), (1, 1, 1))]
+    params += [(cal.columns, b) for cal, b in faces_pool()[:6]]
+    for columns, b in params:
+        cal = Calibration(len(columns[0]), len(columns), columns)
+        del calibrations_built[:]
+        P = HPolytope.from_parameter(cal, b)
+        assert P._calibration is cal
+        P.is_bounded()
+        del rref_calls[:]
+        verts = P.vertices()
+        assert rref_calls == []
+        assert verts == hpolytope_vertices_dict(P)
+        P.facet_indices()
+        P.face_dim((0,))
+        assert calibrations_built == []
+        assert [name for name in CACHED_ELIMINATION if name in vars(cal)] == []
+
+
+@pytest.mark.parametrize("facts", [("is_bounded",), ("vertices",), ("facet_indices",),
+                                   ("face_dim",), ("vertices", "is_bounded", "facet_indices",
+                                                   "face_dim", "is_simple", "to_json")])
+@pytest.mark.parametrize("d, normals, offsets", [
+    (2, TRIANGLE, (1, 1, 1)),                           # bounded
+    (2, ((1, 0), (0, 1), (1, 1)), (0, 0, 1)),           # unbounded
+    (2, TRIANGLE + ((0, 0),), (1, 1, 1, 0)),            # a zero normal
+    (2, ((1, 0), (-1, 0)), (1, 1)),                     # rank below d
+])
+def test_a_polytope_built_directly_builds_one_calibration(calibrations_built, facts,
+                                                          d, normals, offsets):
+    P = HPolytope(d, normals, offsets)
+    del calibrations_built[:]
+    for fact in facts:
+        getattr(P, fact)(*((0,),) if fact == "face_dim" else ())
+    assert len(calibrations_built) == 1
 
 
 def test_solve_unique_matches_solve():

@@ -120,6 +120,14 @@ def test_vertices_of_rejects_a_wrong_parameter_length(p2):
             vertices_of(p2, vec(b))
 
 
+def test_comb_key_rejects_a_wrong_parameter_length(p2):
+    oracle = VertexOracle(p2)
+    assert len(oracle.comb_key(vec([1, 1, 1]))) == 3
+    for b in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(DimensionMismatchError, match="parameter length differs from n"):
+            oracle.comb_key(vec(b))
+
+
 def test_face_dim_of_vertex_tight_set():
     P = unit_square()
     for v, tight in P.vertices():

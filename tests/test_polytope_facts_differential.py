@@ -101,20 +101,6 @@ def test_facts_match_on_polytopes_built_directly(d, normals, offsets):
     assert_same_facts(HPolytope(d, normals, offsets))
 
 
-@pytest.fixture
-def calibrations_built(monkeypatch):
-    """A list that gets one entry per Calibration constructed."""
-    built = []
-    post_init = Calibration.__post_init__
-
-    def counted(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(Calibration, "__post_init__", counted)
-    return built
-
-
 def test_a_parameter_polytope_is_bounded_by_its_calibration(calibrations_built, fig5):
     cal = Calibration(fig5.d, fig5.n, fig5.columns)
     half = Calibration(2, 3, ((1, 0), (0, 1), (-1, 1)))
