@@ -1,17 +1,20 @@
 """Shared fixtures: reference calibrations and random-instance helpers."""
 
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from qsecfan import AffinePath, Calibration, InvalidCalibrationError, Rational, Scalar
-from qsecfan.linalg import gale_rows, preimage_of_chi, vadd, vscale
+from qsecfan.linalg import gale_rows, preimage_of_chi, vadd, vec, vscale
 from qsecfan.secondary import is_generic
 
 SQ2 = Scalar.sqrt(2)
 S0 = Scalar(0)
 S1 = Scalar(1)
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "golden.json"
 
 
 def cal_of(d, rows_as_columns, virtual=()):
@@ -215,6 +218,14 @@ def calibrations_built(monkeypatch):
 
     monkeypatch.setattr(Calibration, "__post_init__", counted)
     return built
+
+
+def faces_pool():
+    """The benchmark's 48 faces calibrations, each with its parameter b."""
+    faces = json.loads(GOLDEN.read_text())["faces"]["instances"]
+    assert len(faces) == 48
+    return [(Calibration.from_json(inst["calibration"]), vec(Scalar.from_json(x) for x in inst["b"]))
+            for inst in faces]
 
 
 def random_instance(rng, d, n, irrational=False):

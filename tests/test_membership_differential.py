@@ -1,11 +1,10 @@
 """Cone membership by basis coordinates, positive-spanning certificates
-from kernels and vertex enumeration deduplicated by tight sets, against
-the LP and dict-based references they replaced."""
+from kernels and vertex enumeration by Cramer's rule deduplicated by
+tight sets, against the LP, rref and dict-based references they
+replaced."""
 
-import json
 import random
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -14,7 +13,6 @@ from qsecfan import (
     HPolytope,
     NotAdmissibleError,
     Rational,
-    Scalar,
     gale_cone,
     normal_fan,
     projective_certificate,
@@ -26,7 +24,7 @@ from qsecfan.polytope import vertices_of
 from qsecfan.projective import _perturbation_targets
 from qsecfan.scalar import S0
 
-from conftest import SQ2, cal_of, random_calibration, special_points
+from conftest import SQ2, cal_of, faces_pool, random_calibration, special_points
 from reference_geometry import (
     _in_cone,
     cone_contains_lp,
@@ -251,17 +249,6 @@ def test_vertices_match_the_dict_loop_on_degenerate_polytopes(frustum, qex_t1):
         assert_same_vertices(HPolytope(d, normals, offsets))
 
 
-GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "golden.json"
-
-
-def faces_pool():
-    """The benchmark's 48 faces calibrations, each with its parameter b."""
-    faces = json.loads(GOLDEN.read_text())["faces"]["instances"]
-    assert len(faces) == 48
-    return [(Calibration.from_json(inst["calibration"]), vec(Scalar.from_json(x) for x in inst["b"]))
-            for inst in faces]
-
-
 def test_vertices_match_the_dict_loop_on_the_faces_pool():
     for cal, b in faces_pool():
         verts = assert_same_vertices(HPolytope.from_parameter(cal, b), cal)
@@ -325,8 +312,8 @@ CACHED_ELIMINATION = ("basis_inverses", "inverse_codes", "chamber_forms", "chamb
 def test_a_parameter_polytope_reads_its_facts_off_its_calibration(calibrations_built,
                                                                   rref_calls, fig5):
     """is_bounded, vertices, facet_indices and face_dim of a P_b build no
-    Calibration, fill none of the calibration's inverse tables and find
-    the vertices with no row reduction."""
+    Calibration, fill none of the calibration's inverse tables, and
+    is_bounded and vertices run no row reduction."""
     params = [(fig5.columns, [1] * fig5.n), (((1, 0), (0, 1), (-1, 1)), (1, 1, 1))]
     params += [(cal.columns, b) for cal, b in faces_pool()[:6]]
     for columns, b in params:
@@ -334,8 +321,8 @@ def test_a_parameter_polytope_reads_its_facts_off_its_calibration(calibrations_b
         del calibrations_built[:]
         P = HPolytope.from_parameter(cal, b)
         assert P._calibration is cal
-        P.is_bounded()
         del rref_calls[:]
+        P.is_bounded()
         verts = P.vertices()
         assert rref_calls == []
         assert verts == hpolytope_vertices_dict(P)
@@ -345,9 +332,18 @@ def test_a_parameter_polytope_reads_its_facts_off_its_calibration(calibrations_b
         assert [name for name in CACHED_ELIMINATION if name in vars(cal)] == []
 
 
+ASKS = {
+    "is_bounded": HPolytope.is_bounded,
+    "vertices": HPolytope.vertices,
+    "facet_indices": HPolytope.facet_indices,
+    "face_dim": lambda P: P.face_dim((0,)),
+    "is_simple": HPolytope.is_simple,
+    "to_json": HPolytope.to_json,
+}
+
+
 @pytest.mark.parametrize("facts", [("is_bounded",), ("vertices",), ("facet_indices",),
-                                   ("face_dim",), ("vertices", "is_bounded", "facet_indices",
-                                                   "face_dim", "is_simple", "to_json")])
+                                   ("face_dim",), tuple(ASKS)])
 @pytest.mark.parametrize("d, normals, offsets", [
     (2, TRIANGLE, (1, 1, 1)),                           # bounded
     (2, ((1, 0), (0, 1), (1, 1)), (0, 0, 1)),           # unbounded
@@ -359,7 +355,7 @@ def test_a_polytope_built_directly_builds_one_calibration(calibrations_built, fa
     P = HPolytope(d, normals, offsets)
     del calibrations_built[:]
     for fact in facts:
-        getattr(P, fact)(*((0,),) if fact == "face_dim" else ())
+        ASKS[fact](P)
     assert len(calibrations_built) == 1
 
 

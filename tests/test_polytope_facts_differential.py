@@ -6,9 +6,7 @@ virtual_indices_probe), a second Calibration after a rank test
 (is_bounded_rank) and the Fourier-Motzkin recession probes
 (is_bounded_fm)."""
 
-import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -16,22 +14,18 @@ from qsecfan import (
     Calibration,
     HPolytope,
     NotAdmissibleError,
-    Scalar,
     normal_fan,
     virtual_indices,
 )
 from qsecfan.linalg import vec
 
-from conftest import SQ2, unconstrained_calibration
+from conftest import SQ2, faces_pool, unconstrained_calibration
 from reference_geometry import (
     facet_indices_probe,
     is_bounded_fm,
     is_bounded_rank,
     virtual_indices_probe,
 )
-
-GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "golden.json"
-
 
 def assert_same_facts(P):
     """Facets and boundedness of P agree with every reference; returns
@@ -51,11 +45,7 @@ def assert_same_virtual(cal, b):
 
 
 def test_facts_match_on_the_faces_pool_and_the_instance_pool(instance_pool):
-    faces = json.loads(GOLDEN.read_text())["faces"]["instances"]
-    assert len(faces) == 48
-    params = [(Calibration.from_json(inst["calibration"]),
-               vec(Scalar.from_json(x) for x in inst["b"])) for inst in faces]
-    params += [(cal, b) for cal, _, b in instance_pool]
+    params = faces_pool() + [(cal, b) for cal, _, b in instance_pool]
     for cal, b in params:
         assert assert_same_facts(HPolytope.from_parameter(cal, b))[0]
         assert_same_virtual(cal, b)
