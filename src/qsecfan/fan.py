@@ -217,6 +217,8 @@ class QuantumFan:
         cones = tuple(sorted((frozenset(s) for s in self.max_cones), key=sorted))
         object.__setattr__(self, "max_cones", cones)
         object.__setattr__(self, "virtual", frozenset(self.virtual))
+        if not self.virtual.union(*cones) <= set(range(1, self.n + 1)):
+            raise DimensionMismatchError("generator index must lie in 1..n")
 
     @property
     def d(self) -> int:

@@ -13,8 +13,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import (DimensionMismatchError, InvalidCalibrationError, NotAdmissibleError,
-                     UnsupportedDimensionError)
+from .errors import DimensionMismatchError, InvalidCalibrationError, NotAdmissibleError
 from .scalar import S0, S1, IntVec, Scalar, common_field, dot_sign, encode
 
 Vec = tuple[Scalar, ...]
@@ -388,15 +387,10 @@ class Calibration:
 
     @cached_property
     def gale_facet_normals(self) -> tuple:
-        """Inward facet normals of the Gale cone, sorted, for n-d <= 3.
-        Every facet contains n-d-1 independent Gale rows, so it lies on a
-        wall hyperplane (for n-d = 1, on the hyperplane {0})."""
-        m = self.n - self.d
-        if m == 0:
-            return ()
-        if m > 3:
-            raise UnsupportedDimensionError("facet enumeration implemented for n-d <= 3")
-        return tuple(sorted(facet_normals(self.wall_normals if m > 1 else ((S1,),), self.gale.rows)))
+        """Inward facet normals of the Gale cone, sorted.  The Gale rows
+        span R^(n-d), so every facet contains n-d-1 independent Gale rows
+        and lies on a wall hyperplane."""
+        return tuple(sorted(facet_normals(self.wall_normals, self.gale.rows)))
 
     @cached_property
     def gale_facet_codes(self) -> tuple[IntVec, ...]:
@@ -409,9 +403,11 @@ class Calibration:
         minors (-1)^t det(rows without column t), turned so that the last
         nonzero entry (where kernel_basis puts its 1) is positive, normalized.
         Every wall of the secondary fan, and every cone on fewer than n-d
-        Gale rows, lies in one of these hyperplanes.  Empty when n-d <= 1."""
+        Gale rows, lies in one of these hyperplanes.  For n-d = 1 the one
+        subset is empty and its normal (1,) is that of the hyperplane {0};
+        empty when n = d."""
         m = self.n - self.d
-        if m <= 1:
+        if m == 0:
             return ()
         normals, seen = [], set()
         for sub in combinations(self.gale.rows, m - 1):

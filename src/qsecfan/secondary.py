@@ -23,7 +23,6 @@ from .errors import (
     InvalidCalibrationError,
     NotAdmissibleError,
     OnWallError,
-    UnsupportedDimensionError,
 )
 from .fan import (
     CombinatorialType,
@@ -62,8 +61,8 @@ def _signs_at_least(codes, e: IntVec, lo: int) -> bool:
 
 @dataclass(frozen=True)
 class GaleCone:
-    """Cone(k^T e_1, ..., k^T e_n) in R^(n-d) with facet normals for n-d <= 3;
-    codes are the normals encoded for dot_sign, computed when not given."""
+    """Cone(k^T e_1, ..., k^T e_n) in R^(n-d) with its facet normals; codes
+    are the normals encoded for dot_sign, computed when not given."""
 
     calibration: Calibration
     generators: tuple
@@ -107,8 +106,7 @@ def gale_cone(cal: Calibration) -> GaleCone:
 
 def is_admissible(cal: Calibration, chi: Sequence) -> bool:
     """chi interior to the Gale cone, equivalently dim P_chi = d."""
-    cc = _chi_vec(cal, chi)  # before gale_cone, which raises for n-d > 3
-    return gale_cone(cal).interior_contains(cc)
+    return gale_cone(cal).interior_contains(_chi_vec(cal, chi))
 
 
 def degenerate_span_witnesses(cal: Calibration, chi: Sequence) -> list[Vec]:
@@ -140,17 +138,15 @@ def is_generic(cal: Calibration, chi: Sequence) -> bool:
     By Caratheodory such a cone is spanned by independent rows, which
     extend inside the rows to n-d-1 spanning a wall hyperplane H; so chi
     is not generic exactly when it lies on some H and in the cone of the
-    Gale rows on H.  With n-d <= 1 degenerate_span_witnesses decides.
+    Gale rows on H.  For n-d = 1, H is {0}; for n = d there is no H, and
+    the one point of R^0 is generic.
     """
     cc = _chi_vec(cal, chi)
-    normals = cal.wall_normals
-    if not normals:
-        return not degenerate_span_witnesses(cal, cc)
     e = encode(cc)
     return not any(
         dot_sign(code, e) == 0
         and in_cone([g for g in cal.gale.rows if dot(w, g).is_zero()], cc)
-        for w, code in zip(normals, cal.wall_codes))
+        for w, code in zip(cal.wall_normals, cal.wall_codes))
 
 
 @dataclass(frozen=True)
@@ -359,11 +355,8 @@ def enumerate_chambers(cal: Calibration) -> SecondaryFan:
     """All chambers by breadth-first wall crossing from one generic point."""
     if not cal.is_geometric():
         raise InvalidCalibrationError("chamber enumeration requires a geometric calibration")
-    m = cal.n - cal.d
-    if m == 0:
+    if cal.n == cal.d:
         return SecondaryFan([], {})
-    if m > 3:
-        raise UnsupportedDimensionError("chamber enumeration implemented for n-d <= 3")
     start = chamber_of(cal, _generic_interior_point(cal))
     chambers = [start]
     index_of = {start.key: 0}

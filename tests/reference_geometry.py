@@ -57,7 +57,9 @@ itself; both return the same list.
 
 ``gale_facet_normals_subsets`` is the Gale-cone facet enumeration that
 ``Calibration.gale_facet_normals`` ran before it took its candidates from
-the wall normals: one kernel per (n-d-1)-subset of Gale rows.
+the wall normals: one kernel per (n-d-1)-subset of Gale rows, and the
+candidate (1,) for the empty subset when n-d = 1.  It now runs for every
+n-d, as the rule it checks does.
 
 ``basis_inverses_rref``, ``chamber_forms_preimage``,
 ``positively_spanning_fm``, ``wall_normals_kernel`` and
@@ -65,8 +67,8 @@ the wall normals: one kernel per (n-d-1)-subset of Gale rows.
 replaced: one rref inverse per d-subset, the chamber forms pushed through
 the preimage matrix P = k (k^T k)^{-1}, the Fourier-Motzkin recession
 probes of ``is_bounded_fm`` on the columns, one kernel per
-(n-d-1)-subset of Gale rows, and cone membership by Scalar ``dot``
-against the inverse columns.  They read no cached fact but the Gale
+(n-d-1)-subset of Gale rows (with the facet scan's (1,) for n-d = 1),
+and cone membership by Scalar ``dot`` against the inverse columns.  They read no cached fact but the Gale
 transform, and P and ``basis_inverses`` (``chamber_forms_preimage`` and
 ``cone_contains_dot``, as their originals did).  ``sample_census_oracle`` is the ``chambers
 --samples`` census that classified each sample by
@@ -529,7 +531,7 @@ def chamber_of_vertices(cal, chi):
 
 
 def gale_facet_normals_subsets(cal):
-    """Inward facet normals of the Gale cone, sorted, for n-d <= 3.
+    """Inward facet normals of the Gale cone, sorted.
 
     Every facet contains n-d-1 independent Gale rows, so candidates are
     kernel directions of (n-d-1)-subsets, kept when all rows land on
@@ -538,8 +540,6 @@ def gale_facet_normals_subsets(cal):
     m = cal.n - cal.d
     if m == 0:
         return ()
-    if m > 3:
-        raise UnsupportedDimensionError("facet enumeration implemented for n-d <= 3")
     gens = cal.gale.rows
     normals = set()
     for sub in combinations(gens, m - 1):
@@ -639,13 +639,14 @@ def cone_intersection_rays_cross(normals):
 
 
 def wall_normals_kernel(cal):
-    """One normal per hyperplane spanned by n-d-1 Gale rows."""
+    """One normal per hyperplane spanned by n-d-1 Gale rows; for n-d = 1
+    the normal (1,) of the hyperplane {0}, as in gale_facet_normals_subsets."""
     m = cal.n - cal.d
-    if m <= 1:
+    if m == 0:
         return ()
     normals, seen = [], set()
     for sub in combinations(cal.gale.rows, m - 1):
-        kern = kernel_basis(Matrix(sub))
+        kern = kernel_basis(Matrix(sub)) if sub else [tuple([S1])]
         if len(kern) != 1:
             continue
         w = normalize_direction(kern[0])

@@ -54,6 +54,7 @@ from conftest import (
     census_classes,
     random_calibration,
     random_generic_chi,
+    segment,
 )
 
 S = Scalar.coerce
@@ -446,3 +447,44 @@ def test_criterion_11_bfs_vs_sampling_census():
         done += 1
     assert done == 20
     assert time.monotonic() - t0 <= 120.0
+
+
+def test_criterion_11_beyond_n_minus_d_3():
+    """Criterion 11 at n-d = 4 and 5, where every chamber facet costs one
+    Fourier-Motzkin system in more variables: about 20 s in all."""
+    rng = random.Random(16)
+    t0 = time.monotonic()
+    counts = []
+    for d, n in [(2, 6)] * 3 + [(3, 7)] * 2 + [(2, 7)]:
+        cal = None
+        while cal is None:
+            cal = random_calibration(rng, d, n, irrational=rng.random() < 0.5,
+                                     geometric=True)
+        sf = enumerate_chambers(cal)
+        assert census_classes(cal, rng, 10000) == len(sf.chambers)
+        counts.append((n - d, cal.field_m, len(sf.chambers)))
+    assert counts == [(4, 2, 21), (4, 2, 15), (4, 2, 15), (4, 2, 41), (4, None, 46), (5, 2, 63)]
+    assert time.monotonic() - t0 <= 60.0
+
+
+def test_secondary_fan_with_n_minus_d_4():
+    """A fixed (3, 7) calibration: every rep_point lies in its own chamber,
+    adjacency is symmetric, and a path across seven walls of both kinds
+    passes every wall-crossing check, each step between BFS neighbours."""
+    cal = cal_of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1),
+                     (1, 2, -1), (2, -1, 1), (-1, 1, 2)])
+    sf = enumerate_chambers(cal)
+    assert len(sf.chambers) == 76
+    index_of = {ch.key: i for i, ch in enumerate(sf.chambers)}
+    assert all(index_of[chamber_of(cal, ch.rep_point).key] == i
+               for i, ch in enumerate(sf.chambers))
+    neighbours = {i: {nb for _, nb in links if nb is not None}
+                  for i, links in sf.adjacency.items()}
+    assert all(i in neighbours[j] for i in neighbours for j in neighbours[i])
+    first, last = sf.chambers[0], sf.chambers[74]
+    rep = cobordism_from_path(segment(cal, first.rep_point, last.rep_point), cal)
+    assert [r.wall.type for r in rep.crossings] == ["flipping"] * 5 + ["divisorial"] * 2
+    assert all(all(r.checks.values()) for r in rep.crossings)
+    walk = [index_of[key] for key in rep.chamber_keys]
+    assert walk[0] == 0 and walk[-1] == 74
+    assert all(b in neighbours[a] for a, b in zip(walk, walk[1:]))

@@ -9,7 +9,6 @@ from qsecfan import (
     DimensionMismatchError,
     NotAdmissibleError,
     OnWallError,
-    UnsupportedDimensionError,
     chamber_of,
     enumerate_chambers,
 )
@@ -24,8 +23,7 @@ def outcome(cal, chi, route):
     an OnWallError carries."""
     try:
         ch = route(cal, chi)
-    except (NotAdmissibleError, OnWallError, DimensionMismatchError,
-            UnsupportedDimensionError) as exc:
+    except (NotAdmissibleError, OnWallError, DimensionMismatchError) as exc:
         return type(exc).__name__, str(exc), getattr(exc, "equalities", None)
     return ch, ch.to_json()
 
@@ -61,13 +59,21 @@ def test_same_chambers_and_errors_on_reference_instances(qex, qex_t1, p2, fig5,
 
 
 def test_same_chambers_on_the_pool(instance_pool):
-    rng = random.Random(92)
-    kinds = set()
+    """Every pool instance, n-d = 2 to 6, gives a chamber at its parameter.
+    Special points are sampled on the first 60 instances with n-d <= 3 and
+    on the first instance of each n-d > 3, from a second seed, so the
+    draws of the first stay as they were; the OnWallError witnesses make
+    more points too slow for Tier-1."""
+    rng, wide_rng = random.Random(92), random.Random(93)
+    kinds, wide = set(), {}
     for k, (cal, chi, _) in enumerate(instance_pool):
-        if cal.n - cal.d > 3:
-            assert assert_same_outcome(cal, chi) == "UnsupportedDimensionError"
-            continue
         assert assert_same_outcome(cal, chi) == "Chamber"
-        if k < 60:
+        m = cal.n - cal.d
+        if k < 60 and m <= 3:
             kinds |= {assert_same_outcome(cal, p) for p in special_points(cal, rng)}
+        elif m > 3 and m not in wide:
+            wide[m] = {assert_same_outcome(cal, p) for p in special_points(cal, wide_rng)}
     assert kinds == {"Chamber", "NotAdmissibleError", "OnWallError"}
+    assert wide == {4: {"Chamber", "NotAdmissibleError", "OnWallError"},
+                    5: {"Chamber", "NotAdmissibleError", "OnWallError"},
+                    6: {"Chamber", "NotAdmissibleError"}}

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import random
 import xml.dom.minidom
 
 import pytest
 
 from qsecfan import Calibration, QuantumFan
 from qsecfan.cli import main
+
+from conftest import census_classes
 
 QEX_DOC = {
     "calibration": {
@@ -216,3 +219,23 @@ def test_plot_of_an_unbounded_polytope_is_not_admissible(tmp_path, capsys):
     assert main(["plot", "--kind", "polytope", "--input", str(p)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "unbounded" in captured.err
+
+
+def test_gale_and_chambers_with_n_minus_d_4(tmp_path, capsys):
+    """Both once exited 2 with "implemented for n-d <= 3"; the 21 chambers
+    are what a 10^4-sample census counts."""
+    doc = {"calibration": {"d": 2, "n": 6, "virtual": [],
+                           "columns": [["1", "0"], ["0", "1"], ["-1", "-1"], ["1", "2"],
+                                       ["2", "-1"], ["-1", "3"]]}}
+    p = tmp_path / "corank4.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(["gale", "--input", str(p)], tmp_path, "gale.json")
+    assert code == 0
+    gale = json.loads(out.read_text())
+    assert len(gale["generators"]) == 6 and len(gale["generators"][0]) == 4
+    code, out = run(["chambers", "--input", str(p)], tmp_path, "chambers.json")
+    assert code == 0
+    assert len(json.loads(out.read_text())["chambers"]) == 21
+    assert capsys.readouterr().err == ""
+    cal = Calibration.from_json(doc["calibration"])
+    assert census_classes(cal, random.Random(4), 10000) == 21

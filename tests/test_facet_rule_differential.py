@@ -17,7 +17,6 @@ from qsecfan import (
     HPolytope,
     InvalidCalibrationError,
     Scalar,
-    UnsupportedDimensionError,
     chamber_of,
     is_admissible,
     normal_fan,
@@ -101,12 +100,15 @@ def test_positively_spanning_in_dimension_zero():
 
 
 def test_is_admissible_checks_the_length_of_chi_first():
+    """n-d = 4: a chi of the wrong length raises, one of length 4 answers."""
     cal = Calibration(1, 5, ((1,), (2,), (-1,), (-3,), (5,)))
     for route in (is_admissible, chamber_of):
         with pytest.raises(DimensionMismatchError):
             route(cal, vec([1] * 5))
-        with pytest.raises(UnsupportedDimensionError):
-            route(cal, vec([1] * 4))
+    assert is_admissible(cal, vec([1] * 4)) is True
+    ch = chamber_of(cal, vec([1] * 4))
+    assert ch.fan.max_cones == (frozenset({1}), frozenset({4}))
+    assert ch.virtual == {2, 3, 5}
 
 
 def test_facet_normals_in_r1():

@@ -207,3 +207,19 @@ def test_fan_from_rays_rejects_a_generator_index_outside_1_to_n(rays):
     cal = cal_of(2, [(1, 0), (0, 1), (-1, -1), (1, 1)])
     with pytest.raises(DimensionMismatchError, match=r"generator index must lie in 1\.\.n"):
         fan_from_rays(cal, rays)
+
+
+@pytest.mark.parametrize("doc", [
+    {"max_cones": [[1, 2], [1, 3], [2, 3]], "virtual": [0, 9]},
+    {"max_cones": [[1, 2], [1, 3], [2, 3]], "virtual": [5]},
+    {"max_cones": [[1, 2], [1, 7], [2, 3]]},
+    {"max_cones": [[0, 1], [1, 3], [2, 3]]},
+])
+def test_quantum_fan_rejects_a_generator_index_outside_1_to_n(doc):
+    """A fan once kept virtual {0, 9} or a cone [1, 7] on n = 4 columns,
+    and validate_fan reported only index_cover: False."""
+    cal = cal_of(2, [(1, 0), (0, 1), (-1, -1), (1, 1)])
+    with pytest.raises(DimensionMismatchError, match=r"generator index must lie in 1\.\.n"):
+        QuantumFan.from_json(cal, doc)
+    f = QuantumFan.from_json(cal, {"max_cones": [[1, 2], [1, 3], [2, 3]], "virtual": [4]})
+    assert f.virtual == {4} and validate_fan(f)["index_cover"]

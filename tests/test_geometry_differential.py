@@ -17,7 +17,6 @@ from qsecfan import (
     OnWallError,
     Rational,
     Scalar,
-    UnsupportedDimensionError,
     chamber_of,
     is_admissible,
     is_generic,
@@ -194,7 +193,7 @@ def test_is_generic_matches_lp_on_special_points(references):
 
 
 def test_is_generic_with_one_gale_dimension(p2):
-    assert p2.n - p2.d == 1 and p2.wall_normals == ()
+    assert p2.n - p2.d == 1 and p2.wall_normals == ((S(1),),)
     for x, generic in [(1, True), (Rational(1, 3), True), (0, False), (-2, True)]:
         assert is_generic(p2, vec([x])) == is_generic_lp(p2, vec([x])) == generic
 
@@ -225,7 +224,7 @@ def test_on_wall_error_carries_the_lp_witnesses(qex, fig5, frustum):
 
 def test_gale_facet_normals_match_the_subset_scan(references, instance_pool):
     """The facets read off the wall normals against the kernel of every
-    (n-d-1)-subset of Gale rows, for n-d = 1, 2, 3, rational and not."""
+    (n-d-1)-subset of Gale rows, for n-d = 1 to 5, rational and not."""
     rng = random.Random(37)
     cals = references + [c for c, _, _ in instance_pool if c.n - c.d <= 3]
     while len(cals) < 600:
@@ -233,14 +232,17 @@ def test_gale_facet_normals_match_the_subset_scan(references, instance_pool):
         cal = random_calibration(rng, d, d + rng.randint(1, 3), irrational=rng.random() < 0.5)
         if cal is not None:
             cals.append(cal)
+    while len(cals) < 640:
+        d, m = rng.randint(1, 3), rng.randint(4, 5)
+        cal = random_calibration(rng, d, d + m, irrational=rng.random() < 0.5)
+        if cal is not None:
+            cals.append(cal)
     for cal in cals:
         assert cal.gale_facet_normals == gale_facet_normals_subsets(cal)
-    assert {c.n - c.d for c in cals} == {1, 2, 3}
-    assert any(c.field_m for c in cals if c.n - c.d == 3)
+    assert {c.n - c.d for c in cals} == {1, 2, 3, 4, 5}
+    assert all(any(c.field_m for c in cals if c.n - c.d == m) for m in (3, 4, 5))
     too_big = cal_of(2, [(1, 0), (0, 1), (-1, -1), (1, 1), (2, 1), (1, 2)])
-    for fn in (lambda c: c.gale_facet_normals, gale_facet_normals_subsets):
-        with pytest.raises(UnsupportedDimensionError):
-            fn(too_big)
+    assert too_big.gale_facet_normals == gale_facet_normals_subsets(too_big)
 
 
 def fig5_copy():

@@ -1,6 +1,7 @@
 """Source hygiene checks, on src/qsecfan and tests, that need no linter."""
 
 import ast
+import re
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -294,3 +295,45 @@ def test_the_scan_sees_an_upward_import(tmp_path):
                    "def f():\n    from .secondary import chamber_of\n")
     assert upward_imports(src) == [(2, "lp"), (4, "fan"), (5, "polytope"), (6, "Scalar"),
                                    (7, "linalg"), (9, "secondary")]
+
+
+N_MINUS_D = re.compile(r"\bn\s*-\s*d\b")
+
+
+def corank_limit_raises(path):
+    """(line, message) of each raise of UnsupportedDimensionError, by name
+    or as an attribute, whose message names n-d; the message is the text
+    of the string constants in its arguments, f-strings included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        func = node.exc.func
+        if getattr(func, "id", getattr(func, "attr", None)) != "UnsupportedDimensionError":
+            continue
+        text = "".join(c.value for arg in node.exc.args for c in ast.walk(arg)
+                       if isinstance(c, ast.Constant) and isinstance(c.value, str))
+        if N_MINUS_D.search(text):
+            found.append((node.lineno, text))
+    return sorted(found)
+
+
+def test_no_corank_limit_in_src():
+    """Secondary fans are built for every n-d; only d keeps limits."""
+    found = {p.name: corank_limit_raises(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: raises for name, raises in found.items() if raises} == {}
+
+
+def test_the_scan_sees_a_corank_limit(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from . import errors\n"
+                   "def f(m):\n"
+                   "    if m > 3:\n"
+                   "        raise UnsupportedDimensionError('implemented for n-d <= 3')\n"
+                   "    if m > 4:\n"
+                   "        raise errors.UnsupportedDimensionError(f'n - d = {m} is too big')\n"
+                   "    raise UnsupportedDimensionError('refinement implemented for d <= 3')\n"
+                   "def g():\n"
+                   "    raise ValueError('n-d <= 3')\n")
+    assert corank_limit_raises(src) == [(4, "implemented for n-d <= 3"),
+                                        (6, "n - d =  is too big")]

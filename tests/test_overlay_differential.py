@@ -89,7 +89,8 @@ def frustum_pairs(frustum):
 @pytest.fixture(scope="module")
 def pool_pairs(instance_pool):
     """Crossings along path_to_projective and one random path of every
-    d = 3 pool instance with n - d <= 3, where chambers are implemented."""
+    d = 3 pool instance with n - d <= 3: beyond that the Fourier-Motzkin
+    overlay it is compared with grows too slow for Tier-1."""
     rng = random.Random(62)
     out = []
     for cal, chi, b in instance_pool:
