@@ -58,8 +58,8 @@ itself; both return the same list.
 ``gale_facet_normals_subsets`` is the Gale-cone facet enumeration that
 ``Calibration.gale_facet_normals`` ran before it took its candidates from
 the wall normals: one kernel per (n-d-1)-subset of Gale rows, and the
-candidate (1,) for the empty subset when n-d = 1.  It now runs for every
-n-d, as the rule it checks does.
+candidate (1,) for the empty subset when n-d = 1.  Unlike the original
+it runs for every n-d, as the rule it checks does.
 
 ``basis_inverses_rref``, ``chamber_forms_preimage``,
 ``positively_spanning_fm``, ``wall_normals_kernel`` and
@@ -68,9 +68,10 @@ replaced: one rref inverse per d-subset, the chamber forms pushed through
 the preimage matrix P = k (k^T k)^{-1}, the Fourier-Motzkin recession
 probes of ``is_bounded_fm`` on the columns, one kernel per
 (n-d-1)-subset of Gale rows (with the facet scan's (1,) for n-d = 1),
-and cone membership by Scalar ``dot`` against the inverse columns.  They read no cached fact but the Gale
-transform, and P and ``basis_inverses`` (``chamber_forms_preimage`` and
-``cone_contains_dot``, as their originals did).  ``sample_census_oracle`` is the ``chambers
+and cone membership by Scalar ``dot`` against the inverse columns.  They
+read no cached fact but the Gale transform, and P and ``basis_inverses``
+(``chamber_forms_preimage`` and ``cone_contains_dot``, as their originals
+did).  ``sample_census_oracle`` is the ``chambers
 --samples`` census that classified each sample by
 ``VertexOracle.comb_key`` at b = P chi.
 

@@ -451,7 +451,7 @@ def test_criterion_11_bfs_vs_sampling_census():
 
 def test_criterion_11_beyond_n_minus_d_3():
     """Criterion 11 at n-d = 4 and 5, where every chamber facet costs one
-    Fourier-Motzkin system in more variables: about 20 s in all."""
+    Fourier-Motzkin system in more variables: about 25 s in all."""
     rng = random.Random(16)
     t0 = time.monotonic()
     counts = []
