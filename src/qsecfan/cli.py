@@ -242,7 +242,8 @@ def _cmd_chambers(doc, args) -> dict:
 
 def _sample_census(cal: Calibration, sf, samples: int, seed: int) -> dict:
     """Random generic points classified by polytope combinatorics; the
-    number of distinct classes cross-checks the enumerated chamber count."""
+    number of distinct classes cross-checks the enumerated chamber count.
+    Weights on the Gale rows span six orders of magnitude to reach thin chambers."""
     rng = random.Random(seed)
     rows = gale_rows(cal)
     keys = set()
@@ -250,7 +251,7 @@ def _sample_census(cal: Calibration, sf, samples: int, seed: int) -> dict:
     while kept < samples:
         chi = tuple([Scalar(0)] * (cal.n - cal.d))
         for g in rows:
-            w = Scalar(Rational(rng.randint(1, 10000), 9973))
+            w = rng.randint(1, 99) * 10 ** rng.randint(0, 5)
             chi = vadd(chi, vscale(w, g))
         if not is_generic(cal, chi):
             continue

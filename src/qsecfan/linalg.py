@@ -7,13 +7,14 @@ variables increasingly, so repeated calls give identical output.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import DimensionMismatchError, InvalidCalibrationError, NotAdmissibleError
+from .errors import DimensionMismatchError, InvalidCalibrationError
 from .scalar import S0, S1, IntVec, Scalar, common_field, dot_sign, encode
 
 Vec = tuple[Scalar, ...]
@@ -353,8 +354,8 @@ class Calibration:
     # -- facts fixed by the calibration ------------------------------------
     # Each is computed on first use and kept in the instance __dict__ by
     # cached_property, outside the dataclass fields, so it takes no part in
-    # ==, hash, repr or to_json.  Every one has a size fixed by (n, d);
-    # nothing that grows with the queries is kept here.
+    # ==, hash, repr or to_json.  Each has a size fixed by (n, d) but
+    # live_chambers, which holds only live chambers, weakly: it keeps none alive.
 
     @cached_property
     def gale(self) -> Matrix:
@@ -478,37 +479,58 @@ class Calibration:
                                  for J, Minv in self.basis_inverses.items()})
 
     @cached_property
-    def chamber_forms(self) -> Mapping[tuple[int, ...], Mapping[int, Vec]]:
-        """z(J, j), by J in basis_inverses and then by j outside J in
-        increasing order: the circuit c = e_j - sum_k y_k e_{J_k} read at the
-        free columns F, with y = M_J^{-T} h(e_j), y_k = [J with J_k -> j] / [J]
-        by Cramer's rule.  h c = 0 is checked per entry, so c = k c_F and
-        z . k^T b = c . b, the slack <x, h(e_j)> + b_j at the vertex
-        x = M_J^{-1} (-b_J) of P_b, for every b."""
-        d, F, out = self.d, self.free_columns, {}
-        bracket = dict(zip(combinations(range(self.n), d), self.brackets))
-        for J in self.basis_inverses:
-            scale = bracket[J].inv()
-            HJ = Matrix.from_columns([self.columns[k] for k in J], nrows=d)
-            forms = {}
-            for j in (j for j in range(self.n) if j not in J):
-                y = []
-                for k in range(d):
-                    rest = J[:k] + J[k + 1:]
-                    p = sum(i < j for i in rest)  # j sorts into place p
-                    yk = scale * bracket[rest[:p] + (j,) + rest[p:]]
-                    y.append(-yk if (k - p) % 2 else yk)
-                if HJ.matvec(y) != self.columns[j]:
-                    raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
-                forms[j] = tuple(S1 if f == j else -y[J.index(f)] if f in J else S0 for f in F)
-            out[J] = MappingProxyType(forms)
-        return MappingProxyType(out)
+    def bracket_index(self) -> Mapping[tuple[int, ...], int]:
+        """The position of [K] in brackets, by 0-based d-subset K."""
+        return MappingProxyType({K: t for t, K in enumerate(combinations(range(self.n), self.d))})
+
+    def _circuit(self, J: tuple[int, ...], j: int):
+        """(sign, K) with [J] c_f = sign [K] at each free column f, for the
+        circuit c of chamber_form: [J] at f = j, -[J] y_k at f = J_k."""
+        for f in self.free_columns:
+            if f not in J:
+                yield int(f == j), J
+                continue
+            k = J.index(f)
+            rest = J[:k] + J[k + 1:]
+            p = sum(i < j for i in rest)  # j sorts into place p
+            yield (1 if (k - p) % 2 else -1), rest[:p] + (j,) + rest[p:]
+
+    def chamber_form(self, J: tuple[int, ...], j: int) -> Vec:
+        """z(J, j) for a 0-based d-subset J with [J] != 0 and j outside J: the
+        circuit c = e_j - sum_k y_k e_{J_k} at the free columns F, with
+        y = M_J^{-T} h(e_j), y_k = [J with J_k -> j] / [J] by Cramer's rule.
+        h c = 0, so c = k c_F and z . k^T b = c . b, the slack
+        <x, h(e_j)> + b_j at the vertex x = M_J^{-1} (-b_J) of P_b, for every b."""
+        at, brackets = self.bracket_index, self.brackets
+        scale = brackets[at[J]].inv()
+        return tuple(S0 if not c else scale * brackets[at[K]] if c > 0
+                     else -(scale * brackets[at[K]]) for c, K in self._circuit(J, j))
 
     @cached_property
     def chamber_codes(self) -> Mapping[tuple[int, ...], Mapping[int, IntVec]]:
-        """chamber_forms encoded for scalar.dot_sign, keyed the same way."""
-        return MappingProxyType({J: MappingProxyType({j: encode(z) for j, z in forms.items()})
-                                 for J, forms in self.chamber_forms.items()})
+        """sign([J]) [J] z(J, j), a positive multiple of chamber_form(J, j) in
+        Q(sqrt(m)), by J with [J] != 0 and then j outside J, in increasing
+        order: signed brackets, so read off encode(brackets) by sign flips."""
+        enc, at, out = encode(self.brackets), self.bracket_index, {}
+        for J, bracket in zip(at, self.brackets):
+            if bracket.is_zero():
+                continue
+            codes = out[J] = {}
+            for j in (j for j in range(self.n) if j not in J):
+                terms = [(bracket.sign() * c, at[K]) for c, K in self._circuit(J, j)]
+                p, q = (None if v is None else tuple(c * v[u] for c, u in terms) for v in (enc.p, enc.q))
+                codes[j] = IntVec(p, q, enc.m)
+        return MappingProxyType({J: MappingProxyType(codes) for J, codes in out.items()})
+
+    @cached_property
+    def gale_row_codes(self) -> tuple[IntVec, ...]:
+        """The Gale rows encoded for scalar.dot_sign."""
+        return tuple(map(encode, self.gale.rows))
+
+    @cached_property
+    def live_chambers(self) -> weakref.WeakValueDictionary:
+        """secondary.chamber_of's live chambers, held weakly, by the tight sets of their scan."""
+        return weakref.WeakValueDictionary()
 
     def with_columns(self, columns) -> "Calibration":
         return Calibration(self.d, self.n, tuple(vec(c) for c in columns), self.virtual)

@@ -2,7 +2,7 @@
 
 Chambers are carved out of the Gale cone by two kinds of linear
 inequalities in b (both read in chi as circuits of the columns, see
-Calibration.chamber_forms): convexity of the piecewise-linear support
+Calibration.chamber_form): convexity of the piecewise-linear support
 function across each pair of adjacent maximal cones, and redundancy of
 each virtual generator's constraint.  Walls between chambers either
 toggle a virtual generator (divisorial, a star subdivision) or exchange
@@ -39,7 +39,6 @@ from .linalg import (
     Matrix,
     Vec,
     dot,
-    facet_normals,
     gale_rows,
     in_cone,
     kernel_basis,
@@ -206,10 +205,10 @@ class Chamber:
         out = []
         for w, tags in normals:
             cons = [lp.eq(w, 0)] + [lp.gt(w2, 0) for w2, _ in normals if w2 != w]
-            # w . chi = 0 meets the open Gale cone (positive combinations of
-            # the spanning rows g), and the facet point is sought there first,
-            # unless w leaves every g on one side: then the facet is boundary
-            boundary = bool(facet_normals((w,), gc.generators))
+            # w . chi = 0 meets the open Gale cone (positive combinations of the
+            # spanning rows g), and the facet point is sought there first, unless
+            # w (as a tag's code) leaves every g on one side: the facet is boundary
+            boundary = not {1, -1} <= {dot_sign(tags[0].code, g) for g in cal.gale_row_codes}
             point = None if boundary else lp.find_point(cons + interior, m)
             point = point or lp.find_point(cons, m)
             if point is None:
@@ -234,17 +233,18 @@ def _chamber_inequality(cal: Calibration, sigma, j: int, kind: str,
                         payload: tuple) -> ChamberInequality:
     """z . chi >= 0 for z . chi = <x_sigma(b), h(e_j)> + b_j, where x_sigma(b)
     is the vertex of P_b dual to the simplicial cone sigma (1-based
-    indices): z and its code are looked up in the calibration's tables."""
+    indices): z is the calibration's chamber form, its code looked up."""
     J = tuple(sorted(i - 1 for i in sigma))
-    forms = cal.chamber_forms.get(J)
-    if forms is None:
+    codes = cal.chamber_codes.get(J)
+    if codes is None:
         raise NotAdmissibleError("maximal cone does not span R^d")
-    return ChamberInequality(forms[j - 1], kind, payload, cal.chamber_codes[J][j - 1])
+    return ChamberInequality(cal.chamber_form(J, j - 1), kind, payload, codes[j - 1])
 
 
 def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
     """The GKZ chamber containing the generic admissible point chi, decided
-    by the signs of the calibration's encoded chi-space forms at chi."""
+    by the signs of the calibration's encoded chi-space forms at chi; a live
+    chamber with the same basis-scan tight sets lends its fan and inequalities."""
     cc = _chi_vec(cal, chi)
     e = encode(cc)
     if not _signs_at_least(cal.gale_facet_codes, e, 1):
@@ -255,27 +255,34 @@ def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
             raise OnWallError("chi lies on a degenerate-span cone",
                               degenerate_span_witnesses(cal, cc))
         raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")
-    tight_sets = [frozenset(tight) for _, tight in basis_scan(cal, e)]
+    tight_sets = tuple(frozenset(tight) for _, tight in basis_scan(cal, e))
     if any(len(t) > cal.d for t in tight_sets):  # P_b is not simple
         raise OnWallError("chi lies on a degenerate-span cone",
                           degenerate_span_witnesses(cal, cc))
-    f = _fan_of_vertices(cal, [(None, t) for t in tight_sets])
-    ineqs = []
-    for s1, s2 in combinations(f.max_cones, 2):
-        if len(s1 & s2) != cal.d - 1:
-            continue
-        for j in sorted(s2 - s1):
-            ineqs.append(_chamber_inequality(cal, s1, j, "wall",
-                                             (tuple(sorted(s1)), tuple(sorted(s2)), j)))
-    for i in sorted(f.virtual):
-        sigma = f.cone_containing(cal.column(i))
-        if sigma is None:
-            raise NotAdmissibleError(f"virtual generator {i} outside the fan support")
-        ineqs.append(_chamber_inequality(cal, sigma, i, "virtual", (i,)))
+    old = cal.live_chambers.get(tight_sets)
+    if old is not None:
+        ineqs, comb, f = old.inequalities, old.comb, old.fan
+    else:
+        f = _fan_of_vertices(cal, [(None, t) for t in tight_sets])
+        ineqs = []
+        for s1, s2 in combinations(f.max_cones, 2):
+            if len(s1 & s2) != cal.d - 1:
+                continue
+            for j in sorted(s2 - s1):
+                ineqs.append(_chamber_inequality(cal, s1, j, "wall",
+                                                 (tuple(sorted(s1)), tuple(sorted(s2)), j)))
+        for i in sorted(f.virtual):
+            sigma = f.cone_containing(cal.column(i))
+            if sigma is None:
+                raise NotAdmissibleError(f"virtual generator {i} outside the fan support")
+            ineqs.append(_chamber_inequality(cal, sigma, i, "virtual", (i,)))
+        ineqs, comb = tuple(ineqs), combinatorial_type(f)
     if not _signs_at_least((q.code for q in ineqs), e, 1):
         raise OnWallError("chi sits on a chamber wall",
                           [q.normal for q in ineqs if dot_sign(q.code, e) == 0])
-    return Chamber(cal, tuple(ineqs), combinatorial_type(f), f.virtual, cc, f)
+    ch = Chamber(cal, ineqs, comb, f.virtual, cc, f)
+    cal.live_chambers.setdefault(tight_sets, ch)  # keeps old while it lives
+    return ch
 
 
 def _generic_interior_point(cal: Calibration) -> Vec:

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from qsecfan import AffinePath, Calibration, InvalidCalibrationError, Rational, Scalar
-from qsecfan.linalg import gale_rows, preimage_of_chi, vadd, vec, vscale
+from qsecfan.linalg import gale_rows, normalize_direction, preimage_of_chi, vadd, vec, vscale
+from qsecfan.scalar import encode
 from qsecfan.secondary import is_generic
 
 SQ2 = Scalar.sqrt(2)
@@ -204,6 +205,29 @@ def census_classes(cal, rng, samples):
         if sig not in cells:
             cells[sig] = oracle.comb_key(pm.matvec(chi))
     return len(set(cells.values()))
+
+
+def decode(code):
+    """The vector of Scalars p_i + q_i sqrt(m) an IntVec holds: a positive
+    multiple of the vector it encodes."""
+    if code.m is None:
+        return vec(code.p)
+    return tuple(Scalar(p, q, code.m) for p, q in zip(code.p, code.q))
+
+
+def forms_of(cal):
+    """Calibration.chamber_form at every (J, j) of chamber_codes, keyed the same way."""
+    return {J: {j: cal.chamber_form(J, j) for j in codes} for J, codes in cal.chamber_codes.items()}
+
+
+def assert_codes_fit_forms(cal):
+    """Each chamber code is an exact positive multiple of its chamber form, as
+    encode(form) is: equal directions after normalize_direction."""
+    for J, codes in cal.chamber_codes.items():
+        for j, code in codes.items():
+            z = cal.chamber_form(J, j)
+            assert normalize_direction(decode(code)) == normalize_direction(z) \
+                == normalize_direction(decode(encode(z)))
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ P^T as the transpose of the cached preimage matrix.
 
 ``b_space_inequality`` and ``to_chi_space`` are the two steps
 ``chamber_of`` ran per inequality before it read the Calibration's
-cached ``chamber_forms``: the b-coefficients of the slack of j at the
+chamber forms: the b-coefficients of the slack of j at the
 vertex dual to sigma, from the cached basis inverse, then their sparse
 rewrite through the rows of the cached preimage matrix, certified by
 h c_b == 0.
@@ -73,7 +73,13 @@ read no cached fact but the Gale transform, and P and ``basis_inverses``
 (``chamber_forms_preimage`` and ``cone_contains_dot``, as their originals
 did).  ``sample_census_oracle`` is the ``chambers
 --samples`` census that classified each sample by
-``VertexOracle.comb_key`` at b = P chi.
+``VertexOracle.comb_key`` at b = P chi; it draws the same heavy-tailed
+weights as ``cli._sample_census``.
+
+``chamber_forms_cramer`` is the Scalar table ``Calibration.chamber_forms``
+that the bracket-coded ``chamber_codes`` and the per-inequality
+``Calibration.chamber_form`` replaced: every z(J, j) by Cramer's rule,
+each certified by h c = 0 as the table was built.
 
 ``positively_spanning_gale`` and ``cone_intersection_rays_cross`` are the
 routes that ``linalg.facet_normals`` and the bracket rule of
@@ -131,7 +137,7 @@ from qsecfan.linalg import (
 )
 from qsecfan.polytope import HPolytope, VertexOracle, affine_dim, vertices_of
 from qsecfan.projective import ProjectiveCertificate
-from qsecfan.scalar import S0, S1, Rational, Scalar, dot_sign, encode
+from qsecfan.scalar import S0, S1, Scalar, dot_sign, encode
 from qsecfan.secondary import (
     Chamber,
     ChamberInequality,
@@ -491,10 +497,10 @@ def chamber_of_is_generic(cal, chi):
 def _chamber_form(cal, sigma, j):
     """z with z . chi = <x_sigma(b), h(e_j)> + b_j, where x_sigma(b) is the
     vertex of P_b dual to the simplicial cone sigma (1-based indices)."""
-    forms = cal.chamber_forms.get(tuple(sorted(i - 1 for i in sigma)))
-    if forms is None:
+    J = tuple(sorted(i - 1 for i in sigma))
+    if J not in cal.basis_inverses:
         raise NotAdmissibleError("maximal cone does not span R^d")
-    return forms[j - 1]
+    return cal.chamber_form(J, j - 1)
 
 
 def chamber_of_vertices(cal, chi):
@@ -582,6 +588,31 @@ def chamber_forms_preimage(cal):
         if any(HJ.matvec(y) != cal.columns[j] for j, y in ys.items()):
             raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
         out[J] = {j: vsub(P[j], PJ.matvec(y)) for j, y in ys.items()}
+    return out
+
+
+def chamber_forms_cramer(cal):
+    """z(J, j), by J in basis_inverses and then by j outside J in increasing
+    order: the circuit c = e_j - sum_k y_k e_{J_k} read at the free columns F,
+    with y = M_J^{-T} h(e_j), y_k = [J with J_k -> j] / [J] by Cramer's rule.
+    h c = 0 is checked per entry, so c = k c_F and z . k^T b = c . b."""
+    d, F, out = cal.d, cal.free_columns, {}
+    bracket = dict(zip(combinations(range(cal.n), d), cal.brackets))
+    for J in cal.basis_inverses:
+        scale = bracket[J].inv()
+        HJ = Matrix.from_columns([cal.columns[k] for k in J], nrows=d)
+        forms = {}
+        for j in (j for j in range(cal.n) if j not in J):
+            y = []
+            for k in range(d):
+                rest = J[:k] + J[k + 1:]
+                p = sum(i < j for i in rest)  # j sorts into place p
+                yk = scale * bracket[rest[:p] + (j,) + rest[p:]]
+                y.append(-yk if (k - p) % 2 else yk)
+            if HJ.matvec(y) != cal.columns[j]:
+                raise NotAdmissibleError("inequality is not invariant under ker(k^T)")
+            forms[j] = tuple(S1 if f == j else -y[J.index(f)] if f in J else S0 for f in F)
+        out[J] = forms
     return out
 
 
@@ -686,7 +717,7 @@ def sample_census_oracle(cal, sf, samples, seed):
     while kept < samples:
         chi = tuple([Scalar(0)] * (cal.n - cal.d))
         for g in rows:
-            w = Scalar(Rational(rng.randint(1, 10000), 9973))
+            w = rng.randint(1, 99) * 10 ** rng.randint(0, 5)
             chi = vadd(chi, vscale(w, g))
         if not is_generic(cal, chi):
             continue

@@ -4,13 +4,14 @@ import hashlib
 import json
 import random
 import xml.dom.minidom
+from types import SimpleNamespace
 
 import pytest
 
 from qsecfan import Calibration, QuantumFan
-from qsecfan.cli import main
+from qsecfan.cli import _sample_census, main
 
-from conftest import census_classes
+from conftest import cal_of, census_classes
 
 QEX_DOC = {
     "calibration": {
@@ -73,12 +74,12 @@ def test_chambers_deterministic(doc_path, tmp_path):
     assert data["sample_census"]["match"]
 
 
-# sha256 of `chambers --samples 300 --seed 11` on qex and fig5 as the census
-# printed them when it classified each sample by VertexOracle.comb_key at
-# b = P chi; fig5's 300 samples miss two thin chambers, so "match" is false
+# sha256 of `chambers --samples 300 --seed 11` on qex and fig5 with the
+# heavy-tailed census weights: both match, fig5 with all 11 classes (the
+# uniform weights the census drew before reached only 9 of them)
 SAMPLED_CHAMBERS_SHA256 = {
     "qex": "49169ce4e25408733071fddc6a99975d96da6fcc6f05b8477b68f5d417a3652b",
-    "fig5": "b322078b7ba9bae909b6462b9dd083f6ded37467b21319037f07db50df9f21ca",
+    "fig5": "b34f6ab40a0edb64b83f844b47d913e373ad095e1a0004a3727d71ce004b920c",
 }
 
 
@@ -90,6 +91,16 @@ def test_chambers_samples_output_is_unchanged(qex, fig5, tmp_path):
                         tmp_path, f"{name}.out")
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLED_CHAMBERS_SHA256[name]
+
+
+def test_sample_census_reaches_thin_chambers():
+    """The fixed (3, 7) instance of the acceptance tests has 76 chambers, many
+    of them thin; 2000 heavy-tailed samples reach every one (uniform weights
+    reached 56)."""
+    cal = cal_of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1),
+                     (1, 2, -1), (2, -1, 1), (-1, 1, 2)])
+    census = _sample_census(cal, SimpleNamespace(chambers=[None] * 76), 2000, 0)
+    assert census == {"samples": 2000, "distinct_classes": 76, "chambers": 76, "match": True}
 
 
 def test_wall_cross_and_cobordism(doc_path, tmp_path):

@@ -250,11 +250,11 @@ def fig5_copy():
 
 
 def size_of(value):
-    """A matrix's shape, a flag itself, a table's sizes entry by entry,
-    else the length."""
+    """A matrix's shape, a flag or a position itself, a table's sizes entry
+    by entry, else the length."""
     if isinstance(value, Matrix):
         return (value.nrows, value.ncols)
-    if isinstance(value, bool):
+    if isinstance(value, (bool, int)):
         return value
     if isinstance(value, Mapping):
         return {key: size_of(entry) for key, entry in value.items()}
@@ -262,9 +262,11 @@ def size_of(value):
 
 
 def cached_sizes(cal):
-    """Size of every cached fact, by attribute name."""
+    """Size of every cached fact, by attribute name; of live_chambers, its
+    number of entries."""
     fields = set(Calibration.__dataclass_fields__)
-    return {name: size_of(value) for name, value in vars(cal).items() if name not in fields}
+    return {name: len(value) if name == "live_chambers" else size_of(value)
+            for name, value in vars(cal).items() if name not in fields}
 
 
 def test_cached_facts_stay_out_of_equality_and_json():
@@ -285,12 +287,20 @@ def test_cached_facts_do_not_grow_with_queries():
     while len(points) < 50:
         points.add(random_generic_chi(rng, cal))
     points = sorted(points)
-    chamber_of(cal, points[0])
+    results = [chamber_of(cal, points[0])]
     sizes = cached_sizes(cal)
     assert set(sizes) == {"gale", "free_columns", "gale_facet_normals",
                           "gale_facet_codes", "wall_normals", "wall_codes",
                           "positively_spanning", "brackets", "basis_inverses",
-                          "inverse_codes", "chamber_forms", "chamber_codes"}
+                          "inverse_codes", "bracket_index", "chamber_codes",
+                          "live_chambers"}
     for chi in points[1:]:
-        chamber_of(cal, chi)
-    assert cached_sizes(cal) == sizes
+        results.append(chamber_of(cal, chi))
+        # one entry per distinct chamber the test keeps alive, at most
+        assert 1 <= len(cal.live_chambers) <= len({ch.key for ch in results})
+    assert len(results) == 50 and len(cal.live_chambers) < 50
+    now = cached_sizes(cal)
+    assert now.pop("live_chambers") > 0
+    assert now == {name: size for name, size in sizes.items() if name != "live_chambers"}
+    del results
+    assert len(cal.live_chambers) == 0

@@ -1,8 +1,19 @@
-"""Source hygiene checks, on src/qsecfan and tests, that need no linter."""
+"""Source hygiene checks, on src/qsecfan and tests, that need no linter,
+and a check that calibrations are freed without the cycle collector."""
 
 import ast
+import gc
+import json
 import re
+import weakref
 from pathlib import Path
+
+import pytest
+
+from qsecfan import Calibration, chamber_of, cobordism_from_path, enumerate_chambers
+from qsecfan.cli import main
+
+from conftest import cal_of, segment
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "qsecfan"
@@ -337,3 +348,66 @@ def test_the_scan_sees_a_corank_limit(tmp_path):
                    "    raise ValueError('n-d <= 3')\n")
     assert corank_limit_raises(src) == [(4, "implemented for n-d <= 3"),
                                         (6, "n - d =  is too big")]
+
+
+FIG5_COLUMNS = [(1, 0), (0, 1), (-3, 1), (1, -3), (-2, -1)]
+
+
+@pytest.fixture
+def calibration_refs(monkeypatch):
+    """A list that gets a weak reference to each Calibration constructed."""
+    refs = []
+    post_init = Calibration.__post_init__
+    monkeypatch.setattr(Calibration, "__post_init__",
+                        lambda cal: refs.append(weakref.ref(cal)) or post_init(cal))
+    return refs
+
+
+def alive_without_the_cycle_collector(refs, *steps):
+    """Run the steps with the cycle collector off, then count the referents
+    of refs still alive: with every reference dropped, only a reference
+    cycle keeps one."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for step in steps:
+            step()
+        return sum(ref() is not None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()
+        gc.collect()
+
+
+def walk_chambers(cal):
+    """enumerate_chambers, chamber_of and cobordism_from_path on cal."""
+    sf = enumerate_chambers(cal)
+    first, last = sf.chambers[0].rep_point, sf.chambers[-1].rep_point
+    assert chamber_of(cal, last).key == sf.chambers[-1].key
+    assert cobordism_from_path(segment(cal, first, last), cal).crossings
+
+
+def cli_chambers(tmp_path):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"calibration": cal_of(2, FIG5_COLUMNS).to_json()}))
+    assert main(["chambers", "--input", str(src), "--output", str(tmp_path / "out.json")]) == 0
+
+
+def test_calibrations_are_freed_without_the_cycle_collector(calibration_refs, tmp_path):
+    assert alive_without_the_cycle_collector(
+        calibration_refs, lambda: walk_chambers(cal_of(2, FIG5_COLUMNS)),
+        lambda: cli_chambers(tmp_path)) == 0
+    assert len(calibration_refs) == 3  # the walk's, the CLI input's and the CLI's
+
+
+@pytest.mark.parametrize("plant", [
+    lambda cal: cal.__dict__.update(planted=[cal]),   # cal -> list -> cal
+    lambda cal: cal.__dict__.update(live_chambers={}),  # cal -> map -> chamber -> cal
+])
+def test_the_check_sees_a_strong_cycle(calibration_refs, plant):
+    def walk_with_a_cycle():
+        cal = cal_of(2, FIG5_COLUMNS)
+        plant(cal)
+        walk_chambers(cal)
+
+    assert alive_without_the_cycle_collector(calibration_refs, walk_with_a_cycle) == 1

@@ -305,14 +305,25 @@ def rref_calls(monkeypatch):
     return calls
 
 
-CACHED_ELIMINATION = ("basis_inverses", "inverse_codes", "chamber_forms", "chamber_codes")
+CACHED_ELIMINATION = ("basis_inverses", "inverse_codes", "bracket_index", "chamber_codes")
+
+
+@pytest.fixture
+def chamber_forms_built(monkeypatch):
+    """A list that gets one entry per Calibration.chamber_form call."""
+    calls = []
+    form = Calibration.chamber_form
+    monkeypatch.setattr(Calibration, "chamber_form",
+                        lambda cal, J, j: calls.append((J, j)) or form(cal, J, j))
+    return calls
 
 
 def test_a_parameter_polytope_reads_its_facts_off_its_calibration(calibrations_built,
-                                                                  rref_calls, fig5):
+                                                                  rref_calls, fig5,
+                                                                  chamber_forms_built):
     """is_bounded, vertices, facet_indices and face_dim of a P_b build no
-    Calibration, fill none of the calibration's inverse tables, and
-    is_bounded and vertices run no row reduction."""
+    Calibration, fill none of the calibration's inverse tables, build no
+    chamber form, and is_bounded and vertices run no row reduction."""
     params = [(fig5.columns, [1] * fig5.n), (((1, 0), (0, 1), (-1, 1)), (1, 1, 1))]
     params += [(cal.columns, b) for cal, b in faces_pool()[:6]]
     for columns, b in params:
@@ -329,6 +340,7 @@ def test_a_parameter_polytope_reads_its_facts_off_its_calibration(calibrations_b
         P.face_dim((0,))
         assert calibrations_built == []
         assert [name for name in CACHED_ELIMINATION if name in vars(cal)] == []
+    assert chamber_forms_built == []
 
 
 ASKS = {

@@ -26,9 +26,10 @@ from qsecfan.fan import cone_contains
 from qsecfan.linalg import is_zero_vec, preimage_at_free, preimage_matrix, vadd, vec, vscale
 from qsecfan.scalar import encode
 
-from conftest import unconstrained_calibration
+from conftest import assert_codes_fit_forms, forms_of, unconstrained_calibration
 from reference_geometry import (
     basis_inverses_rref,
+    chamber_forms_cramer,
     chamber_forms_preimage,
     cone_contains_dot,
     gale_facet_normals_subsets,
@@ -93,9 +94,12 @@ def assert_tables_match(cal):
     nonzero = [J for J, b in zip(combinations(range(cal.n), cal.d), cal.brackets)
                if not b.is_zero()]
     assert nonzero == list(inverses)
-    assert repr(by_entry(cal.chamber_forms)) == repr(by_entry(chamber_forms_preimage(cal)))
+    forms = by_entry(forms_of(cal))
+    assert repr(forms) == repr(by_entry(chamber_forms_preimage(cal)))
+    assert repr(forms) == repr(by_entry(chamber_forms_cramer(cal)))
+    assert_codes_fit_forms(cal)
     if cal.n == cal.d:
-        assert by_entry(cal.chamber_forms) == [(J, []) for J in inverses]
+        assert forms == [(J, []) for J in inverses]
     assert repr(cal.wall_normals) == repr(wall_normals_kernel(cal))
     assert cal.positively_spanning == positively_spanning_fm(cal)
     assert list(cal.inverse_codes) == list(inverses)
@@ -169,7 +173,7 @@ def chamber_points(chambers):
 def test_fan_at_the_free_column_preimage_matches_p_chi(qex, fig5, frustum, instance_pool):
     """Every preimage of chi gives a translate of one P_b, so one fan."""
     chambers = [ch for cal in (qex, fig5, frustum) for ch in enumerate_chambers(cal).chambers]
-    chambers += [chamber_of(cal, chi) for cal, chi, _ in instance_pool if cal.n - cal.d <= 3]
+    chambers += [chamber_of(cal, chi) for cal, chi, _ in instance_pool]
     kinds = set()
     for cal, chi in chamber_points(chambers):
         b = preimage_at_free(cal, chi)

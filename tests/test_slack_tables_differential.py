@@ -1,5 +1,5 @@
-"""The chamber forms a Calibration caches, the chamber inequalities and
-vertex slacks read from them, and the wall-hyperplane genericity test,
+"""The chamber forms and codes a Calibration gives, the chamber inequalities
+and vertex slacks read from them, and the wall-hyperplane genericity test,
 against the per-call chain and the exact scan they replaced."""
 
 import random
@@ -9,11 +9,10 @@ import pytest
 
 from qsecfan import NotAdmissibleError, chamber_of, is_admissible, is_generic
 from qsecfan.linalg import dot, is_zero_vec, vadd, vec
-from qsecfan.scalar import encode
 from qsecfan.secondary import _chamber_inequality, degenerate_span_witnesses
 
-from conftest import special_points
-from reference_geometry import b_space_inequality, to_chi_space
+from conftest import assert_codes_fit_forms, forms_of, special_points
+from reference_geometry import b_space_inequality, chamber_forms_cramer, to_chi_space
 
 
 @pytest.fixture(scope="module")
@@ -23,10 +22,13 @@ def references(qex, qex_t1, p2, fig5, frustum, exc4):
 
 def assert_tables_match_the_chain(cal):
     """Every d-subset J: an invertible one has one chamber form and its
-    code per j outside J, equal to the reference chain; a singular one
-    has none and raises the reference's error."""
+    code per j outside J, the form equal to the reference chain and to the
+    Cramer table (which checks h c = 0 per entry), the code an exact
+    positive multiple of it; a singular one has none and raises the
+    reference's error."""
     n, d = cal.n, cal.d
-    assert list(cal.chamber_forms) == list(cal.basis_inverses) == list(cal.chamber_codes)
+    cramer = chamber_forms_cramer(cal)
+    assert list(cal.chamber_codes) == list(cal.basis_inverses) == list(cramer)
     checked = 0
     for J in combinations(range(n), d):
         sigma = frozenset(k + 1 for k in J)
@@ -38,14 +40,15 @@ def assert_tables_match_the_chain(cal):
                 _chamber_inequality(cal, sigma, outside[0] + 1, "wall", ())
             assert str(got.value) == str(want.value)
             continue
-        assert list(cal.chamber_forms[J]) == outside == list(cal.chamber_codes[J])
+        assert list(cal.chamber_codes[J]) == outside == list(cramer[J])
         for j in outside:
-            c_b = b_space_inequality(cal, sigma, j + 1)
-            assert cal.chamber_forms[J][j] == to_chi_space(cal, c_b)
-            assert cal.chamber_codes[J][j] == encode(cal.chamber_forms[J][j])
+            z = cal.chamber_form(J, j)
+            assert repr(z) == repr(cramer[J][j])
+            assert z == to_chi_space(cal, b_space_inequality(cal, sigma, j + 1))
             q = _chamber_inequality(cal, sigma, j + 1, "wall", ())
-            assert q.normal == cal.chamber_forms[J][j] and q.code is cal.chamber_codes[J][j]
+            assert q.normal == z and q.code is cal.chamber_codes[J][j]
             checked += 1
+    assert_codes_fit_forms(cal)
     return checked
 
 
@@ -77,7 +80,7 @@ def test_chamber_forms_give_the_slack_at_each_basic_point(instance_pool):
             translates += 1
         for bb in (b, b2):
             assert cal.gale_t.matvec(bb) == chi
-            for J, forms in cal.chamber_forms.items():
+            for J, forms in forms_of(cal).items():
                 xJ = cal.basis_inverses[J].matvec([-bb[k] for k in J])
                 for i, z in forms.items():
                     assert dot(z, chi) == dot(xJ, cal.column(i + 1)) + bb[i]
