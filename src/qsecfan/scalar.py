@@ -304,11 +304,10 @@ S1 = Scalar(1)
 
 
 class IntVec(NamedTuple):
-    """A vector (x_1, ..., x_k) of Scalars as integers: x_i is
-    (p_i + q_i*sqrt(m))/L for one L > 0, which is not kept, so the
-    integers are a positive multiple of the vector and give the same
-    signs against any other.  q is None and m is None when every entry
-    is rational."""
+    """A vector (x_1, ..., x_k) of Scalars as integers: p_i + q_i*sqrt(m)
+    is lam*x_i for one lam > 0 of Q(sqrt(m)), which is not kept (encode's
+    is an integer L), so they give the signs of x against any other vector.
+    q and m are None only when every entry is rational."""
 
     p: tuple[int, ...]
     q: tuple[int, ...] | None
