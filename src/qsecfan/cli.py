@@ -27,6 +27,7 @@ from .projective import classify_dim2, path_to_projective, projective_certificat
 from .scalar import Rational, Scalar, encode
 from .secondary import (
     AffinePath,
+    _chi_vec,
     chamber_of,
     cobordism_from_path,
     cross_wall,
@@ -180,6 +181,8 @@ def _plot_fan(cal: Calibration, b) -> str:
 def _plot_secondary(cal: Calibration, mark=None) -> str:
     if cal.n - cal.d != 2:
         raise DegenerateInputError("secondary-fan plots need n - d = 2")
+    if mark is not None:
+        mark = _chi_vec(cal, mark)
     sf = enumerate_chambers(cal)
     cv = SvgCanvas(-1.3, -1.3, 1.3, 1.3)
     for g in gale_rows(cal):

@@ -46,6 +46,8 @@ from .secondary import (
     is_generic,
 )
 
+SEGMENT_STEPS = 8  # sampled steps of a calibration segment, reported as segment_steps
+
 
 @dataclass(frozen=True)
 class ProjectiveCertificate:
@@ -168,18 +170,18 @@ class ProjectivePathReport:
         }
 
 
-def _segment_is_validated(cal: Calibration, target: Calibration, b: Sequence,
-                          steps: int) -> bool:
+def _segment_is_validated(cal: Calibration, target: Calibration, b: Sequence) -> bool:
     """Straight-line calibration homotopy keeps the fan combinatorics of b
-    at every sampled step (and stays a valid geometric calibration)."""
+    at each of SEGMENT_STEPS sampled steps (and stays a valid geometric
+    calibration)."""
     b = vec(b)
     try:
         ref = normal_fan(cal, b)
     except NotAdmissibleError:
         return False
     ref_key = (combinatorial_type(ref).poset, ref.virtual)
-    for k in range(1, steps + 1):
-        t = Scalar(Rational(k, steps))
+    for k in range(1, SEGMENT_STEPS + 1):
+        t = Scalar(Rational(k, SEGMENT_STEPS))
         cols = [vadd(c0, vscale(t, vsub(c1, c0)))
                 for c0, c1 in zip(cal.columns, target.columns)]
         try:
@@ -214,8 +216,7 @@ def _chi_segment(cal: Calibration, b_from: Vec, b_to: Vec):
     return AffinePath(beta, alpha)
 
 
-def path_to_projective(cal: Calibration, b: Sequence,
-                       segment_steps: int = 8) -> ProjectivePathReport:
+def path_to_projective(cal: Calibration, b: Sequence) -> ProjectivePathReport:
     """Two-phase verified path: an optional straight-line calibration
     segment toward a certified configuration, then an affine chi-path into
     the simplex chamber.  Failing validation yields an honest not-found
@@ -234,8 +235,8 @@ def path_to_projective(cal: Calibration, b: Sequence,
             cert = projective_certificate(target)
             if cert is None:
                 continue
-            if _segment_is_validated(cal, target, b, segment_steps):
-                work_cal, seg_steps = target, segment_steps
+            if _segment_is_validated(cal, target, b):
+                work_cal, seg_steps = target, SEGMENT_STEPS
                 break
             cert = None
         if cert is None:

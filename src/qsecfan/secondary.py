@@ -105,47 +105,40 @@ def gale_cone(cal: Calibration) -> GaleCone:
 
 def is_admissible(cal: Calibration, chi: Sequence) -> bool:
     """chi interior to the Gale cone, equivalently dim P_chi = d."""
-    return gale_cone(cal).interior_contains(_chi_vec(cal, chi))
+    return _signs_at_least(cal.gale_facet_codes, encode(_chi_vec(cal, chi)), 1)
 
 
 def degenerate_span_witnesses(cal: Calibration, chi: Sequence) -> list[Vec]:
     """Normals of deficient-span generator cones containing chi.
 
-    By Caratheodory it suffices to scan index subsets of size below n-d;
-    chi is generic exactly when this list is empty.
+    By Caratheodory such a cone is spanned by independent rows, which
+    extend inside the rows to n-d-1 spanning a wall hyperplane H through
+    chi; so only subsets of fewer than n-d of the Gale rows on the walls
+    through chi are scanned.  For n-d = 1, H is {0}; for n = d there is
+    no H, and the one point of R^0 is generic.
     """
-    rows = gale_rows(cal)
-    m = cal.n - cal.d
     cc = _chi_vec(cal, chi)
+    e = encode(cc)
+    subsets = set()
+    for w in cal.wall_codes:
+        if dot_sign(w, e) == 0:
+            on = [i for i, g in enumerate(cal.gale_row_codes) if dot_sign(w, g) == 0]
+            subsets.update(I for r in range(cal.n - cal.d) for I in combinations(on, r))
     found = []
-    for r in range(m):
-        for I in combinations(range(cal.n), r):
-            gens = [rows[i] for i in I]
-            if not in_cone(gens, cc):
-                continue
-            if gens:
-                for w in kernel_basis(Matrix(gens)):
-                    found.append(normalize_direction(w))
-            else:
-                found.append(tuple([S0] * m))
+    for I in subsets:
+        gens = [cal.gale.rows[i] for i in I]
+        if not in_cone(gens, cc):
+            continue
+        if gens:
+            found.extend(normalize_direction(w) for w in kernel_basis(Matrix(gens)))
+        else:
+            found.append(tuple([S0] * len(cc)))
     return sorted(set(found))
 
 
 def is_generic(cal: Calibration, chi: Sequence) -> bool:
-    """chi lies on no cone spanned by fewer than n-d Gale rows.
-
-    By Caratheodory such a cone is spanned by independent rows, which
-    extend inside the rows to n-d-1 spanning a wall hyperplane H; so chi
-    is not generic exactly when it lies on some H and in the cone of the
-    Gale rows on H.  For n-d = 1, H is {0}; for n = d there is no H, and
-    the one point of R^0 is generic.
-    """
-    cc = _chi_vec(cal, chi)
-    e = encode(cc)
-    return not any(
-        dot_sign(code, e) == 0
-        and in_cone([g for g in cal.gale.rows if dot(w, g).is_zero()], cc)
-        for w, code in zip(cal.wall_normals, cal.wall_codes))
+    """chi lies on no cone spanned by fewer than n-d Gale rows."""
+    return not degenerate_span_witnesses(cal, chi)
 
 
 @dataclass(frozen=True)
@@ -199,8 +192,7 @@ class Chamber:
         """Irredundant inequalities with a relative-interior facet point."""
         cal = self.calibration
         m = cal.n - cal.d
-        gc = gale_cone(cal)
-        interior = [lp.gt(v, 0) for v in gc.facet_normals]
+        interior = [lp.gt(v, 0) for v in cal.gale_facet_normals]
         normals = self.unique_normals()
         out = []
         for w, tags in normals:
@@ -249,16 +241,16 @@ def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
     e = encode(cc)
     if not _signs_at_least(cal.gale_facet_codes, e, 1):
         raise NotAdmissibleError("chi is not interior to the Gale cone")
-    if not cal.positively_spanning:
-        # P_b is d-dimensional for admissible chi and never bounded here
-        if not is_generic(cal, cc):
-            raise OnWallError("chi lies on a degenerate-span cone",
-                              degenerate_span_witnesses(cal, cc))
+    # P_b is d-dimensional for admissible chi; it is never bounded without
+    # positively spanning columns, and with them it is simple exactly when
+    # chi is generic
+    tight_sets = tuple(frozenset(tight) for _, tight in basis_scan(cal, e)) \
+        if cal.positively_spanning else None
+    if tight_sets is None or any(len(t) > cal.d for t in tight_sets):
+        witnesses = degenerate_span_witnesses(cal, cc)
+        if witnesses:
+            raise OnWallError("chi lies on a degenerate-span cone", witnesses)
         raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")
-    tight_sets = tuple(frozenset(tight) for _, tight in basis_scan(cal, e))
-    if any(len(t) > cal.d for t in tight_sets):  # P_b is not simple
-        raise OnWallError("chi lies on a degenerate-span cone",
-                          degenerate_span_witnesses(cal, cc))
     old = cal.live_chambers.get(tight_sets)
     if old is not None:
         ineqs, comb, f = old.inequalities, old.comb, old.fan

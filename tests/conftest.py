@@ -63,6 +63,13 @@ def frustum():
     return cal_of(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, -1)])
 
 
+@pytest.fixture(scope="session")
+def corank4():
+    """A fixed (3, 7) configuration, n - d = 4: 76 chambers, many of them thin."""
+    return cal_of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1),
+                      (1, 2, -1), (2, -1, 1), (-1, 1, 2)])
+
+
 def random_calibration(rng, d, n, irrational=False, max_entry=4, geometric=False):
     """A random positively-spanning configuration: the standard basis, the
     all-minus-one column, and random nonzero extra columns."""

@@ -8,10 +8,12 @@ Fourier-Motzkin normal fan that qsecfan used before the vertex-based
 one: one ``face_dim_lp`` probe per constraint, then ``dimension_lp`` and
 ``is_bounded_fm``, the 2d Fourier-Motzkin recession probes that
 ``HPolytope.is_bounded`` ran before it read boundedness off Gale
-duality.  ``is_generic_lp`` is the LP-only genericity test: a
-Caratheodory scan over every cone on fewer than n-d Gale rows;
-``_in_cone`` is its Fourier-Motzkin membership test, which
-``GaleCone.contains`` also ran.  ``cone_contains_lp`` and
+duality.  ``degenerate_span_witnesses_lp`` is the Caratheodory scan
+over every cone on fewer than n-d Gale rows that
+``degenerate_span_witnesses`` ran, with ``in_cone``, before it read the
+walls through chi, and ``is_generic_lp`` the LP-only genericity test,
+its emptiness; ``_in_cone`` is their Fourier-Motzkin membership test,
+which ``GaleCone.contains`` also ran.  ``cone_contains_lp`` and
 ``projective_certificate_lp`` are the LP cone membership and the LP
 positive-spanning certificate that ``fan`` and ``projective`` used
 before both were read off basis coordinates and kernels.

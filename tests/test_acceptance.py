@@ -467,12 +467,11 @@ def test_criterion_11_beyond_n_minus_d_3():
     assert time.monotonic() - t0 <= 60.0
 
 
-def test_secondary_fan_with_n_minus_d_4():
+def test_secondary_fan_with_n_minus_d_4(corank4):
     """A fixed (3, 7) calibration: every rep_point lies in its own chamber,
     adjacency is symmetric, and a path across seven walls of both kinds
     passes every wall-crossing check, each step between BFS neighbours."""
-    cal = cal_of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1),
-                     (1, 2, -1), (2, -1, 1), (-1, 1, 2)])
+    cal = corank4
     sf = enumerate_chambers(cal)
     assert len(sf.chambers) == 76
     index_of = {ch.key: i for i, ch in enumerate(sf.chambers)}

@@ -61,9 +61,8 @@ def test_same_chambers_and_errors_on_reference_instances(qex, qex_t1, p2, fig5,
 def test_same_chambers_on_the_pool(instance_pool):
     """Every pool instance, n-d = 2 to 6, gives a chamber at its parameter.
     Special points are sampled on the first 60 instances with n-d <= 3 and
-    on the first instance of each n-d > 3, from a second seed, so the
-    draws of the first stay as they were; the OnWallError witnesses make
-    more points too slow for Tier-1."""
+    on the first three instances of each n-d > 3, from a second seed, so
+    the draws of the first stay as they were."""
     rng, wide_rng = random.Random(92), random.Random(93)
     kinds, wide = set(), {}
     for k, (cal, chi, _) in enumerate(instance_pool):
@@ -71,9 +70,9 @@ def test_same_chambers_on_the_pool(instance_pool):
         m = cal.n - cal.d
         if k < 60 and m <= 3:
             kinds |= {assert_same_outcome(cal, p) for p in special_points(cal, rng)}
-        elif m > 3 and m not in wide:
-            wide[m] = {assert_same_outcome(cal, p) for p in special_points(cal, wide_rng)}
-    assert kinds == {"Chamber", "NotAdmissibleError", "OnWallError"}
-    assert wide == {4: {"Chamber", "NotAdmissibleError", "OnWallError"},
-                    5: {"Chamber", "NotAdmissibleError", "OnWallError"},
-                    6: {"Chamber", "NotAdmissibleError"}}
+        elif m > 3 and len(wide.setdefault(m, [])) < 3:
+            wide[m].append({assert_same_outcome(cal, p) for p in special_points(cal, wide_rng)})
+    every = {"Chamber", "NotAdmissibleError", "OnWallError"}
+    assert kinds == every
+    no_wall = every - {"OnWallError"}
+    assert wide == {4: [every] * 3, 5: [every] * 3, 6: [no_wall, no_wall, every]}

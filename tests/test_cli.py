@@ -11,7 +11,7 @@ import pytest
 from qsecfan import Calibration, QuantumFan
 from qsecfan.cli import _sample_census, main
 
-from conftest import cal_of, census_classes
+from conftest import census_classes
 
 QEX_DOC = {
     "calibration": {
@@ -93,13 +93,10 @@ def test_chambers_samples_output_is_unchanged(qex, fig5, tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLED_CHAMBERS_SHA256[name]
 
 
-def test_sample_census_reaches_thin_chambers():
-    """The fixed (3, 7) instance of the acceptance tests has 76 chambers, many
-    of them thin; 2000 heavy-tailed samples reach every one (uniform weights
-    reached 56)."""
-    cal = cal_of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1),
-                     (1, 2, -1), (2, -1, 1), (-1, 1, 2)])
-    census = _sample_census(cal, SimpleNamespace(chambers=[None] * 76), 2000, 0)
+def test_sample_census_reaches_thin_chambers(corank4):
+    """The fixed (3, 7) instance has 76 chambers, many of them thin; 2000
+    heavy-tailed samples reach every one (uniform weights reached 56)."""
+    census = _sample_census(corank4, SimpleNamespace(chambers=[None] * 76), 2000, 0)
     assert census == {"samples": 2000, "distinct_classes": 76, "chambers": 76, "match": True}
 
 
@@ -145,6 +142,18 @@ def test_plots_are_well_formed(doc_path, tmp_path):
                         f"{kind}.svg")
         assert code == 0
         svg_ok(out.read_text())
+
+
+def test_secondary_plot_rejects_a_mark_of_the_wrong_length(doc_path, tmp_path, capsys):
+    """A chi mark too short once ended in an IndexError traceback, and one too
+    long was drawn from its first two entries."""
+    for chi in (["1"], ["1", "2", "3"]):
+        p = tmp_path / "mark.json"
+        p.write_text(json.dumps(dict(QEX_DOC, chi=chi)))
+        assert main(["plot", "--kind", "secondary", "--input", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: chi of length {len(chi)} for a Gale cone in R^2\n"
 
 
 def test_fan_svg_dashes_virtual(tmp_path):

@@ -5,6 +5,7 @@ caches for them."""
 
 import random
 from collections.abc import Mapping
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -22,8 +23,9 @@ from qsecfan import (
     is_generic,
     normal_fan,
 )
+from qsecfan import secondary
 from qsecfan.fan import faces_of, is_face
-from qsecfan.linalg import Matrix, dot, gale_rows, vadd, vec, vscale
+from qsecfan.linalg import Matrix, dot, gale_rows, in_cone, vadd, vec, vscale
 
 from conftest import cal_of, random_calibration, random_generic_chi, special_points
 from reference_geometry import (
@@ -210,16 +212,46 @@ def test_is_generic_matches_lp_on_the_pool(instance_pool):
         assert is_generic(cal, on_plane) == is_generic_lp(cal, on_plane)
 
 
-def test_on_wall_error_carries_the_lp_witnesses(qex, fig5, frustum):
+def row_sums(cal, k):
+    """The sums of every k Gale rows."""
+    rows = gale_rows(cal)
+    return [reduce(vadd, (rows[i] for i in I)) for I in combinations(range(cal.n), k)]
+
+
+def test_on_wall_error_carries_the_lp_witnesses(qex, fig5, frustum, corank4):
+    """n-d = 2 and 3 at special points; n-d = 4 at sums of three Gale rows,
+    27 of which are admissible and on a wall."""
     rng = random.Random(35)
-    for cal in (qex, fig5, frustum):
-        on_wall = [chi for chi in special_points(cal, rng)
-                   if is_admissible(cal, chi) and not is_generic_lp(cal, chi)]
+    points = [(cal, special_points(cal, rng)) for cal in (qex, fig5, frustum)]
+    points.append((corank4, row_sums(corank4, 3)))
+    for cal, pts in points:
+        on_wall = [chi for chi in pts if is_admissible(cal, chi) and not is_generic_lp(cal, chi)]
         assert on_wall
         for chi in on_wall:
             with pytest.raises(OnWallError) as exc:
                 chamber_of(cal, chi)
             assert list(exc.value.equalities) == degenerate_span_witnesses_lp(cal, chi)
+
+
+def test_witnesses_test_only_cones_on_the_walls_through_chi(corank4, monkeypatch):
+    """One in_cone call per distinct subset of fewer than n-d of the Gale rows
+    on the wall hyperplanes through chi, none off them; a scan over every
+    such subset of the seven rows makes 64 at every point."""
+    cal, m, rows = corank4, corank4.n - corank4.d, gale_rows(corank4)
+    calls = []
+    monkeypatch.setattr(secondary, "in_cone", lambda gens, x: calls.append(gens) or in_cone(gens, x))
+    counts = []
+    for chi in row_sums(cal, 3) + row_sums(cal, 4):
+        subsets = set()
+        for w in cal.wall_normals:
+            if dot(w, chi).is_zero():
+                on = [i for i, g in enumerate(rows) if dot(w, g).is_zero()]
+                subsets.update(I for r in range(m) for I in combinations(on, r))
+        calls.clear()
+        secondary.degenerate_span_witnesses(cal, chi)
+        assert len(calls) == len(subsets)
+        counts.append(len(calls))
+    assert 0 in counts and 0 < max(counts) < 64
 
 
 def test_gale_facet_normals_match_the_subset_scan(references, instance_pool):

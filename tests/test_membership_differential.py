@@ -121,7 +121,8 @@ def test_cone_contains_matches_lp_on_the_pool(instance_pool):
 
 
 def scanned_subsets(cal):
-    """The Gale-row subsets degenerate_span_witnesses scans: fewer than n-d rows."""
+    """Every subset of fewer than n-d Gale rows: those the LP witness scan
+    tests, a superset of those degenerate_span_witnesses tests at any chi."""
     rows = gale_rows(cal)
     return [[rows[i] for i in I]
             for r in range(cal.n - cal.d) for I in combinations(range(cal.n), r)]

@@ -1,6 +1,6 @@
 """The chamber forms and codes a Calibration gives, the chamber inequalities
-and vertex slacks read from them, and the wall-hyperplane genericity test,
-against the per-call chain and the exact scan they replaced."""
+and vertex slacks read from them against the per-call chain they replaced,
+and genericity with its witnesses against the LP scan."""
 
 import random
 from itertools import combinations
@@ -12,7 +12,13 @@ from qsecfan.linalg import dot, is_zero_vec, vadd, vec
 from qsecfan.secondary import _chamber_inequality, degenerate_span_witnesses
 
 from conftest import assert_codes_fit_forms, forms_of, special_points
-from reference_geometry import b_space_inequality, chamber_forms_cramer, to_chi_space
+from reference_geometry import (
+    b_space_inequality,
+    chamber_forms_cramer,
+    degenerate_span_witnesses_lp,
+    is_generic_lp,
+    to_chi_space,
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,16 +118,17 @@ def test_chamber_inequalities_match_the_chain(references, instance_pool):
 
 
 def test_is_generic_matches_the_scan(references, instance_pool):
-    """The wall-hyperplane test against the exact Caratheodory scan over
-    every cone on fewer than n-d Gale rows, at points on and off the
-    hyperplanes, inside and outside the Gale cone."""
+    """Genericity and the witnesses read off the wall hyperplanes through
+    chi against the LP scan over every cone on fewer than n-d Gale rows,
+    at points on and off the hyperplanes, inside and outside the Gale cone."""
     rng = random.Random(47)
     outcomes = set()
     cals = references + [c for c, _, _ in instance_pool if c.n - c.d <= 3][:40]
     for cal in cals:
         for chi in special_points(cal, rng):
             g = is_generic(cal, chi)
-            assert g == (not degenerate_span_witnesses(cal, chi))
+            assert g == is_generic_lp(cal, chi)
+            assert degenerate_span_witnesses(cal, chi) == degenerate_span_witnesses_lp(cal, chi)
             zero_sign = any(dot(w, chi).is_zero() for w in cal.wall_normals)
             outcomes.add((g, zero_sign))
     assert {(True, True), (False, True), (True, False)} <= outcomes
