@@ -235,6 +235,8 @@ def _cmd_chamber(doc, args) -> dict:
 
 
 def _cmd_chambers(doc, args) -> dict:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     cal = _calibration(doc)
     sf = enumerate_chambers(cal)
     out = sf.to_json()

@@ -26,10 +26,8 @@ class NotAdmissibleError(QsecfanError, ValueError):
 
 
 class OnWallError(QsecfanError, ValueError):
-    """A chamber was requested at a non-generic point.
-
-    Carries the list of wall equalities the point satisfies.
-    """
+    """A chamber was requested at a non-generic point; equalities carries the
+    normals of the deficient-span cones holding the point."""
 
     def __init__(self, message, equalities=()):
         super().__init__(message)

@@ -242,22 +242,22 @@ def in_cone(gens: Sequence[Vec], x: Sequence[Scalar]) -> bool:
     By Caratheodory's conic theorem x lies in the cone exactly when it
     has nonnegative coordinates in some independent subset of gens.
     Every independent subset extends inside gens to one of rank(gens)
-    elements, so only those are tried: a subset S qualifies when the
-    rref of the columns [S | x] has its pivots exactly on S.  With no
-    generators the cone is {0}.
+    elements, so only those are tried, each by in_simplicial_cone.  With
+    no generators the cone is {0}.
     """
     xx = vec(x)
-    if not gens:
-        return is_zero_vec(xx)
-    if len(xx) != len(gens[0]):
+    if gens and len(xx) != len(gens[0]):
         raise DimensionMismatchError(
             f"vector of length {len(xx)} in a cone of R^{len(gens[0])}")
-    r = rank(Matrix(gens))
-    for S in combinations(gens, r):
-        R, pivots = rref(Matrix.from_columns(list(S) + [xx], nrows=len(xx)))
-        if pivots == tuple(range(r)) and all(R.rows[i][r].sign() >= 0 for i in range(r)):
-            return True
-    return False
+    return any(in_simplicial_cone(S, xx) for S in combinations(gens, rank(Matrix(gens))))
+
+
+def in_simplicial_cone(gens: Sequence[Vec], x: Vec) -> bool:
+    """x has nonnegative coordinates in gens, which are independent: the
+    rref of the columns [gens | x] has its pivots exactly on gens."""
+    k = len(gens)
+    R, pivots = rref(Matrix.from_columns(list(gens) + [x]))
+    return pivots == tuple(range(k)) and all(R.rows[i][k].sign() >= 0 for i in range(k))
 
 
 def inverse(M: Matrix) -> Optional[Matrix]:

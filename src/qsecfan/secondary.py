@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import lp
 from .errors import (
@@ -41,6 +41,7 @@ from .linalg import (
     dot,
     gale_rows,
     in_cone,
+    in_simplicial_cone,
     kernel_basis,
     normalize_direction,
     preimage_at_free,
@@ -108,37 +109,39 @@ def is_admissible(cal: Calibration, chi: Sequence) -> bool:
     return _signs_at_least(cal.gale_facet_codes, encode(_chi_vec(cal, chi)), 1)
 
 
-def degenerate_span_witnesses(cal: Calibration, chi: Sequence) -> list[Vec]:
-    """Normals of deficient-span generator cones containing chi.
-
-    By Caratheodory such a cone is spanned by independent rows, which
-    extend inside the rows to n-d-1 spanning a wall hyperplane H through
-    chi; so only subsets of fewer than n-d of the Gale rows on the walls
-    through chi are scanned.  For n-d = 1, H is {0}; for n = d there is
-    no H, and the one point of R^0 is generic.
-    """
-    cc = _chi_vec(cal, chi)
+def _walls_holding(cal: Calibration, cc: Vec) -> Iterator[list[int]]:
+    """The Gale rows (indices) on each wall hyperplane H through chi whose
+    cone holds chi.  By Caratheodory chi lies on a cone of fewer than n-d
+    rows exactly when some H qualifies: that cone's independent rows extend
+    inside the rows to n-d-1 spanning an H, and chi in the cone of the rows
+    on H is in the cone of at most n-d-1 of them.  For n-d = 1, H is {0}."""
     e = encode(cc)
-    subsets = set()
     for w in cal.wall_codes:
         if dot_sign(w, e) == 0:
             on = [i for i, g in enumerate(cal.gale_row_codes) if dot_sign(w, g) == 0]
-            subsets.update(I for r in range(cal.n - cal.d) for I in combinations(on, r))
-    found = []
-    for I in subsets:
-        gens = [cal.gale.rows[i] for i in I]
-        if not in_cone(gens, cc):
-            continue
-        if gens:
-            found.extend(normalize_direction(w) for w in kernel_basis(Matrix(gens)))
-        else:
-            found.append(tuple([S0] * len(cc)))
-    return sorted(set(found))
+            if in_cone([cal.gale.rows[i] for i in on], cc):
+                yield on
+
+
+def degenerate_span_witnesses(cal: Calibration, chi: Sequence) -> list[Vec]:
+    """Normals of deficient-span generator cones containing chi, read off the
+    subsets of fewer than n-d rows on the walls holding chi, each tried once:
+    a dependent subset fails, and one of its independent subsets of the same
+    span gives the same normals."""
+    cc = _chi_vec(cal, chi)
+    subsets = {I for on in _walls_holding(cal, cc)
+               for r in range(cal.n - cal.d) for I in combinations(on, r)}
+    found = set()
+    for gens in ([cal.gale.rows[i] for i in I] for I in subsets):
+        if in_simplicial_cone(gens, cc):
+            found.update(map(normalize_direction, kernel_basis(Matrix(gens))) if gens
+                         else [tuple([S0] * len(cc))])
+    return sorted(found)
 
 
 def is_generic(cal: Calibration, chi: Sequence) -> bool:
-    """chi lies on no cone spanned by fewer than n-d Gale rows."""
-    return not degenerate_span_witnesses(cal, chi)
+    """chi is on no cone of fewer than n-d Gale rows: no wall through chi holds it."""
+    return next(_walls_holding(cal, _chi_vec(cal, chi)), None) is None
 
 
 @dataclass(frozen=True)
@@ -269,9 +272,6 @@ def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
                 raise NotAdmissibleError(f"virtual generator {i} outside the fan support")
             ineqs.append(_chamber_inequality(cal, sigma, i, "virtual", (i,)))
         ineqs, comb = tuple(ineqs), combinatorial_type(f)
-    if not _signs_at_least((q.code for q in ineqs), e, 1):
-        raise OnWallError("chi sits on a chamber wall",
-                          [q.normal for q in ineqs if dot_sign(q.code, e) == 0])
     ch = Chamber(cal, ineqs, comb, f.virtual, cc, f)
     cal.live_chambers.setdefault(tight_sets, ch)  # keeps old while it lives
     return ch

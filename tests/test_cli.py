@@ -100,6 +100,21 @@ def test_sample_census_reaches_thin_chambers(corank4):
     assert census == {"samples": 2000, "distinct_classes": 76, "chambers": 76, "match": True}
 
 
+def test_chambers_rejects_a_negative_sample_count(tmp_path, capsys):
+    """--samples -3 once exited 0 with a census of -3 samples and no class;
+    --samples 0 still asks for no census."""
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"calibration": {
+        "d": 2, "n": 4, "columns": [["1", "0"], ["0", "1"], ["-1", "-1"], ["1", "2"]],
+        "virtual": []}}))
+    assert main(["chambers", "--input", str(src), "--samples", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: --samples must be nonnegative, got -3\n"
+    code, out = run(["chambers", "--input", str(src), "--samples", "0"], tmp_path)
+    assert code == 0 and "sample_census" not in json.loads(out.read_text())
+
+
 def test_wall_cross_and_cobordism(doc_path, tmp_path):
     code, out = run(["wall-cross", "--input", doc_path,
                      "--path", "1,1,0,1;0,0,2,0"], tmp_path)

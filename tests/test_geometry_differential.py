@@ -4,6 +4,7 @@ Fourier-Motzkin and LP-only references, and the facts a Calibration
 caches for them."""
 
 import random
+from collections import Counter
 from collections.abc import Mapping
 from functools import reduce
 from itertools import combinations
@@ -25,10 +26,21 @@ from qsecfan import (
 )
 from qsecfan import secondary
 from qsecfan.fan import faces_of, is_face
-from qsecfan.linalg import Matrix, dot, gale_rows, in_cone, vadd, vec, vscale
+from qsecfan.linalg import (
+    Matrix,
+    dot,
+    gale_rows,
+    in_cone,
+    in_simplicial_cone,
+    kernel_basis,
+    vadd,
+    vec,
+    vscale,
+)
 
 from conftest import cal_of, random_calibration, random_generic_chi, special_points
 from reference_geometry import (
+    _in_cone,
     degenerate_span_witnesses_lp,
     dimension_lp,
     face_dim_lp,
@@ -233,25 +245,47 @@ def test_on_wall_error_carries_the_lp_witnesses(qex, fig5, frustum, corank4):
             assert list(exc.value.equalities) == degenerate_span_witnesses_lp(cal, chi)
 
 
+def walls_through(cal, chi):
+    """The indices of the Gale rows on each wall hyperplane through chi."""
+    rows = gale_rows(cal)
+    return [[i for i, g in enumerate(rows) if dot(w, g).is_zero()]
+            for w in cal.wall_normals if dot(w, chi).is_zero()]
+
+
 def test_witnesses_test_only_cones_on_the_walls_through_chi(corank4, monkeypatch):
-    """One in_cone call per distinct subset of fewer than n-d of the Gale rows
-    on the wall hyperplanes through chi, none off them; a scan over every
-    such subset of the seven rows makes 64 at every point."""
+    """One in_simplicial_cone call per distinct subset of fewer than n-d of
+    the Gale rows on the wall hyperplanes through chi whose rows' cone
+    holds chi (by the LP), none elsewhere; a scan over every such subset
+    of the seven rows makes 64 at every point."""
     cal, m, rows = corank4, corank4.n - corank4.d, gale_rows(corank4)
     calls = []
-    monkeypatch.setattr(secondary, "in_cone", lambda gens, x: calls.append(gens) or in_cone(gens, x))
+    monkeypatch.setattr(secondary, "in_simplicial_cone",
+                        lambda gens, x: calls.append(gens) or in_simplicial_cone(gens, x))
     counts = []
     for chi in row_sums(cal, 3) + row_sums(cal, 4):
-        subsets = set()
-        for w in cal.wall_normals:
-            if dot(w, chi).is_zero():
-                on = [i for i, g in enumerate(rows) if dot(w, g).is_zero()]
-                subsets.update(I for r in range(m) for I in combinations(on, r))
+        subsets = {I for on in walls_through(cal, chi) if _in_cone([rows[i] for i in on], chi, m)
+                   for r in range(m) for I in combinations(on, r)}
         calls.clear()
         secondary.degenerate_span_witnesses(cal, chi)
         assert len(calls) == len(subsets)
         counts.append(len(calls))
     assert 0 in counts and 0 < max(counts) < 64
+
+
+def test_is_generic_builds_no_witness(corank4, monkeypatch):
+    """At every sum of two, three or four Gale rows, is_generic runs no
+    kernel and at most one in_cone per wall hyperplane through chi."""
+    counts = Counter()
+    for name, fn in (("kernel_basis", kernel_basis), ("in_cone", in_cone)):
+        monkeypatch.setattr(secondary, name,
+                            lambda *a, name=name, fn=fn: counts.update([name]) or fn(*a))
+    outcomes = set()
+    for chi in row_sums(corank4, 2) + row_sums(corank4, 3) + row_sums(corank4, 4):
+        counts.clear()
+        outcomes.add(is_generic(corank4, chi))
+        assert counts["kernel_basis"] == 0
+        assert counts["in_cone"] <= len(walls_through(corank4, chi))
+    assert outcomes == {True, False}
 
 
 def test_gale_facet_normals_match_the_subset_scan(references, instance_pool):

@@ -186,8 +186,8 @@ def test_fan_at_the_free_column_preimage_matches_p_chi(qex, fig5, frustum, insta
         preimage_at_free(qex, vec([1]))
 
 
-def test_sample_census_matches_the_vertex_oracle(references, instance_pool):
-    cals = references + [c for c, _, _ in instance_pool if c.n - c.d <= 3][:20]
+def test_sample_census_matches_the_vertex_oracle(references, instance_pool, corank4):
+    cals = references + [c for c, _, _ in instance_pool if c.n - c.d <= 3][:20] + [corank4]
     for seed, cal in enumerate(cals):
         sf = SimpleNamespace(chambers=[None] * 3)
         assert _sample_census(cal, sf, 40, seed) == sample_census_oracle(cal, sf, 40, seed)

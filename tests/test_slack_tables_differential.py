@@ -117,13 +117,14 @@ def test_chamber_inequalities_match_the_chain(references, instance_pool):
     assert kinds == {"wall", "virtual"}
 
 
-def test_is_generic_matches_the_scan(references, instance_pool):
+def test_is_generic_matches_the_scan(references, instance_pool, corank4):
     """Genericity and the witnesses read off the wall hyperplanes through
     chi against the LP scan over every cone on fewer than n-d Gale rows,
-    at points on and off the hyperplanes, inside and outside the Gale cone."""
+    at points on and off the hyperplanes, inside and outside the Gale cone;
+    n-d = 4 on the fixed (3, 7) instance."""
     rng = random.Random(47)
     outcomes = set()
-    cals = references + [c for c, _, _ in instance_pool if c.n - c.d <= 3][:40]
+    cals = references + [c for c, _, _ in instance_pool if c.n - c.d <= 3][:40] + [corank4]
     for cal in cals:
         for chi in special_points(cal, rng):
             g = is_generic(cal, chi)
