@@ -7,6 +7,7 @@ geometry.  Diagnostics go to stderr; results go to --output or stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -88,8 +89,35 @@ def _emit(args, text: str) -> None:
             sys.stdout.write("\n")
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_text(x, pad: str = "\n") -> str:
+    """json.dumps(x, sort_keys=True, indent=2) for the documents the commands
+    build (str keys; str, int, bool, None, list, tuple and dict values),
+    without the pure-Python encoder json.dumps runs when indent is set.
+    pad is the newline and indent of x's own line."""
+    if isinstance(x, str):
+        return _escape(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [_escape(k) + ": " + _json_text(v, inner) for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in x]) + pad + "]"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _dump(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2))
+    _emit(args, _json_text(payload))
 
 
 # -- SVG ------------------------------------------------------------------
@@ -346,8 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of build_parser, built once per process and reused by main."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc = _load_document(args.input)
         if args.command == "plot" or args.format == "svg":

@@ -546,9 +546,11 @@ class Calibration:
 
     @classmethod
     def from_json(cls, data: dict) -> "Calibration":
+        d, n, virtual = data["d"], data["n"], data.get("virtual", [])
+        if any(isinstance(x, (bool, float)) for x in (d, n, *virtual)):
+            raise InvalidCalibrationError("d, n and the virtual indices must be integers")
         cols = [[Scalar.from_json(x) for x in c] for c in data["columns"]]
-        return cls(int(data["d"]), int(data["n"]), tuple(map(tuple, cols)),
-                   frozenset(data.get("virtual", [])))
+        return cls(int(d), int(n), tuple(map(tuple, cols)), frozenset(virtual))
 
 
 def gale_transform(c: Calibration) -> Matrix:

@@ -5,7 +5,9 @@ m >= 2; values with b == 0 are canonicalized to the rational-only form
 (m is dropped).  It is stored as plain integers (p, q, den, m) meaning
 (p + q*sqrt(m))/den, with den > 0 and gcd(p, q, den) == 1, so equal
 values have equal fields.  The public constructor makes m squarefree
-once; arithmetic builds its results straight from integers.  All
+once; arithmetic builds its results straight from integers, and hash()
+and to_json() read the integers too, giving the hash and the "p/q" text
+of the Fractions a and b without building them.  All
 comparisons are exact: the sign of p + q*sqrt(m) is decided by comparing
 p^2 against q^2*m with sign bookkeeping, never through floating point.
 A single computation may mix rational-only scalars with scalars of one
@@ -21,6 +23,7 @@ Scalar and taking no gcd.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -37,6 +40,7 @@ RationalLike = Union[int, str, "Rational"]
 
 _ZERO = Rational(0)
 _RATIONAL_TYPES = (Fraction, Rational)
+_HASH_P, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
 def _squarefree_split(m: int) -> tuple[int, int]:
@@ -221,9 +225,10 @@ class Scalar:
         return (self - other).sign() >= 0
 
     def __hash__(self):
+        """hash(a) when b == 0, else hash((a, b, m)), with a and b as Fractions."""
         if self._q == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self._m))
+            return _ratio_hash(self._p, self._den)
+        return hash((_ratio_hash(self._p, self._den), _ratio_hash(self._q, self._den), self._m))
 
     def __bool__(self):
         return not self.is_zero()
@@ -243,20 +248,19 @@ class Scalar:
         return f"Scalar({self.a} + {self.b}*sqrt({self._m}))"
 
     def to_json(self) -> dict:
-        out = {"a": str(self.a)}
-        if self._q != 0:
-            out["b"] = str(self.b)
-            out["m"] = self._m
-        return out
+        if self._q == 0:
+            return {"a": _ratio_text(self._p, self._den)}
+        return {"a": _ratio_text(self._p, self._den), "b": _ratio_text(self._q, self._den),
+                "m": self._m}
 
     @classmethod
     def from_json(cls, data) -> "Scalar":
-        """Accept the canonical object form plus int / "p/q" shorthands."""
-        if isinstance(data, dict):
-            return cls(Rational(data["a"]), Rational(data.get("b", 0)), data.get("m"))
-        if isinstance(data, (int, str)):
-            return cls(Rational(data))
-        raise ValueError(f"not a scalar encoding: {data!r}")
+        """Accept the canonical object form plus int / "p/q" shorthands; a
+        float or a boolean is no part of either."""
+        parts = {"a": data} if isinstance(data, (int, str)) else data
+        if not isinstance(parts, dict) or any(type(parts.get(k)) in (bool, float) for k in "abm"):
+            raise ValueError(f"not a scalar encoding: {data!r}")
+        return cls(Rational(parts["a"]), Rational(parts.get("b", 0)), parts.get("m"))
 
 
 _new = object.__new__
@@ -284,6 +288,24 @@ def _reduced(p: int, q: int, den: int, m: int | None) -> Scalar:
             q //= g
             den //= g
     return _raw(p, q, den, m)
+
+
+def _ratio_hash(p: int, den: int) -> int:
+    """hash(Fraction(p, den)) for den > 0, by the numeric-hash rule of the
+    Python docs: |p|/den modulo P = sys.hash_info.modulus (sys.hash_info.inf
+    when P divides den in lowest terms), with the sign of p and -1 as -2."""
+    if den == 1:
+        return hash(p)
+    g = gcd(p, den)
+    p, den = p // g, den // g
+    h = _HASH_INF if den % _HASH_P == 0 else hash(hash(abs(p)) * pow(den, -1, _HASH_P))
+    return h if p >= 0 else -2 if h == 1 else -h
+
+
+def _ratio_text(p: int, den: int) -> str:
+    """str(Fraction(p, den)) for den > 0: "p" or "p/den" in lowest terms."""
+    g = gcd(p, den)
+    return str(p // g) if g == den else f"{p // g}/{den // g}"
 
 
 def _sign(p: int, q: int, m: int | None) -> int:

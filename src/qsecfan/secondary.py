@@ -40,7 +40,6 @@ from .linalg import (
     Vec,
     dot,
     gale_rows,
-    in_cone,
     in_simplicial_cone,
     kernel_basis,
     normalize_direction,
@@ -114,12 +113,14 @@ def _walls_holding(cal: Calibration, cc: Vec) -> Iterator[list[int]]:
     cone holds chi.  By Caratheodory chi lies on a cone of fewer than n-d
     rows exactly when some H qualifies: that cone's independent rows extend
     inside the rows to n-d-1 spanning an H, and chi in the cone of the rows
-    on H is in the cone of at most n-d-1 of them.  For n-d = 1, H is {0}."""
+    on H is in the cone of n-d-1 independent ones, since they span H.  For
+    n-d = 1, H is {0}."""
     e = encode(cc)
     for w in cal.wall_codes:
         if dot_sign(w, e) == 0:
             on = [i for i, g in enumerate(cal.gale_row_codes) if dot_sign(w, g) == 0]
-            if in_cone([cal.gale.rows[i] for i in on], cc):
+            rows = [cal.gale.rows[i] for i in on]
+            if any(in_simplicial_cone(S, cc) for S in combinations(rows, cal.n - cal.d - 1)):
                 yield on
 
 

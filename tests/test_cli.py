@@ -7,9 +7,11 @@ import xml.dom.minidom
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qsecfan import Calibration, QuantumFan
-from qsecfan.cli import _sample_census, main
+from qsecfan import Calibration, QuantumFan, cli
+from qsecfan.cli import _COMMANDS, _json_text, _sample_census, build_parser, main
 
 from conftest import census_classes
 
@@ -274,3 +276,70 @@ def test_gale_and_chambers_with_n_minus_d_4(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     cal = Calibration.from_json(doc["calibration"])
     assert census_classes(cal, random.Random(4), 10000) == 21
+
+
+SQUARE_PLUS = {"d": 2, "n": 4, "columns": [[1, 0], [0, 1], [-1, -1], [1, 1]]}
+
+
+@pytest.mark.parametrize("change", [
+    {"d": 2.7}, {"d": 2.0}, {"n": 4.0}, {"n": True, "d": True, "columns": [[1]]},
+    {"virtual": [4.0]}, {"virtual": [True]},
+    {"columns": [[1, 0], [0, 1], [-1, -1], [{"a": 1.0}, 1]]},
+    {"columns": [[True, 0], [0, 1], [-1, -1], [1, 1]]},
+    {"columns": [[1, 0], [0, 1], [-1, -1], [{"a": 1, "b": 1, "m": 2.0}, 1]]},
+])
+def test_floats_and_booleans_in_a_calibration_are_invalid_input(change, tmp_path, capsys):
+    """d = 2.7 once ran gale as d = 2 and exited 0; 1.0 and true read 1."""
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"calibration": dict(SQUARE_PLUS, **change)}))
+    assert main(["gale", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("invalid input: ")
+    p.write_text(json.dumps({"calibration": SQUARE_PLUS}))
+    assert main(["gale", "--input", str(p)]) == 0
+
+
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.integers(min_value=-2**200, max_value=2**200), st.text())
+json_documents = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=40)
+
+
+@given(json_documents)
+def test_the_writer_matches_json_dumps(doc):
+    """Escapes, non-ASCII text, empty containers, tuples and big integers
+    are written as json.dumps writes them."""
+    assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+COMMAND_ARGS = {"wall-cross": ["--path", "1,1,0,1;0,0,2,0"],
+                "cobordism": ["--path", "1,1,1,1;1,1,-2,0"],
+                "chambers": ["--samples", "25", "--seed", "3"]}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_command_writes_the_bytes_of_json_dumps(command, doc_path, tmp_path):
+    args = [command, "--input", doc_path] + COMMAND_ARGS.get(command, [])
+    payload = _COMMANDS[command](QEX_DOC, build_parser().parse_args(args))
+    code, out = run(args, tmp_path)
+    assert code == 0
+    assert out.read_text() == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_the_writer_rejects_what_json_cannot_write():
+    for bad in (1.5, {1: "x"}, [object()]):
+        with pytest.raises(TypeError):
+            _json_text(bad)
+
+
+def test_main_builds_its_parser_once(doc_path, tmp_path, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    assert run(["gale", "--input", doc_path], tmp_path)[0] == 0
+    assert run(["fan", "--input", doc_path], tmp_path)[0] == 0
+    assert builds == [1]

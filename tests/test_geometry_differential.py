@@ -30,7 +30,6 @@ from qsecfan.linalg import (
     Matrix,
     dot,
     gale_rows,
-    in_cone,
     in_simplicial_cone,
     kernel_basis,
     vadd,
@@ -253,10 +252,11 @@ def walls_through(cal, chi):
 
 
 def test_witnesses_test_only_cones_on_the_walls_through_chi(corank4, monkeypatch):
-    """One in_simplicial_cone call per distinct subset of fewer than n-d of
-    the Gale rows on the wall hyperplanes through chi whose rows' cone
-    holds chi (by the LP), none elsewhere; a scan over every such subset
-    of the seven rows makes 64 at every point."""
+    """Beyond the wall tests of _walls_holding, one in_simplicial_cone call
+    per distinct subset of fewer than n-d of the Gale rows on the wall
+    hyperplanes through chi whose rows' cone holds chi (by the LP), none
+    elsewhere; a scan over every such subset of the seven rows makes 64 at
+    every point."""
     cal, m, rows = corank4, corank4.n - corank4.d, gale_rows(corank4)
     calls = []
     monkeypatch.setattr(secondary, "in_simplicial_cone",
@@ -266,25 +266,31 @@ def test_witnesses_test_only_cones_on_the_walls_through_chi(corank4, monkeypatch
         subsets = {I for on in walls_through(cal, chi) if _in_cone([rows[i] for i in on], chi, m)
                    for r in range(m) for I in combinations(on, r)}
         calls.clear()
+        list(secondary._walls_holding(cal, chi))
+        wall_tests = len(calls)
+        calls.clear()
         secondary.degenerate_span_witnesses(cal, chi)
-        assert len(calls) == len(subsets)
-        counts.append(len(calls))
+        assert len(calls) == wall_tests + len(subsets)
+        counts.append(len(subsets))
     assert 0 in counts and 0 < max(counts) < 64
 
 
 def test_is_generic_builds_no_witness(corank4, monkeypatch):
     """At every sum of two, three or four Gale rows, is_generic runs no
-    kernel and at most one in_cone per wall hyperplane through chi."""
+    kernel and, on each wall hyperplane through chi, at most one
+    in_simplicial_cone per n-d-1 of the Gale rows on it."""
     counts = Counter()
-    for name, fn in (("kernel_basis", kernel_basis), ("in_cone", in_cone)):
+    for name, fn in (("kernel_basis", kernel_basis), ("in_simplicial_cone", in_simplicial_cone)):
         monkeypatch.setattr(secondary, name,
                             lambda *a, name=name, fn=fn: counts.update([name]) or fn(*a))
+    m = corank4.n - corank4.d
     outcomes = set()
     for chi in row_sums(corank4, 2) + row_sums(corank4, 3) + row_sums(corank4, 4):
         counts.clear()
         outcomes.add(is_generic(corank4, chi))
         assert counts["kernel_basis"] == 0
-        assert counts["in_cone"] <= len(walls_through(corank4, chi))
+        assert counts["in_simplicial_cone"] <= sum(
+            len(list(combinations(on, m - 1))) for on in walls_through(corank4, chi))
     assert outcomes == {True, False}
 
 

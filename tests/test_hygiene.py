@@ -106,6 +106,52 @@ def test_the_scan_sees_a_function_local_import(tmp_path):
     ]
 
 
+def indented_json_calls(path):
+    """(line, call) of each call of json.dump or json.dumps with an indent
+    keyword: through the module under any alias, or through a name imported
+    from it.  CPython runs its pure-Python encoder for such a call."""
+    tree = ast.parse(path.read_text())
+    modules, functions = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "json")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            functions.update((alias.asname or alias.name, alias.name) for alias in node.names
+                             if alias.name in ("dump", "dumps"))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and f.attr in ("dump", "dumps") \
+                and isinstance(f.value, ast.Name) and f.value.id in modules:
+            found.append((node.lineno, f"json.{f.attr}"))
+        elif isinstance(f, ast.Name) and f.id in functions:
+            found.append((node.lineno, f"json.{functions[f.id]}"))
+    return sorted(found)
+
+
+def test_no_indented_json_dumps_in_src():
+    """The CLI writes its indented documents itself; json.dumps with indent
+    would bring back the slow encoder."""
+    found = {p.name: indented_json_calls(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_the_scan_sees_an_indented_json_dumps(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import json\nimport json as j\nfrom json import dumps as d, loads\n"
+                   "def f(x, fh, other):\n"
+                   "    json.dumps(x, sort_keys=True, indent=2)\n"
+                   "    j.dump(x, fh, indent=None)\n"
+                   "    d(x, indent=4)\n"
+                   "    json.dumps(x, sort_keys=True)\n"
+                   "    other.dumps(x, indent=2)\n"
+                   "    loads(x)\n")
+    assert indented_json_calls(src) == [(5, "json.dumps"), (6, "json.dump"), (7, "json.dumps")]
+
+
 SCALAR_FIELDS = frozenset({"_p", "_q", "_den", "_m"})
 
 

@@ -99,6 +99,17 @@ def test_from_json_accepts_plain_forms():
     assert Scalar.from_json({"a": "0", "b": "1", "m": 2}) == Scalar.sqrt(2)
 
 
+@pytest.mark.parametrize("data", [
+    {"a": 0.1}, {"a": 1.0}, {"a": True}, {"a": "1", "b": 0.5, "m": 2},
+    {"a": "0", "b": False, "m": 2}, {"a": "0", "b": "1", "m": 2.0}, {"a": "0", "b": "1", "m": True},
+    True, False, 0.1, 1e0])
+def test_from_json_rejects_floats_and_booleans(data):
+    """{"a": 0.1} once read the binary double 3602879701896397/36028797018963968
+    and true read 1."""
+    with pytest.raises(ValueError, match="not a scalar encoding"):
+        Scalar.from_json(data)
+
+
 @given(scalars(2), scalars(2))
 def test_hash_respects_equality(x, y):
     if x == y:

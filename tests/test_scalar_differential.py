@@ -130,3 +130,27 @@ def test_mixed_fields_raise_in_both():
         for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x < y):
             with pytest.raises(MixedFieldError):
                 op()
+
+
+P61 = 2**61 - 1  # sys.hash_info.modulus on 64-bit builds
+
+
+@pytest.mark.parametrize("a, b", [
+    (-1, 0), (-1, 1), (1, -1), (-1, -1), (Rational(-1, 2), Rational(-1, 2)),
+    # denominators that are multiples of the hash modulus
+    (Rational(1, P61), 0), (Rational(-3, 2 * P61), 0), (Rational(P61 + 1, 2 * P61), 0),
+    (1, Rational(1, P61)), (Rational(-5, 7 * P61), Rational(2, 3 * P61)),
+    # p or q sharing a factor with the common denominator
+    (Rational(1, 2), Rational(1, 3)), (Rational(5, 6), Rational(1, 10)),
+    (Rational(1, 6), Rational(-1, 4)), (0, Rational(7, 12)), (Rational(3, 4), 2),
+])
+@pytest.mark.parametrize("m", RADICANDS)
+def test_hash_edge_cases_match(a, b, m):
+    x, r = Scalar(a, b, m), ref.Scalar(a, b, m)
+    same(x, r)
+    assert hash(x) == hash((r.a, r.b, r.m) if r.b else r.a)
+
+
+def test_minus_one_hashes_to_minus_two():
+    """hash() never returns -1, which CPython keeps for errors."""
+    assert hash(Scalar(-1)) == hash(ref.Scalar(-1)) == hash(-1) == -2

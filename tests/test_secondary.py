@@ -1,6 +1,7 @@
 """Chambers, walls, and wall crossings of the parameter space."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -23,10 +24,11 @@ from qsecfan import (
     is_generic,
 )
 from qsecfan.linalg import preimage_of_chi, vadd, vec, vscale
-from qsecfan import secondary
+from qsecfan import linalg, secondary
 from qsecfan.secondary import degenerate_span_witnesses
 
-from conftest import SQ2
+from conftest import SQ2, special_points
+from reference_geometry import is_generic_lp
 
 S = Scalar.coerce
 
@@ -282,3 +284,17 @@ def test_generic_interior_point_reports_its_attempts(qex, monkeypatch):
         secondary._generic_interior_point(qex)
     assert str(exc.value).endswith("(100 not admissible, 100 not generic)")
     assert len(calls) == 200
+
+
+def test_is_generic_ranks_nothing(p2, qex, fig5, corank4, monkeypatch):
+    """The rows on a wall through chi span it, so their rank is n-d-1 and
+    is_generic tries their (n-d-1)-subsets without computing it."""
+    rng = random.Random(5)
+    cases = [(cal, chi) for cal in (p2, qex, fig5, corank4) for chi in special_points(cal, rng)]
+    expected = [is_generic_lp(cal, chi) for cal, chi in cases]
+    assert True in expected and False in expected
+    ranks = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda M: ranks.append(M) or rank(M))
+    assert [is_generic(cal, chi) for cal, chi in cases] == expected
+    assert ranks == []
