@@ -7,6 +7,8 @@ chambers, wall crossings along affine paths, and linkability of a
 configuration to projective space.
 """
 
+import types as _types
+
 from .errors import (
     DegenerateInputError,
     DegeneratePathError,
@@ -75,63 +77,6 @@ from .secondary import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffinePath",
-    "Calibration",
-    "Chamber",
-    "CobordismReport",
-    "CombinatorialType",
-    "DegenerateInputError",
-    "DegeneratePathError",
-    "DimensionMismatchError",
-    "GaleCone",
-    "HPolytope",
-    "InvalidCalibrationError",
-    "Matrix",
-    "MixedFieldError",
-    "NotAdmissibleError",
-    "OnWallError",
-    "ProjectiveCertificate",
-    "ProjectivePathReport",
-    "QsecfanError",
-    "QuantumFan",
-    "Rational",
-    "Scalar",
-    "SecondaryFan",
-    "StabilizerProfile",
-    "SupportFunction",
-    "UnsupportedDimensionError",
-    "VertexOracle",
-    "Wall",
-    "WallCrossingReport",
-    "chamber_of",
-    "chi_of_b",
-    "classify_dim2",
-    "classify_wall",
-    "cobordism_from_path",
-    "combinatorial_type",
-    "common_refinement",
-    "cross_wall",
-    "enumerate_chambers",
-    "fan_automorphisms",
-    "fans_isomorphic",
-    "gale_cone",
-    "gale_rows",
-    "gale_transform",
-    "has_strictly_convex_support",
-    "is_admissible",
-    "is_admissible_parameter",
-    "is_complete",
-    "is_generic",
-    "normal_fan",
-    "path_to_projective",
-    "preimage_of_chi",
-    "projective_certificate",
-    "s_variety_strata",
-    "simplex_parameter",
-    "stabilizer_profiles",
-    "star_subdivision",
-    "validate_fan",
-    "vec",
-    "virtual_indices",
-]
+# every public name imported above, submodules aside
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -3,8 +3,10 @@
 A fan stores its maximal cones as 1-based generator index subsets; all
 geometry (containment, faces, convexity) is recomputed from the
 calibration columns on demand, through exact feasibility tests or the
-facts the calibration caches (normal fans come from the scan of its
-chamber codes, cone membership from its basis inverses).
+facts the calibration caches: normal fans come from the scan of its
+chamber codes, and every simplicial cone question (dimension,
+membership, facets, star subdivision) from its brackets and the codes of
+its hyperplane normals.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .linalg import (
     Calibration,
     Matrix,
     Vec,
+    cofactor_normal,
     det,
     dot,
     facet_normals,
@@ -35,10 +38,11 @@ from .linalg import (
     rank,
     solve,
     vec,
+    vscale,
     integer_kernel_rank,
 )
 from .polytope import HPolytope, affine_dim, vertices_of
-from .scalar import S0, Scalar, dot_sign, encode
+from .scalar import S0, IntVec, Scalar, dot_sign, encode
 
 IndexSet = frozenset
 
@@ -47,11 +51,16 @@ def _cols(cal: Calibration, indices) -> list[Vec]:
     return [cal.column(i) for i in sorted(indices)]
 
 
+def _basis(sigma) -> tuple[int, ...]:
+    """The 0-based sorted indices of a 1-based index set."""
+    return tuple(sorted(i - 1 for i in sigma))
+
+
 def cone_dim(cal: Calibration, sigma) -> int:
-    """Rank of the generators, read off the cached inverses for d of them."""
+    """Rank of the generators, d for d of them with a nonzero bracket."""
     if not sigma:
         return 0
-    if len(sigma) == cal.d and tuple(sorted(i - 1 for i in sigma)) in cal.basis_inverses:
+    if len(sigma) == cal.d and _basis(sigma) in cal.inverse_codes:
         return cal.d
     return rank(Matrix(_cols(cal, sigma)))
 
@@ -64,19 +73,19 @@ def cone_is_strongly_convex(cal: Calibration, sigma) -> bool:
     return lp.feasible(cons, cal.d)
 
 
-def cone_contains(cal: Calibration, sigma, x: Sequence) -> bool:
+def cone_contains(cal: Calibration, sigma, x: Sequence, code: Optional[IntVec] = None) -> bool:
     """Membership of x in Cone(h(e_i), i in sigma), by the rule of in_cone.
 
     When sigma spans R^d its independent d-subsets J are the invertible
     ones, and the signs of the coordinates M_J^{-T} x of x in basis J are
-    read against the calibration's encoded inverse columns; a lower-rank
-    sigma goes through in_cone.
+    read against the calibration's inverse codes; a lower-rank sigma goes
+    through in_cone.  code, when given, is encode(x).
     """
     xx = vec(x)
     if len(xx) != cal.d:
         raise DimensionMismatchError(f"vector of length {len(xx)} in a cone of R^{cal.d}")
-    codes, e = cal.inverse_codes, None
-    for J in combinations(sorted(i - 1 for i in sigma), cal.d):
+    codes, e = cal.inverse_codes, code
+    for J in combinations(_basis(sigma), cal.d):
         columns = codes.get(J)
         if columns is None:
             continue
@@ -308,7 +317,8 @@ def _collinear_positive(u: Vec, v: Vec) -> bool:
 
 def star_subdivision(f: QuantumFan, i: int) -> QuantumFan:
     """Insert the ray h(e_i): cones containing it are replaced by the joins
-    of i with their i-free facets; i leaves the virtual set."""
+    of i with their facets that miss it (on a simplicial cone, the stellar
+    rule of _facets_missing); i leaves the virtual set."""
     cal = f.calibration
     v = cal.column(i)
     if f.cone_containing(v) is None:
@@ -317,15 +327,24 @@ def star_subdivision(f: QuantumFan, i: int) -> QuantumFan:
         if _collinear_positive(cal.column(j), v):
             # the ray is already present: nothing to subdivide
             return QuantumFan(cal, f.max_cones, f.virtual - {i}, f.complete)
-    new_cones = []
+    new_cones, e = [], encode(v)
     for sigma in f.max_cones:
-        if not cone_contains(cal, sigma, v):
-            new_cones.append(sigma)
-            continue
-        for tau in facets_of(cal, sigma):
-            if not cone_contains(cal, tau, v):
-                new_cones.append(frozenset(tau) | {i})
+        facets = _facets_missing(cal, sigma, v, e)
+        new_cones += [sigma] if facets is None else [tau | {i} for tau in facets]
     return QuantumFan(cal, tuple(new_cones), f.virtual - {i}, f.complete)
+
+
+def _facets_missing(cal: Calibration, sigma, v: Vec, e) -> Optional[list[IndexSet]]:
+    """The facets of sigma that miss v, or None when sigma misses v.  For a
+    simplicial sigma these are sigma - {s_k} for each positive coordinate
+    of v in basis sigma, the signs read off the inverse codes at e = encode(v)."""
+    codes = cal.inverse_codes.get(_basis(sigma))
+    if codes is None:
+        return [frozenset(t) for t in facets_of(cal, sigma) if not cone_contains(cal, t, v, e)] \
+            if cone_contains(cal, sigma, v, e) else None
+    signs = [dot_sign(c, e) for c in codes]
+    return [sigma - {s} for s, sign in zip(sorted(sigma), signs) if sign > 0] \
+        if min(signs) >= 0 else None
 
 
 # -- planar angular order ------------------------------------------------
@@ -373,7 +392,8 @@ def common_refinement(f1: QuantumFan, f2: QuantumFan):
 
     d = 2: angular merge of the ray-index union, returned as a QuantumFan.
     d = 3: the cones common to both fans, whole (each meets every other
-    cone in a proper face), plus the full-dimensional intersections of the
+    cone in a proper face; a simplicial one's extreme rays are its
+    normalized generators), plus the full-dimensional intersections of the
     cones that differ.  Their rays can be no generator column (the center
     of a flipped square cone), so the result is a tuple of geometric
     cones, each a frozenset of normalized extreme-ray vectors.
@@ -387,7 +407,9 @@ def common_refinement(f1: QuantumFan, f2: QuantumFan):
     if cal.d != 3:
         raise UnsupportedDimensionError("refinement implemented for d <= 3")
     common = set(f1.max_cones) & set(f2.max_cones)
-    cones = {_cone_intersection_rays(_cone_hrep(cal, s)) for s in common}
+    cones = {frozenset(normalize_direction(cal.column(i)) for i in s)
+             if _basis(s) in cal.inverse_codes else _cone_intersection_rays(_cone_hrep(cal, s))
+             for s in common}
     hreps2 = [_cone_hrep(cal, s2) for s2 in f2.max_cones if s2 not in common]
     for s1 in set(f1.max_cones) - common:
         h1 = _cone_hrep(cal, s1)
@@ -398,18 +420,17 @@ def common_refinement(f1: QuantumFan, f2: QuantumFan):
     return tuple(sorted(cones, key=sorted))
 
 
-def _cross3(u: Vec, v: Vec) -> Vec:
-    """u x v, which spans the kernel of the rows u, v when it is nonzero."""
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def _cone_hrep(cal: Calibration, sigma) -> list[Vec]:
     """Facet normals w (cone = {x : <w,x> >= 0 for all w}) of a
-    full-dimensional cone in d = 3."""
-    gens = _cols(cal, sigma)
-    return sorted(facet_normals((_cross3(g1, g2) for g1, g2 in combinations(gens, 2)), gens))
+    full-dimensional cone in d = 3, from the hyperplane normals of its
+    generator pairs; a simplicial J has the facets J - J_k, with n_{J - J_k}
+    turned by the sign of (-1)^k [J]."""
+    J, normals = _basis(sigma), cal.hyperplane_normals
+    if J in cal.inverse_codes:
+        sign = cal.brackets[cal.bracket_index[J]].sign()
+        return sorted(vscale(sign * (-1) ** k, normalize_direction(normals[J[:k] + J[k + 1:]][0]))
+                      for k in range(len(J)))
+    return sorted(facet_normals((normals[S][0] for S in combinations(J, 2)), _cols(cal, sigma)))
 
 
 def _cone_intersection_rays(normals: list[Vec]) -> Optional[frozenset]:
@@ -418,7 +439,7 @@ def _cone_intersection_rays(normals: list[Vec]) -> Optional[frozenset]:
     it is lower-dimensional: the cones are pointed, so their intersection
     is too, its rays are the facet normals of Cone(normals), and it is
     full-dimensional exactly when they span R^3."""
-    rays = facet_normals((_cross3(w1, w2) for w1, w2 in combinations(normals, 2)), normals)
+    rays = facet_normals((cofactor_normal(pair, 3) for pair in combinations(normals, 2)), normals)
     if len(rays) < 3 or rank(Matrix(list(rays))) < 3:
         return None
     return rays

@@ -176,6 +176,15 @@ def minor(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     return acc
 
 
+def cofactor_normal(rows: Sequence[Sequence[Scalar]], k: int) -> Vec:
+    """The normal w of the hyperplane that k - 1 rows of length k span,
+    with w . x = det(x, rows): entry t is (-1)^t times the minor of the
+    rows without column t.  Zero when the rows are dependent; (1,) when
+    k = 1 and there are no rows."""
+    return tuple(-x if t % 2 else x for t, x in
+                 enumerate(minor([r[:t] + r[t + 1:] for r in rows]) for t in range(k)))
+
+
 def kernel_basis(M: Matrix) -> list[Vec]:
     """Basis of {x : Mx = 0}, one vector per free column, in increasing order."""
     R, pivots = rref(M)
@@ -412,8 +421,7 @@ class Calibration:
             return ()
         normals, seen = [], set()
         for sub in combinations(self.gale.rows, m - 1):
-            w = tuple(-x if t % 2 else x for t, x in
-                      enumerate(minor([g[:t] + g[t + 1:] for g in sub]) for t in range(m)))
+            w = cofactor_normal(sub, m)
             last = next((x for x in reversed(w) if not x.is_zero()), None)
             if last is None:
                 continue
@@ -430,21 +438,15 @@ class Calibration:
 
     @cached_property
     def positively_spanning(self) -> bool:
-        """Cone(h) = R^d, so every P_b is bounded: no d-1 columns S that
-        span a hyperplane have every column on one side of it.  Column i
-        lies on the side sign([S with i]) (-1)^(#S after i), read off the
-        brackets; S spans no hyperplane when all of these are 0."""
+        """Cone(h) = R^d, so every P_b is bounded: no d-1 columns that span
+        a hyperplane have every column on one side of it, the sides read as
+        signs against its code in hyperplane_normals (a dependent S has the
+        zero normal, every sign 0)."""
         if self.d == 0:
             return True  # R^0 is the cone of no columns
-        sign = dict(zip(combinations(range(self.n), self.d), (b.sign() for b in self.brackets)))
-        for S in combinations(range(self.n), self.d - 1):
-            sides = set()
-            for i in (i for i in range(self.n) if i not in S):
-                p = sum(s < i for s in S)  # i sorts into place p
-                sides.add(sign[S[:p] + (i,) + S[p:]] * (-1) ** (self.d - 1 - p))
-            if len(sides - {0}) == 1:
-                return False
-        return True
+        cols = [encode(c) for c in self.columns]
+        return all(len({dot_sign(code, c) for c in cols} - {0}) != 1
+                   for _, code in self.hyperplane_normals.values())
 
     @cached_property
     def brackets(self) -> tuple[Scalar, ...]:
@@ -454,29 +456,42 @@ class Calibration:
                      for J in combinations(range(self.n), self.d))
 
     @cached_property
+    def hyperplane_normals(self) -> Mapping[tuple[int, ...], tuple[Vec, IntVec]]:
+        """(n_S, its code for scalar.dot_sign) for every 0-based (d-1)-subset S
+        of columns, in lexicographic order: n_S . x = det(x, h(e_s), s in S),
+        zero when S is dependent.  n_{J - J_k} vanishes on J - J_k and has
+        n_{J - J_k} . h(e_{J_k}) = (-1)^k [J], so it is (-1)^k [J] times
+        column k of M_J^{-1}."""
+        normals = {S: cofactor_normal([self.columns[s] for s in S], self.d)
+                   for S in combinations(range(self.n), self.d - 1)}
+        return MappingProxyType({S: (w, encode(w)) for S, w in normals.items()})
+
+    @cached_property
     def basis_inverses(self) -> Mapping[tuple[int, ...], Matrix]:
-        """M_J^{-1} = adj(M_J) / [J] for every 0-based d-subset J (in
-        lexicographic order) with [J] != 0: entry (i, k) is (-1)^(i+k) times
-        the minor of M_J without row k and column i, over [J].  The vertex
-        of P_b where J is tight is M_J^{-1} (-b_J)."""
-        d, out = self.d, {}
-        for J, bracket in zip(combinations(range(self.n), d), self.brackets):
-            if bracket.is_zero():
-                continue
-            rows, scale = [self.columns[j] for j in J], bracket.inv()
-            adj = [[minor([r[:i] + r[i + 1:] for q, r in enumerate(rows) if q != k])
-                    for k in range(d)] for i in range(d)]
-            out[J] = Matrix([[-(scale * a) if (i + k) % 2 else scale * a for k, a in enumerate(row)]
-                             for i, row in enumerate(adj)])
+        """M_J^{-1} for every 0-based d-subset J (in lexicographic order) with
+        [J] != 0, column k read off hyperplane_normals."""
+        normals, out = self.hyperplane_normals, {}
+        for J, bracket in zip(self.bracket_index, self.brackets):
+            if not bracket.is_zero():
+                scale = bracket.inv()
+                out[J] = Matrix.from_columns([vscale(-scale if k % 2 else scale,
+                                                     normals[J[:k] + J[k + 1:]][0])
+                                              for k in range(self.d)], nrows=self.d)
         return MappingProxyType(out)
 
     @cached_property
     def inverse_codes(self) -> Mapping[tuple[int, ...], tuple[IntVec, ...]]:
-        """The columns of each M_J^{-1} in basis_inverses, encoded for
-        scalar.dot_sign: their signs against x are those of M_J^{-T} x, the
-        coordinates of x in the basis h(e_j), j in J."""
-        return MappingProxyType({J: tuple(encode(Minv.column(k)) for k in range(self.d))
-                                 for J, Minv in self.basis_inverses.items()})
+        """For every J with [J] != 0, in lexicographic order, the columns of
+        M_J^{-1} coded up to positive factors: the code of n_{J - J_k} turned
+        by the sign of (-1)^k [J].  Their signs against x are those of the
+        coordinates M_J^{-T} x of x in the basis h(e_j), j in J."""
+        normals, out = self.hyperplane_normals, {}
+        for J, bracket in zip(self.bracket_index, self.brackets):
+            s = bracket.sign()
+            if s:
+                out[J] = tuple(normals[J[:k] + J[k + 1:]][1] if s == (-1) ** k
+                               else -normals[J[:k] + J[k + 1:]][1] for k in range(self.d))
+        return MappingProxyType(out)
 
     @cached_property
     def bracket_index(self) -> Mapping[tuple[int, ...], int]:
@@ -547,10 +562,10 @@ class Calibration:
     @classmethod
     def from_json(cls, data: dict) -> "Calibration":
         d, n, virtual = data["d"], data["n"], data.get("virtual", [])
-        if any(isinstance(x, (bool, float)) for x in (d, n, *virtual)):
+        if any(type(x) is not int for x in (d, n, *virtual)):
             raise InvalidCalibrationError("d, n and the virtual indices must be integers")
         cols = [[Scalar.from_json(x) for x in c] for c in data["columns"]]
-        return cls(int(d), int(n), tuple(map(tuple, cols)), frozenset(virtual))
+        return cls(d, n, tuple(map(tuple, cols)), frozenset(virtual))
 
 
 def gale_transform(c: Calibration) -> Matrix:

@@ -1,7 +1,7 @@
 """H-polytopes with exact vertex enumeration and face dimensions.
 
 A polytope is {x in R^d : <x, normal_i> + offset_i >= 0}.  Its vertices
-come by Cramer's rule on the brackets of its normals' Calibration.  A
+come from the brackets and hyperplane normals of its normals' Calibration.  A
 bounded polytope is the convex hull of its vertices and each face the
 convex hull of the vertices on it (Ziegler, Lectures on Polytopes,
 ch. 2), so its face dimensions are affine dimensions of vertex sets.  An
@@ -18,8 +18,8 @@ from typing import Iterator, Optional, Sequence
 
 from . import lp
 from .errors import DimensionMismatchError, InvalidCalibrationError
-from .linalg import Calibration, Matrix, Vec, dot, is_zero_vec, minor, rank, vec, vsub
-from .scalar import IntVec, Scalar, dot_sign, encode
+from .linalg import Calibration, Matrix, Vec, dot, is_zero_vec, rank, vec, vsub
+from .scalar import S0, IntVec, Scalar, dot_sign, encode
 
 
 def affine_dim(points: Sequence[Vec]) -> int:
@@ -147,9 +147,9 @@ class HPolytope:
     def vertices(self) -> list[tuple[Vec, frozenset[int]]]:
         """All vertices with their full tight-constraint sets, sorted.
 
-        A candidate x_k = det(M_J, column k := -offset_J) / [J] comes from every
-        d-subset J of nonzero normals with [J] != 0, unless J lies in the tight
-        set (taken against all constraints) of a vertex already found.
+        A candidate, the _basic_point of J, comes from every d-subset J of
+        nonzero normals with [J] != 0, unless J lies in the tight set (taken
+        against all constraints) of a vertex already found.
         """
         return list(self._vertices)
 
@@ -159,13 +159,10 @@ class HPolytope:
         if cal is None:
             return ()
         nonzero = [i for i, nr in enumerate(self.normals) if not is_zero_vec(nr)]
-        for J, bracket in zip(combinations(nonzero, self.ambient_dim), cal.brackets):
-            if bracket.is_zero() or _known(found, J):
-                continue
-            rows, scale = [(self.normals[j], -self.offsets[j]) for j in J], bracket.inv()
-            x = tuple(scale * minor([nr[:k] + (c,) + nr[k + 1:] for nr, c in rows])
-                      for k in range(self.ambient_dim))
-            _add_vertex(found, x, self.normals, self.offsets)
+        offsets = [self.offsets[i] for i in nonzero]
+        for J, bracket in zip(combinations(range(len(nonzero)), self.ambient_dim), cal.brackets):
+            if not (bracket.is_zero() or _known(found, [nonzero[j] for j in J])):
+                _add_vertex(found, _basic_point(cal, J, bracket, offsets), self.normals, self.offsets)
         return tuple(sorted(found))
 
     def is_bounded(self) -> bool:
@@ -240,16 +237,29 @@ def basis_scan(calibration, e: IntVec) -> Iterator[tuple[tuple[int, ...], list[i
 def vertices_of(calibration, b: Sequence) -> list[tuple[Vec, frozenset[int]]]:
     """HPolytope.from_parameter(calibration, b).vertices(), read off the
     basis_scan of chi = k^T b; a kept J is solved only when its vertex is
-    not yet known."""
+    not yet known, as its _basic_point."""
     bb = vec(b)
     if len(bb) != calibration.n:
         raise DimensionMismatchError("parameter length differs from n")
+    at, brackets = calibration.bracket_index, calibration.brackets
     found: list[tuple[Vec, frozenset[int]]] = []
     for J, tight in basis_scan(calibration, encode(calibration.gale_t.matvec(bb))):
         if not _known(found, J):
-            x = calibration.basis_inverses[J].matvec([-bb[j] for j in J])
-            found.append((x, frozenset(tight)))
+            found.append((_basic_point(calibration, J, brackets[at[J]], bb), frozenset(tight)))
     return sorted(found)
+
+
+def _basic_point(cal: Calibration, J: tuple[int, ...], bracket: Scalar, b) -> Vec:
+    """M_J^{-1} (-b_J) for [J] = bracket != 0, where <x, h(e_j)> + b_j = 0
+    for j in J: -(1/[J]) sum_k (-1)^k b_{J_k} n_{J - J_k}, read off the
+    calibration's hyperplane normals, a zero b_j skipped."""
+    acc = (S0,) * cal.d
+    for k, j in enumerate(J):
+        if not b[j].is_zero():
+            c = -b[j] if k % 2 else b[j]
+            acc = tuple(a + c * w for a, w in zip(acc, cal.hyperplane_normals[J[:k] + J[k + 1:]][0]))
+    scale = -bracket.inv()
+    return tuple(scale * a for a in acc)
 
 
 class VertexOracle:

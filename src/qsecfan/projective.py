@@ -72,12 +72,11 @@ def projective_certificate(cal: Calibration) -> Optional[ProjectiveCertificate]:
     boundary weights would only witness a lower-dimensional or unbounded
     "simplex", which is why they are excluded here.
     """
-    d, n = cal.d, cal.n
-    bracket = dict(zip(combinations(range(n), d), cal.brackets))
+    d, n, at = cal.d, cal.n, cal.bracket_index
     for I in combinations(range(n), d + 1):
         # sum_t (-1)^t [I - I_t] h(e_{I_t}) = 0 spans the dependences, and is
         # zero exactly when rank < d: at most one of them sums to 1
-        dep = [(-1) ** t * bracket[I[:t] + I[t + 1:]] for t in range(d + 1)]
+        dep = [(-1) ** t * cal.brackets[at[I[:t] + I[t + 1:]]] for t in range(d + 1)]
         total = sum(dep, S0)
         if total.is_zero():
             continue

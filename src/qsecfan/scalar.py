@@ -23,6 +23,7 @@ Scalar and taking no gcd.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -256,14 +257,20 @@ class Scalar:
     @classmethod
     def from_json(cls, data) -> "Scalar":
         """Accept the canonical object form plus int / "p/q" shorthands; a
-        float or a boolean is no part of either."""
+        float or a boolean is no part of either.  An int or a "p" or "p/q"
+        text of ASCII digits with no b is read without a Fraction."""
         parts = {"a": data} if isinstance(data, (int, str)) else data
         if not isinstance(parts, dict) or any(type(parts.get(k)) in (bool, float) for k in "abm"):
             raise ValueError(f"not a scalar encoding: {data!r}")
-        return cls(Rational(parts["a"]), Rational(parts.get("b", 0)), parts.get("m"))
+        a, b = parts["a"], parts.get("b", 0)
+        if b == 0 and (type(a) is int or type(a) is str and _RATIO_TEXT.fullmatch(a)):
+            p, _, den = str(a).partition("/")
+            return _reduced(int(p), 0, int(den or 1), None)
+        return cls(Rational(a), Rational(b), parts.get("m"))
 
 
 _new = object.__new__
+_RATIO_TEXT = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")  # "p" or "p/q", q > 0
 
 
 def _raw(p: int, q: int, den: int, m: int | None) -> Scalar:
@@ -334,6 +341,11 @@ class IntVec(NamedTuple):
     p: tuple[int, ...]
     q: tuple[int, ...] | None
     m: int | None
+
+    def __neg__(self) -> "IntVec":
+        """encode(-x) for self = encode(x)."""
+        return IntVec(tuple(-x for x in self.p),
+                      None if self.q is None else tuple(-x for x in self.q), self.m)
 
 
 def encode(xs: Sequence[Scalar]) -> IntVec:

@@ -493,35 +493,29 @@ def _classify_crossing(cal: Calibration, normal: Vec, chi_star: Vec,
         if cal.d <= 3:
             checks["refinement_inside_on_wall"] = _refines(
                 cal, common_refinement(f_minus, f_plus), f0)
-        index = None
-        if wall.circuit is not None:
-            index = (len(wall.circuit[0]), len(wall.circuit[1]))
+        index = None if wall.circuit is None else tuple(map(len, wall.circuit))
     else:
         toggled = rays_minus ^ rays_plus
         i = min(toggled)
         wall = Wall(normal, "divisorial", virtual_index=i)
         checks["single_ray_toggled"] = len(toggled) == 1
-        if i in rays_plus:
-            index = (1, cal.d)
-            sub = star_subdivision(f_minus, i)
-            checks["star_subdivision"] = set(sub.max_cones) == set(f_plus.max_cones) \
-                and sub.virtual == f_plus.virtual
-        else:
-            index = (cal.d, 1)
-            sub = star_subdivision(f_plus, i)
-            checks["star_subdivision"] = set(sub.max_cones) == set(f_minus.max_cones) \
-                and sub.virtual == f_minus.virtual
+        # the side holding the ray i is the star subdivision of the other at i
+        index, coarse, fine = ((1, cal.d), f_minus, f_plus) if i in rays_plus \
+            else ((cal.d, 1), f_plus, f_minus)
+        sub = star_subdivision(coarse, i)
+        checks["star_subdivision"] = set(sub.max_cones) == set(fine.max_cones) \
+            and sub.virtual == fine.virtual
     return WallCrossingReport(t_star, wall, f_minus, f0, f_plus, index, checks)
 
 
 def _refines(cal: Calibration, fine, coarse: QuantumFan) -> bool:
-    """Every cone of fine sits inside a maximal cone of coarse.  fine is a
-    QuantumFan or, as the d = 3 overlay of common_refinement, a tuple of
-    cones given by their rays."""
+    """Every cone of fine sits inside a maximal cone of coarse, each ray
+    encoded once.  fine is a QuantumFan or, as the d = 3 overlay of
+    common_refinement, a tuple of cones given by their rays."""
     if isinstance(fine, QuantumFan):
         fine = ([cal.column(i) for i in s] for s in fine.max_cones)
-    return all(any(all(cone_contains(cal, t, r) for r in rays) for t in coarse.max_cones)
-               for rays in fine)
+    return all(any(all(cone_contains(cal, t, r, e) for r, e in rays) for t in coarse.max_cones)
+               for rays in ([(r, encode(r)) for r in cone] for cone in fine))
 
 
 def cobordism_from_path(path: AffinePath, cal: Calibration) -> CobordismReport:

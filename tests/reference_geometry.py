@@ -98,6 +98,17 @@ replaced: one ``facet_dim`` probe per constraint for the facets and
 again for the virtual generators, and boundedness from a second
 Calibration of the nonzero normals, after a rank test and a d = 0
 branch, even when P_b came from a calibration that knew the answer.
+
+``star_subdivision_facets``, ``common_refinement_pairs``,
+``refines_dot`` and ``classify_crossing_ref`` are the wall-crossing
+checks that the signs of the inverse codes and the hyperplane normals of
+the calibration replaced: the star subdivision that tested every facet
+of every cone holding the new ray, the d = 3 overlay that intersected
+the facet normals (from cross products, by ``cone_hrep_ref``) of every
+cone, common ones included, the refinement test that encoded a ray once
+per coarse cone, and the crossing classification built on them, with
+the on-wall fan from ``vertices_of_dict``.  Cone membership goes through
+``cone_contains_dot`` and the simplicial test through ``rank``.
 """
 
 import random
@@ -112,10 +123,12 @@ from qsecfan.errors import (
 )
 from qsecfan.fan import (
     QuantumFan,
+    _collinear_positive,
     _cols,
-    _cross3,
+    _cone_intersection_rays,
     _fan_of_vertices,
     combinatorial_type,
+    facets_of,
     fan_from_rays,
     normal_fan,
 )
@@ -129,6 +142,7 @@ from qsecfan.linalg import (
     kernel_basis,
     is_zero_vec,
     normalize_direction,
+    preimage_at_free,
     preimage_matrix,
     vsub,
     rank,
@@ -144,6 +158,9 @@ from qsecfan.secondary import (
     Chamber,
     ChamberInequality,
     FacetRecord,
+    Wall,
+    WallCrossingReport,
+    _wall_circuit,
     degenerate_span_witnesses,
     gale_cone,
     is_admissible,
@@ -650,6 +667,13 @@ def positively_spanning_gale(cal):
             and rank(Matrix(cal.gale_facet_normals)) == m)
 
 
+def _cross3(u, v):
+    """u x v, which spans the kernel of the rows u, v when it is nonzero."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
 def cone_intersection_rays_cross(normals):
     """Extreme rays of {x : <w,x> >= 0 for all normals} in d = 3 (the
     intersection of two cones given by their _cone_hrep), or None when
@@ -750,3 +774,97 @@ def is_bounded_rank(P):
     if rank(Matrix(normals)) < d:
         return False  # a line lies in the recession cone
     return Calibration(d, len(normals), normals).positively_spanning
+
+
+def star_subdivision_facets(f, i):
+    """Insert the ray h(e_i): cones containing it are replaced by the joins
+    of i with their i-free facets; i leaves the virtual set."""
+    cal = f.calibration
+    v = cal.column(i)
+    if not any(cone_contains_dot(cal, s, v) for s in f.max_cones):
+        raise NotAdmissibleError(f"h(e_{i}) lies outside the fan support")
+    for j in f.rays():
+        if _collinear_positive(cal.column(j), v):
+            # the ray is already present: nothing to subdivide
+            return QuantumFan(cal, f.max_cones, f.virtual - {i}, f.complete)
+    new_cones = []
+    for sigma in f.max_cones:
+        if not cone_contains_dot(cal, sigma, v):
+            new_cones.append(sigma)
+            continue
+        for tau in facets_of(cal, sigma):
+            if not cone_contains_dot(cal, tau, v):
+                new_cones.append(frozenset(tau) | {i})
+    return QuantumFan(cal, tuple(new_cones), f.virtual - {i}, f.complete)
+
+
+def common_refinement_pairs(f1, f2):
+    """Coarsest common refinement of two complete fans over one calibration:
+    for d = 3 the cones common to both fans through the intersection of
+    their own facet normals, plus the full-dimensional intersections of
+    the cones that differ."""
+    if f1.calibration.columns != f2.calibration.columns:
+        raise DimensionMismatchError("refinement requires one calibration")
+    cal = f1.calibration
+    virtual = f1.virtual & f2.virtual
+    if cal.d == 2:
+        return fan_from_rays(cal, set(f1.rays()) | set(f2.rays()), virtual)
+    if cal.d != 3:
+        raise UnsupportedDimensionError("refinement implemented for d <= 3")
+    common = set(f1.max_cones) & set(f2.max_cones)
+    cones = {_cone_intersection_rays(cone_hrep_ref(cal, s)) for s in common}
+    hreps2 = [cone_hrep_ref(cal, s2) for s2 in f2.max_cones if s2 not in common]
+    for s1 in set(f1.max_cones) - common:
+        h1 = cone_hrep_ref(cal, s1)
+        for h2 in hreps2:
+            inter = _cone_intersection_rays(h1 + h2)
+            if inter is not None:
+                cones.add(inter)
+    return tuple(sorted(cones, key=sorted))
+
+
+def refines_dot(cal, fine, coarse):
+    """Every cone of fine sits inside a maximal cone of coarse."""
+    if isinstance(fine, QuantumFan):
+        fine = ([cal.column(i) for i in s] for s in fine.max_cones)
+    return all(any(all(cone_contains_dot(cal, t, r) for r in rays) for t in coarse.max_cones)
+               for rays in fine)
+
+
+def classify_crossing_ref(cal, normal, chi_star, f_minus, f_plus, t_star):
+    """The report of the crossing of the wall with this normal at chi_star."""
+    b = preimage_at_free(cal, chi_star)
+    if not cal.positively_spanning:
+        raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")
+    f0 = _fan_of_vertices(cal, vertices_of_dict(cal, b))
+    rays_minus, rays_plus = set(f_minus.rays()), set(f_plus.rays())
+    checks = {}
+    if rays_minus == rays_plus:
+        wall = Wall(normal, "flipping", circuit=_wall_circuit(cal, f0, f_minus))
+        checks["rays_equal"] = True
+        checks["on_wall_non_simplicial"] = not all(
+            len(s) == rank(Matrix(_cols(cal, s))) for s in f0.max_cones)
+        checks["sides_refine_on_wall"] = refines_dot(cal, f_minus, f0) and \
+            refines_dot(cal, f_plus, f0)
+        if cal.d <= 3:
+            checks["refinement_inside_on_wall"] = refines_dot(
+                cal, common_refinement_pairs(f_minus, f_plus), f0)
+        index = None
+        if wall.circuit is not None:
+            index = (len(wall.circuit[0]), len(wall.circuit[1]))
+    else:
+        toggled = rays_minus ^ rays_plus
+        i = min(toggled)
+        wall = Wall(normal, "divisorial", virtual_index=i)
+        checks["single_ray_toggled"] = len(toggled) == 1
+        if i in rays_plus:
+            index = (1, cal.d)
+            sub = star_subdivision_facets(f_minus, i)
+            checks["star_subdivision"] = set(sub.max_cones) == set(f_plus.max_cones) \
+                and sub.virtual == f_plus.virtual
+        else:
+            index = (cal.d, 1)
+            sub = star_subdivision_facets(f_plus, i)
+            checks["star_subdivision"] = set(sub.max_cones) == set(f_minus.max_cones) \
+                and sub.virtual == f_minus.virtual
+    return WallCrossingReport(t_star, wall, f_minus, f0, f_plus, index, checks)

@@ -299,6 +299,21 @@ def test_floats_and_booleans_in_a_calibration_are_invalid_input(change, tmp_path
     assert main(["gale", "--input", str(p)]) == 0
 
 
+@pytest.mark.parametrize("change", [
+    {"d": "2"}, {"n": "4"}, {"d": "2", "n": "4"}, {"d": None},
+    {"virtual": ["4"]}, {"virtual": [4, "3"]}, {"virtual": [None]},
+])
+def test_text_where_a_calibration_needs_integers_is_invalid_input(change, tmp_path, capsys):
+    """{"d": "2", "n": "4"} once ran gale with exit 0, and a virtual index
+    "4" was reported as out of range."""
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"calibration": dict(SQUARE_PLUS, **change)}))
+    assert main(["gale", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: d, n and the virtual indices must be integers\n"
+
+
 json_leaves = st.one_of(st.none(), st.booleans(), st.integers(),
                         st.integers(min_value=-2**200, max_value=2**200), st.text())
 json_documents = st.recursive(

@@ -363,7 +363,7 @@ def test_cached_facts_do_not_grow_with_queries():
     sizes = cached_sizes(cal)
     assert set(sizes) == {"gale", "free_columns", "gale_facet_normals",
                           "gale_facet_codes", "wall_normals", "wall_codes",
-                          "positively_spanning", "brackets", "basis_inverses",
+                          "positively_spanning", "brackets", "hyperplane_normals",
                           "inverse_codes", "bracket_index", "chamber_codes",
                           "live_chambers"}
     for chi in points[1:]:

@@ -303,6 +303,44 @@ def test_the_scan_sees_an_elimination_import(tmp_path):
                                         (6, "solve_unique")]
 
 
+def attribute_reads(path, attr):
+    """(enclosing definitions, line) of each access to an attribute named
+    attr, on any object; a getattr by string is not seen."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return sorted(found)
+
+
+def test_only_the_vertex_oracle_reads_the_basis_inverses():
+    """Every other simplicial cone question reads the brackets and the codes
+    of the hyperplane normals; only census classification needs a full
+    M_J^{-1}."""
+    found = {(p.name, scope) for p in sorted(SRC.glob("*.py"))
+             for scope, _ in attribute_reads(p, "basis_inverses")}
+    assert found == {("polytope.py", "VertexOracle.__init__")}
+
+
+def test_the_scan_sees_an_attribute_read(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def basis_inverses(cal):\n    return cal.basis_inverses\n"
+                   "class C:\n    def f(self, cal):\n        def g():\n"
+                   "            return self.cal.basis_inverses.items()\n"
+                   "        return getattr(cal, 'basis_inverses'), g\n"
+                   "x = [c.basis_inverses for c in ()]\n")
+    assert attribute_reads(src, "basis_inverses") == [("", 8), ("C.f.g", 6),
+                                                      ("basis_inverses", 2)]
+
+
 LAYERS = ("errors", "scalar", "linalg", "lp", "polytope", "fan", "secondary", "projective",
           "cli")
 

@@ -1,8 +1,10 @@
-"""The per-calibration tables built from exact minors (brackets, adjugate
-inverses, circuit chamber forms, Gale-duality positive spanning, wall
-normals from signed minors, sign-coded cone membership) against the
-routes they replaced, entry by entry, on the references, the pool, the
-benchmark's golden calibrations and unconstrained column sets."""
+"""The per-calibration tables built from exact minors (brackets, inverses
+and their codes from the hyperplane normals, circuit chamber forms,
+Gale-duality positive spanning, wall normals from signed minors,
+sign-coded cone membership, bracket cone dimensions and vertices from
+the hyperplane normals) against the routes they replaced, entry by
+entry, on the references, the pool, the benchmark's golden calibrations
+and unconstrained column sets."""
 
 import json
 import random
@@ -22,11 +24,22 @@ from qsecfan import (
     normal_fan,
 )
 from qsecfan.cli import _sample_census
-from qsecfan.fan import cone_contains
-from qsecfan.linalg import is_zero_vec, preimage_at_free, preimage_matrix, vadd, vec, vscale
-from qsecfan.scalar import encode
+from qsecfan.fan import cone_contains, cone_dim
+from qsecfan.linalg import (
+    Matrix,
+    is_zero_vec,
+    normalize_direction,
+    preimage_at_free,
+    preimage_matrix,
+    rank,
+    vadd,
+    vec,
+    vscale,
+)
+from qsecfan.polytope import vertices_of
+from qsecfan.scalar import Scalar, encode
 
-from conftest import assert_codes_fit_forms, forms_of, unconstrained_calibration
+from conftest import assert_codes_fit_forms, decode, forms_of, unconstrained_calibration
 from reference_geometry import (
     basis_inverses_rref,
     chamber_forms_cramer,
@@ -35,6 +48,7 @@ from reference_geometry import (
     gale_facet_normals_subsets,
     positively_spanning_fm,
     sample_census_oracle,
+    vertices_of_dict,
     wall_normals_kernel,
 )
 
@@ -104,7 +118,8 @@ def assert_tables_match(cal):
     assert cal.positively_spanning == positively_spanning_fm(cal)
     assert list(cal.inverse_codes) == list(inverses)
     for J, codes in cal.inverse_codes.items():
-        assert codes == tuple(encode(inverses[J].column(k)) for k in range(cal.d))
+        assert [normalize_direction(decode(c)) for c in codes] == \
+            [normalize_direction(decode(encode(inverses[J].column(k)))) for k in range(cal.d)]
 
 
 def test_tables_match_the_replaced_routes(references, instance_pool):
@@ -139,7 +154,7 @@ def membership_probes(cal, rng):
 
 def test_cone_contains_matches_scalar_dot(references, instance_pool, unconstrained):
     rng = random.Random(49)
-    cals = references + [c for c, _, _ in instance_pool][:40] + golden_calibrations()[:40]
+    cals = references + [c for c, _, _ in instance_pool] + golden_calibrations()
     outcomes = set()
     for cal in cals + unconstrained:
         probes = membership_probes(cal, rng)
@@ -191,3 +206,32 @@ def test_sample_census_matches_the_vertex_oracle(references, instance_pool, cora
     for seed, cal in enumerate(cals):
         sf = SimpleNamespace(chambers=[None] * 3)
         assert _sample_census(cal, sf, 40, seed) == sample_census_oracle(cal, sf, 40, seed)
+
+
+def test_cone_dim_matches_rank(references, instance_pool, unconstrained):
+    """Every index set of up to d + 1 generators: d-sets by their bracket."""
+    golden = golden_calibrations()
+    for cal in references + [c for c, _, _ in instance_pool] + golden + unconstrained:
+        for r in range(min(cal.d + 1, cal.n) + 1):
+            for sigma in combinations(range(1, cal.n + 1), r):
+                want = rank(Matrix([cal.column(i) for i in sigma])) if sigma else 0
+                assert cone_dim(cal, frozenset(sigma)) == want
+
+
+def test_vertices_of_matches_the_inverse_route(references, instance_pool, unconstrained):
+    """Vertices solved from the hyperplane normals against the basis
+    inverses, at the pool's parameters and at small random ones, bounded
+    or not; also at zeros in b, which the normals route skips."""
+    rng = random.Random(50)
+    params = [(cal, b) for cal, _, b in instance_pool]
+    for cal in references + golden_calibrations()[:60] + unconstrained:
+        for _ in range(2):
+            params.append((cal, vec([Scalar(rng.randint(-2, 3), rng.randint(0, 1), 2)
+                                     if cal.field_m == 2 else rng.randint(-2, 3)
+                                     for _ in range(cal.n)])))
+    kinds = set()
+    for cal, b in params:
+        got = vertices_of(cal, b)
+        assert repr(got) == repr(vertices_of_dict(cal, b))
+        kinds.add((bool(got), cal.positively_spanning))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}

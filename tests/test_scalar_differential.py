@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fraction_scalar as ref
-from qsecfan import Rational, Scalar
+from qsecfan import Rational, Scalar, scalar
 from qsecfan.errors import DegenerateInputError, MixedFieldError
 
 RADICANDS = (2, 3, 5)
@@ -154,3 +154,54 @@ def test_hash_edge_cases_match(a, b, m):
 def test_minus_one_hashes_to_minus_two():
     """hash() never returns -1, which CPython keeps for errors."""
     assert hash(Scalar(-1)) == hash(ref.Scalar(-1)) == hash(-1) == -2
+
+
+def from_json_via_fractions(data):
+    """Scalar.from_json as it read every entry: a Fraction for a and for b,
+    then the constructor, which builds both again."""
+    parts = {"a": data} if isinstance(data, (int, str)) else data
+    if not isinstance(parts, dict) or any(type(parts.get(k)) in (bool, float) for k in "abm"):
+        raise ValueError(f"not a scalar encoding: {data!r}")
+    return Scalar(Rational(parts["a"]), Rational(parts.get("b", 0)), parts.get("m"))
+
+
+def read(parse, data):
+    """repr of the parsed scalar, or the type and text of what it raised."""
+    try:
+        return repr(parse(data))
+    except Exception as exc:  # the rejections are compared, whatever they are
+        return type(exc).__name__, str(exc)
+
+
+digits = st.integers(min_value=-10**30, max_value=10**30)
+texts = st.one_of(
+    digits.map(str),
+    st.tuples(digits, st.integers(min_value=-5, max_value=10**12)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["+3", " 4", "5 ", "1.5", "-2e3", "1_000", "3/0", "0/7", "-0", "007/014",
+                     "٣", "3/٤", "", "/", "2/", "x", "1/2/3", "- 1"]),
+    st.text(alphabet="0123456789-+/. e_", max_size=8))
+entries = st.one_of(digits, texts, st.booleans(), st.floats(allow_nan=False), st.none(),
+                    st.just([1]))
+objects = st.fixed_dictionaries({"a": entries}, optional={
+    "b": st.one_of(st.just(0), st.just("0"), entries),
+    "m": st.one_of(st.integers(min_value=-3, max_value=99),  # small: m is factored
+                   st.sampled_from(["2", "12", "x", "", None, [2], 2.0, True]))})
+
+
+@given(st.one_of(entries, objects, st.fixed_dictionaries({"b": entries})))
+def test_from_json_matches_the_fraction_route(data):
+    """Plain ints and "p/q" texts are read straight into the integer fields;
+    every value and every rejection is the one the Fraction route gives."""
+    assert read(Scalar.from_json, data) == read(from_json_via_fractions, data)
+
+
+def test_from_json_builds_no_fraction_for_a_rational_entry(monkeypatch):
+    cases = (3, -12, "4", "-6/8", "007/014", {"a": "1/3"}, {"a": 5, "b": 0, "m": 2})
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(scalar, "Rational", no_fraction)
+    got = [Scalar.from_json(data) for data in cases]
+    monkeypatch.undo()
+    assert [repr(x) for x in got] == [read(from_json_via_fractions, data) for data in cases]
