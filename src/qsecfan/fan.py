@@ -27,7 +27,6 @@ from .linalg import (
     Calibration,
     Matrix,
     Vec,
-    cofactor_normal,
     det,
     dot,
     facet_normals,
@@ -84,15 +83,15 @@ def cone_contains(cal: Calibration, sigma, x: Sequence, code: Optional[IntVec] =
     xx = vec(x)
     if len(xx) != cal.d:
         raise DimensionMismatchError(f"vector of length {len(xx)} in a cone of R^{cal.d}")
-    codes, e = cal.inverse_codes, code
+    codes, e, spans = cal.inverse_codes, code, False
     for J in combinations(_basis(sigma), cal.d):
         columns = codes.get(J)
         if columns is None:
             continue
-        e = e or encode(xx)
+        e, spans = e or encode(xx), True
         if all(dot_sign(c, e) >= 0 for c in columns):
             return True
-    return False if e else in_cone(_cols(cal, sigma), xx)
+    return False if spans else in_cone(_cols(cal, sigma), xx)
 
 
 def is_face(cal: Calibration, J, sigma) -> bool:
@@ -420,6 +419,13 @@ def common_refinement(f1: QuantumFan, f2: QuantumFan):
     return tuple(sorted(cones, key=sorted))
 
 
+def _cross3(u: Vec, v: Vec) -> Vec:
+    """u x v, which spans the kernel of the rows u, v when it is nonzero."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
 def _cone_hrep(cal: Calibration, sigma) -> list[Vec]:
     """Facet normals w (cone = {x : <w,x> >= 0 for all w}) of a
     full-dimensional cone in d = 3, from the hyperplane normals of its
@@ -439,7 +445,7 @@ def _cone_intersection_rays(normals: list[Vec]) -> Optional[frozenset]:
     it is lower-dimensional: the cones are pointed, so their intersection
     is too, its rays are the facet normals of Cone(normals), and it is
     full-dimensional exactly when they span R^3."""
-    rays = facet_normals((cofactor_normal(pair, 3) for pair in combinations(normals, 2)), normals)
+    rays = facet_normals((_cross3(w1, w2) for w1, w2 in combinations(normals, 2)), normals)
     if len(rays) < 3 or rank(Matrix(list(rays))) < 3:
         return None
     return rays

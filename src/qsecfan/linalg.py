@@ -438,15 +438,21 @@ class Calibration:
 
     @cached_property
     def positively_spanning(self) -> bool:
-        """Cone(h) = R^d, so every P_b is bounded: no d-1 columns that span
-        a hyperplane have every column on one side of it, the sides read as
-        signs against its code in hyperplane_normals (a dependent S has the
-        zero normal, every sign 0)."""
+        """Cone(h) = R^d, so every P_b is bounded: no d-1 columns S that
+        span a hyperplane have every column on one side of it.  Column i
+        lies on the side sign([S with i]) (-1)^(#S after i), read off the
+        brackets; S spans no hyperplane when all of these are 0."""
         if self.d == 0:
             return True  # R^0 is the cone of no columns
-        cols = [encode(c) for c in self.columns]
-        return all(len({dot_sign(code, c) for c in cols} - {0}) != 1
-                   for _, code in self.hyperplane_normals.values())
+        sign = dict(zip(combinations(range(self.n), self.d), (b.sign() for b in self.brackets)))
+        for S in combinations(range(self.n), self.d - 1):
+            sides = set()
+            for i in (i for i in range(self.n) if i not in S):
+                p = sum(s < i for s in S)  # i sorts into place p
+                sides.add(sign[S[:p] + (i,) + S[p:]] * (-1) ** (self.d - 1 - p))
+            if len(sides - {0}) == 1:
+                return False
+        return True
 
     @cached_property
     def brackets(self) -> tuple[Scalar, ...]:

@@ -11,6 +11,7 @@ import pytest
 from qsecfan import (
     DegeneratePathError,
     NotAdmissibleError,
+    QuantumFan,
     cobordism_from_path,
     common_refinement,
     enumerate_chambers,
@@ -22,7 +23,7 @@ from qsecfan.fan import _facets_missing, facets_of
 from qsecfan.scalar import encode
 from qsecfan.secondary import _refines
 
-from conftest import random_calibration, random_generic_chi, segment
+from conftest import cal_of, random_calibration, random_generic_chi, segment
 from reference_geometry import (
     classify_crossing_ref,
     common_refinement_pairs,
@@ -68,6 +69,33 @@ def test_star_subdivision_matches_the_facet_route(fans):
             assert got == outcome(f, i, star_subdivision_facets)
             seen.add(got.startswith("("))
     assert seen == {True}
+
+
+def test_star_subdivision_of_a_non_simplicial_cone_skips_the_facet_holding_the_ray():
+    """A square-pyramid cone with h(e_5) inside its facet {1, 2}, completed
+    by simplicial cones on h(e_6): the pyramid keeps the facet route, and
+    only its three facets that miss h(e_5) are joined to 5."""
+    cal = cal_of(3, [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1), (1, 0, 1), (0, 0, -1)],
+                 virtual={5})
+    f = QuantumFan(cal, [{1, 2, 3, 4}, {1, 2, 6}, {2, 3, 6}, {3, 4, 6}, {1, 4, 6}], {5})
+    assert not f.is_simplicial()
+    got = star_subdivision(f, 5)
+    assert set(got.max_cones) == {frozenset(s) for s in (
+        {1, 4, 5}, {2, 3, 5}, {3, 4, 5}, {1, 5, 6}, {2, 5, 6}, {2, 3, 6}, {3, 4, 6}, {1, 4, 6})}
+    assert got.is_simplicial() and not got.virtual
+    assert outcome(f, 5, star_subdivision) == outcome(f, 5, star_subdivision_facets)
+
+
+def test_star_subdivision_matches_the_facet_route_on_the_on_wall_fans(crossings):
+    """The on-wall fans of the crossings, whose flipped cones are not
+    simplicial, at every generator."""
+    non_simplicial = 0
+    for _, _, c in crossings:
+        f = c.fan_zero
+        non_simplicial += not f.is_simplicial()
+        for i in range(1, f.n + 1):
+            assert outcome(f, i, star_subdivision) == outcome(f, i, star_subdivision_facets)
+    assert non_simplicial >= 5
 
 
 def test_the_stellar_rule_matches_the_facet_route_on_every_simplicial_cone(fans):

@@ -164,6 +164,9 @@ def test_cone_contains_matches_scalar_dot(references, instance_pool, unconstrain
                 for x in probes:
                     got = cone_contains(cal, sigma, x)
                     assert got == cone_contains_dot(cal, sigma, x)
+                    # a precomputed code answers alike, on the facets and
+                    # lower-rank subsets (r = d - 1) too
+                    assert cone_contains(cal, sigma, x, encode(x)) == got
                     outcomes.add((r == cal.d, got))
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
     with pytest.raises(DimensionMismatchError):
