@@ -320,10 +320,12 @@ def _cmd_project_link(doc, args) -> dict:
 
 def _cmd_stabilizers(doc, args) -> dict:
     cal = _calibration(doc)
-    I = frozenset(doc["cone"])
-    old, new, iso = stabilizer_profiles(cal, I)
+    cone = doc["cone"]
+    if type(cone) is not list or any(type(i) is not int for i in cone):
+        raise ValueError("cone must be a list of integer indices")
+    old, new, iso = stabilizer_profiles(cal, cone)
     return {
-        "cone": sorted(I),
+        "cone": sorted(set(cone)),
         "profile_old": {"affine_rank": old.affine_rank, "torus_rank": old.torus_rank,
                         "lattice_rank": old.lattice_rank},
         "profile_new": {"affine_rank": new.affine_rank, "torus_rank": new.torus_rank,

@@ -37,7 +37,6 @@ from .linalg import (
     rank,
     solve,
     vec,
-    vscale,
     integer_kernel_rank,
 )
 from .polytope import HPolytope, affine_dim, vertices_of
@@ -391,10 +390,10 @@ def common_refinement(f1: QuantumFan, f2: QuantumFan):
 
     d = 2: angular merge of the ray-index union, returned as a QuantumFan.
     d = 3: the cones common to both fans, whole (each meets every other
-    cone in a proper face; a simplicial one's extreme rays are its
-    normalized generators), plus the full-dimensional intersections of the
-    cones that differ.  Their rays can be no generator column (the center
-    of a flipped square cone), so the result is a tuple of geometric
+    cone in a proper face), plus the full-dimensional intersections of the
+    cones that differ, every cone's extreme rays read off its _cone_hrep by
+    _cone_intersection_rays.  Their rays can be no generator column (the
+    center of a flipped square cone), so the result is a tuple of geometric
     cones, each a frozenset of normalized extreme-ray vectors.
     """
     if f1.calibration.columns != f2.calibration.columns:
@@ -406,9 +405,7 @@ def common_refinement(f1: QuantumFan, f2: QuantumFan):
     if cal.d != 3:
         raise UnsupportedDimensionError("refinement implemented for d <= 3")
     common = set(f1.max_cones) & set(f2.max_cones)
-    cones = {frozenset(normalize_direction(cal.column(i)) for i in s)
-             if _basis(s) in cal.inverse_codes else _cone_intersection_rays(_cone_hrep(cal, s))
-             for s in common}
+    cones = {_cone_intersection_rays(_cone_hrep(cal, s)) for s in common}
     hreps2 = [_cone_hrep(cal, s2) for s2 in f2.max_cones if s2 not in common]
     for s1 in set(f1.max_cones) - common:
         h1 = _cone_hrep(cal, s1)
@@ -428,14 +425,9 @@ def _cross3(u: Vec, v: Vec) -> Vec:
 
 def _cone_hrep(cal: Calibration, sigma) -> list[Vec]:
     """Facet normals w (cone = {x : <w,x> >= 0 for all w}) of a
-    full-dimensional cone in d = 3, from the hyperplane normals of its
-    generator pairs; a simplicial J has the facets J - J_k, with n_{J - J_k}
-    turned by the sign of (-1)^k [J]."""
+    full-dimensional cone in d = 3: the hyperplane normals of its generator
+    pairs with every generator on one side, turned to that side."""
     J, normals = _basis(sigma), cal.hyperplane_normals
-    if J in cal.inverse_codes:
-        sign = cal.brackets[cal.bracket_index[J]].sign()
-        return sorted(vscale(sign * (-1) ** k, normalize_direction(normals[J[:k] + J[k + 1:]][0]))
-                      for k in range(len(J)))
     return sorted(facet_normals((normals[S][0] for S in combinations(J, 2)), _cols(cal, sigma)))
 
 

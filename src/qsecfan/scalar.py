@@ -42,12 +42,13 @@ RationalLike = Union[int, str, "Rational"]
 _ZERO = Rational(0)
 _RATIONAL_TYPES = (Fraction, Rational)
 _HASH_P, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
+MAX_RADICAND = 2 ** 32  # bounds trial division to sqrt(m) at about 33k steps
 
 
 def _squarefree_split(m: int) -> tuple[int, int]:
     """Return (s, m') with m = s^2 * m' and m' squarefree."""
-    if m <= 0:
-        raise ValueError(f"radicand must be positive, got {m}")
+    if not 0 < m <= MAX_RADICAND:
+        raise ValueError(f"radicand must lie in 1..{MAX_RADICAND}, got {m}")
     s, rest, p = 1, m, 2
     while p * p <= rest:
         while rest % (p * p) == 0:

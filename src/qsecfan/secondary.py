@@ -489,9 +489,11 @@ def _classify_crossing(cal: Calibration, normal: Vec, chi_star: Vec,
         wall = Wall(normal, "flipping", circuit=_wall_circuit(cal, f0, f_minus))
         checks["rays_equal"] = True
         checks["on_wall_non_simplicial"] = not f0.is_simplicial()
-        checks["sides_refine_on_wall"] = _refines(cal, f_minus, f0) and _refines(cal, f_plus, f0)
+        sides = _refines(cal, f_minus, f0) and _refines(cal, f_plus, f0)
+        checks["sides_refine_on_wall"] = sides
         if cal.d <= 3:
-            checks["refinement_inside_on_wall"] = _refines(
+            # each overlay cone lies in a cone of f_minus, so sides implies it
+            checks["refinement_inside_on_wall"] = sides or _refines(
                 cal, common_refinement(f_minus, f_plus), f0)
         index = None if wall.circuit is None else tuple(map(len, wall.circuit))
     else:

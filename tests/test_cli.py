@@ -242,6 +242,38 @@ def test_stabilizers_report_a_cone_index_outside_1_to_n_as_invalid_input(
     assert captured.err.startswith("invalid input:") and "1..4" in captured.err
 
 
+@pytest.mark.parametrize("cone", [[True, 2], [1, False], [1.0, 2], ["1", 2], [None, 2], [[1], 2],
+                                  {"1": 1}, "12", 1])
+def test_stabilizers_need_a_list_of_integer_cone_indices(cone, tmp_path, capsys):
+    """[true, 2] once exited 0 and printed "cone": [true, 2], and [1.0, 2]
+    was reported as "tuple indices must be integers or slices, not float"."""
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"calibration": SQUARE_PLUS, "cone": cone}))
+    assert main(["stabilizers", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: cone must be a list of integer indices\n"
+    p.write_text(json.dumps({"calibration": SQUARE_PLUS, "cone": [1, 2]}))
+    code, out = run(["stabilizers", "--input", str(p)], tmp_path)
+    assert code == 0 and json.loads(out.read_text())["cone"] == [1, 2]
+
+
+def test_a_radicand_above_the_bound_is_invalid_input(tmp_path, capsys):
+    """Factoring m = 10^12 + 39 by trial division once took 0.18 s; any
+    radicand above 2^32 is now refused before it is factored."""
+    p = tmp_path / "in.json"
+    for m, code in ((10**12 + 39, 2), (2**32 + 15, 2), (2**32, 0), (2, 0)):
+        column = [{"a": 1, "b": 1, "m": m}, 1]
+        p.write_text(json.dumps({"calibration": dict(SQUARE_PLUS, columns=[
+            [1, 0], [0, 1], [-1, -1], column])}))
+        assert main(["gale", "--input", str(p)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err == \
+                f"invalid input: radicand must lie in 1..4294967296, got {m}\n"
+
+
 def test_plot_of_an_unbounded_polytope_is_not_admissible(tmp_path, capsys):
     """Columns in a closed half-plane give an unbounded P_b, which is not
     the hull of its vertices: plot exits 3 as fan does, and draws nothing."""

@@ -1,8 +1,8 @@
 """The wall-crossing checks read off sign vectors (the stellar rule of
-star_subdivision, the overlay of common_refinement with its common
-simplicial cones taken whole, the refinement test on rays encoded once)
-against the routes they replaced, on the pool, the reference fans and
-random calibrations of the criterion 11 shapes."""
+star_subdivision, the overlay of common_refinement with its common cones
+taken whole, the refinement test on rays encoded once, the overlay check
+read off the side checks) against the routes they replaced, on the pool,
+the reference fans and random calibrations of the criterion 11 shapes."""
 
 import random
 
@@ -19,9 +19,10 @@ from qsecfan import (
     path_to_projective,
     star_subdivision,
 )
+from qsecfan import secondary
 from qsecfan.fan import _facets_missing, facets_of
 from qsecfan.scalar import encode
-from qsecfan.secondary import _refines
+from qsecfan.secondary import _classify_crossing, _refines
 
 from conftest import cal_of, random_calibration, random_generic_chi, segment
 from reference_geometry import (
@@ -159,15 +160,74 @@ def crossings(frustum, exc4, instance_pool):
     return out
 
 
+def same_report(got, want):
+    """Equal wall, index and checks, and the same bytes of JSON."""
+    return (repr(got.wall), got.index, got.checks, got.to_json()) == \
+        (repr(want.wall), want.index, want.checks, want.to_json())
+
+
 def test_crossing_reports_match_the_replaced_checks(crossings):
     kinds = set()
     for cal, path, c in crossings:
         want = classify_crossing_ref(cal, c.wall.normal, path.chi(cal, c.t_star),
                                      c.fan_minus, c.fan_plus, c.t_star)
-        assert (repr(c.wall), c.index, c.checks) == (repr(want.wall), want.index, want.checks)
-        assert c.to_json() == want.to_json()
+        assert same_report(c, want)
         kinds.add((cal.d, c.wall.type))
     assert kinds == {(2, "divisorial"), (3, "divisorial"), (3, "flipping")}
+
+
+def counting_overlays(monkeypatch):
+    """A list that gets one entry per common_refinement call of secondary."""
+    calls = []
+
+    def counted(f1, f2):
+        calls.append((f1, f2))
+        return common_refinement(f1, f2)
+
+    monkeypatch.setattr(secondary, "common_refinement", counted)
+    return calls
+
+
+def test_the_overlay_is_built_only_when_a_side_check_fails(crossings, monkeypatch):
+    """Each overlay cone lies in a cone of fan_minus, so when both sides
+    refine the on-wall fan the overlay check is read off that."""
+    calls = counting_overlays(monkeypatch)
+    flips = 0
+    for cal, path, c in crossings:
+        before = len(calls)
+        rep = _classify_crossing(cal, c.wall.normal, path.chi(cal, c.t_star),
+                                 c.fan_minus, c.fan_plus, c.t_star)
+        built = len(calls) - before
+        assert built == (rep.checks.get("sides_refine_on_wall") is False)
+        flips += rep.wall.type == "flipping" and cal.d == 3
+    assert flips >= 5 and calls == []
+
+
+def test_planted_reports_where_a_side_check_fails_match_the_replaced_checks(
+        corank4, monkeypatch):
+    """At a wall point of a chamber, the fans of two distinct chambers with
+    the same rays (neither need refine the on-wall fan): the overlay is
+    built exactly when a side check fails, and every report is the one
+    the old routes give, which always build the overlay."""
+    cal = corank4
+    by_rays = {}
+    for ch in enumerate_chambers(cal).chambers:
+        by_rays.setdefault(tuple(ch.fan.rays()), []).append(ch)
+    calls = counting_overlays(monkeypatch)
+    sides = []
+    for group in by_rays.values():
+        first = group[0]
+        facet = next((f for f in first.facets() if not f.boundary), None)
+        if facet is None:
+            continue
+        for other in group[1:3]:
+            before = len(calls)
+            got = _classify_crossing(cal, facet.normal, facet.point, first.fan, other.fan, None)
+            sides.append(got.checks["sides_refine_on_wall"])
+            assert len(calls) - before == (not sides[-1])
+            assert same_report(got, classify_crossing_ref(
+                cal, facet.normal, facet.point, first.fan, other.fan, None))
+    assert False in sides and len(calls) == sides.count(False)
 
 
 def written(refinement):

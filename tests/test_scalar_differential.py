@@ -184,7 +184,7 @@ entries = st.one_of(digits, texts, st.booleans(), st.floats(allow_nan=False), st
                     st.just([1]))
 objects = st.fixed_dictionaries({"a": entries}, optional={
     "b": st.one_of(st.just(0), st.just("0"), entries),
-    "m": st.one_of(st.integers(min_value=-3, max_value=99),  # small: m is factored
+    "m": st.one_of(st.integers(min_value=-3, max_value=10**15),
                    st.sampled_from(["2", "12", "x", "", None, [2], 2.0, True]))})
 
 
@@ -193,6 +193,18 @@ def test_from_json_matches_the_fraction_route(data):
     """Plain ints and "p/q" texts are read straight into the integer fields;
     every value and every rejection is the one the Fraction route gives."""
     assert read(Scalar.from_json, data) == read(from_json_via_fractions, data)
+
+
+@given(st.integers(min_value=1, max_value=scalar.MAX_RADICAND),
+       st.integers(min_value=scalar.MAX_RADICAND + 1, max_value=10**15))
+def test_radicands_above_the_bound_are_rejected(m, big):
+    """Trial division to sqrt(m) is bounded: m = 10^12 + 39 once took 0.18 s
+    to factor; a radicand up to the bound is factored as before."""
+    same(Scalar.from_json({"a": 1, "b": "1/2", "m": m}), ref.Scalar(1, Rational(1, 2), m))
+    for build in (lambda: Scalar.from_json({"a": 1, "b": "1/2", "m": big}),
+                  lambda: Scalar(0, 1, big), lambda: Scalar.sqrt(big)):
+        with pytest.raises(ValueError, match="radicand must lie in 1..4294967296"):
+            build()
 
 
 def test_from_json_builds_no_fraction_for_a_rational_entry(monkeypatch):
