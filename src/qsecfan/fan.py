@@ -27,16 +27,19 @@ from .linalg import (
     Calibration,
     Matrix,
     Vec,
+    cofactor_normal,
     det,
     dot,
     facet_normals,
     gale_rows,
     in_cone,
     kernel_basis,
+    minor,
     normalize_direction,
     rank,
     solve,
     vec,
+    vscale,
     integer_kernel_rank,
 )
 from .polytope import HPolytope, affine_dim, vertices_of
@@ -64,11 +67,10 @@ def cone_dim(cal: Calibration, sigma) -> int:
 
 
 def cone_is_strongly_convex(cal: Calibration, sigma) -> bool:
-    """Exact test: some w has <w, h(e_i)> > 0 for every generator of sigma."""
-    if not sigma:
-        return True
-    cons = [lp.gt(cal.column(i), 0) for i in sorted(sigma)]
-    return lp.feasible(cons, cal.d)
+    """Exact test by membership: the cone holds a line exactly when it holds
+    -h(e_i) for one of its generators, since its lineality space is a face,
+    spanned by the generators that lie in it."""
+    return not any(cone_contains(cal, sigma, vscale(-1, cal.column(i))) for i in sigma)
 
 
 def cone_contains(cal: Calibration, sigma, x: Sequence, code: Optional[IntVec] = None) -> bool:
@@ -309,26 +311,23 @@ def combinatorial_type(f: QuantumFan) -> CombinatorialType:
     return CombinatorialType(f.n, frozenset(sets))
 
 
-def _collinear_positive(u: Vec, v: Vec) -> bool:
-    return normalize_direction(u) == normalize_direction(v) and dot(u, v).sign() > 0
-
-
 def star_subdivision(f: QuantumFan, i: int) -> QuantumFan:
     """Insert the ray h(e_i): cones containing it are replaced by the joins
     of i with their facets that miss it (on a simplicial cone, the stellar
     rule of _facets_missing); i leaves the virtual set."""
     cal = f.calibration
     v = cal.column(i)
-    if f.cone_containing(v) is None:
-        raise NotAdmissibleError(f"h(e_{i}) lies outside the fan support")
-    for j in f.rays():
-        if _collinear_positive(cal.column(j), v):
-            # the ray is already present: nothing to subdivide
-            return QuantumFan(cal, f.max_cones, f.virtual - {i}, f.complete)
-    new_cones, e = [], encode(v)
+    direction = normalize_direction(v)
+    if any(normalize_direction(cal.column(j)) == direction for j in f.rays()):
+        # the ray is already present, so inside the support: nothing to subdivide
+        return QuantumFan(cal, f.max_cones, f.virtual - {i}, f.complete)
+    new_cones, e, inside = [], encode(v), False
     for sigma in f.max_cones:
         facets = _facets_missing(cal, sigma, v, e)
+        inside = inside or facets is not None
         new_cones += [sigma] if facets is None else [tau | {i} for tau in facets]
+    if not inside:
+        raise NotAdmissibleError(f"h(e_{i}) lies outside the fan support")
     return QuantumFan(cal, tuple(new_cones), f.virtual - {i}, f.complete)
 
 
@@ -356,15 +355,11 @@ def _half(u: Vec) -> int:
     return 1
 
 
-def _cross(u: Vec, v: Vec) -> Scalar:
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def angular_compare(u: Vec, v: Vec) -> int:
     hu, hv = _half(u), _half(v)
     if hu != hv:
         return -1 if hu < hv else 1
-    return -_cross(u, v).sign()
+    return -minor((u, v)).sign()
 
 
 def sort_rays_by_angle(cal: Calibration, indices) -> list[int]:
@@ -416,13 +411,6 @@ def common_refinement(f1: QuantumFan, f2: QuantumFan):
     return tuple(sorted(cones, key=sorted))
 
 
-def _cross3(u: Vec, v: Vec) -> Vec:
-    """u x v, which spans the kernel of the rows u, v when it is nonzero."""
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def _cone_hrep(cal: Calibration, sigma) -> list[Vec]:
     """Facet normals w (cone = {x : <w,x> >= 0 for all w}) of a
     full-dimensional cone in d = 3: the hyperplane normals of its generator
@@ -437,7 +425,7 @@ def _cone_intersection_rays(normals: list[Vec]) -> Optional[frozenset]:
     it is lower-dimensional: the cones are pointed, so their intersection
     is too, its rays are the facet normals of Cone(normals), and it is
     full-dimensional exactly when they span R^3."""
-    rays = facet_normals((_cross3(w1, w2) for w1, w2 in combinations(normals, 2)), normals)
+    rays = facet_normals((cofactor_normal(pair, 3) for pair in combinations(normals, 2)), normals)
     if len(rays) < 3 or rank(Matrix(list(rays))) < 3:
         return None
     return rays
@@ -665,9 +653,9 @@ def _sector_bounds(cal: Calibration, sigma) -> Optional[tuple[Vec, Vec]]:
     gens = [normalize_direction(cal.column(i)) for i in sorted(sigma)]
     for a in gens:
         for b in gens:
-            if _cross(a, b).sign() <= 0:
+            if minor((a, b)).sign() <= 0:
                 continue
-            if all(_cross(a, g).sign() >= 0 and _cross(g, b).sign() >= 0 for g in gens):
+            if all(minor((a, g)).sign() >= 0 and minor((g, b)).sign() >= 0 for g in gens):
                 return a, b
     return None
 

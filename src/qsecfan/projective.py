@@ -135,12 +135,8 @@ def classify_dim2(cal: Calibration) -> str:
 
 
 def _negative_multiple(u: Vec, v: Vec) -> bool:
-    """u = c v with c < 0."""
-    cross_ok = all(
-        (u[i] * v[j] - u[j] * v[i]).is_zero()
-        for i in range(len(u)) for j in range(i + 1, len(u))
-    )
-    return cross_ok and dot(u, v).sign() < 0
+    """u = c v with c < 0, for nonzero u and v."""
+    return normalize_direction(u) == normalize_direction(vscale(-1, v))
 
 
 @dataclass

@@ -23,24 +23,19 @@ Scalar and taking no gcd.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import sys
-from fractions import Fraction
+from fractions import Fraction as Rational
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence, Union
 
 from .errors import DegenerateInputError, DimensionMismatchError, MixedFieldError
 
-try:  # gmpy2's mpq is drop-in compatible with Fraction and much faster
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rational
-
-RationalLike = Union[int, str, "Rational"]
+RationalLike = Union[int, str, Rational]
 
 _ZERO = Rational(0)
-_RATIONAL_TYPES = (Fraction, Rational)
 _HASH_P, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 MAX_RADICAND = 2 ** 32  # bounds trial division to sqrt(m) at about 33k steps
 
@@ -111,7 +106,7 @@ class Scalar:
             return x
         if isinstance(x, int):
             return _raw(int(x), 0, 1, None)
-        if isinstance(x, _RATIONAL_TYPES):  # Fraction, or gmpy2's mpq
+        if isinstance(x, numbers.Rational):  # a Fraction, or any other exact rational
             return _raw(int(x.numerator), 0, int(x.denominator), None)
         if isinstance(x, str):
             return cls(x)
@@ -258,16 +253,24 @@ class Scalar:
     @classmethod
     def from_json(cls, data) -> "Scalar":
         """Accept the canonical object form plus int / "p/q" shorthands; a
-        float or a boolean is no part of either.  An int or a "p" or "p/q"
-        text of ASCII digits with no b is read without a Fraction."""
+        float or a boolean is no part of either, nor is a zero denominator,
+        and m is absent, null or an integer in 1..MAX_RADICAND whatever b
+        is.  An int or a "p" or "p/q" text of ASCII digits with no b is read
+        without a Fraction."""
         parts = {"a": data} if isinstance(data, (int, str)) else data
         if not isinstance(parts, dict) or any(type(parts.get(k)) in (bool, float) for k in "abm"):
             raise ValueError(f"not a scalar encoding: {data!r}")
-        a, b = parts["a"], parts.get("b", 0)
+        a, b, m = parts["a"], parts.get("b", 0), parts.get("m")
+        if m is not None and not (type(m) is int and 0 < m <= MAX_RADICAND):
+            raise ValueError(f"radicand must lie in 1..{MAX_RADICAND}, got {m!r}")
         if b == 0 and (type(a) is int or type(a) is str and _RATIO_TEXT.fullmatch(a)):
             p, _, den = str(a).partition("/")
             return _reduced(int(p), 0, int(den or 1), None)
-        return cls(Rational(a), Rational(b), parts.get("m"))
+        try:
+            a, b = Rational(a), Rational(b)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in a scalar encoding: {data!r}") from None
+        return cls(a, b, m)
 
 
 _new = object.__new__

@@ -27,6 +27,7 @@ from .errors import (
 from .fan import (
     CombinatorialType,
     QuantumFan,
+    _basis,
     _fan_of_vertices,
     combinatorial_type,
     common_refinement,
@@ -230,7 +231,7 @@ def _chamber_inequality(cal: Calibration, sigma, j: int, kind: str,
     """z . chi >= 0 for z . chi = <x_sigma(b), h(e_j)> + b_j, where x_sigma(b)
     is the vertex of P_b dual to the simplicial cone sigma (1-based
     indices): z is the calibration's chamber form, its code looked up."""
-    J = tuple(sorted(i - 1 for i in sigma))
+    J = _basis(sigma)
     codes = cal.chamber_codes.get(J)
     if codes is None:
         raise NotAdmissibleError("maximal cone does not span R^d")

@@ -99,6 +99,15 @@ again for the virtual generators, and boundedness from a second
 Calibration of the nonzero normals, after a rank test and a d = 0
 branch, even when P_b came from a calibration that knew the answer.
 
+``collinear_positive_dot``, ``negative_multiple_minors`` and
+``cone_is_strongly_convex_lp`` are the second tests of three primitives
+that ``normalize_direction`` and cone membership replaced: "same ray"
+by equal directions and a positive dot (``fan._collinear_positive``),
+"opposite ray" by every 2x2 minor and a negative dot
+(``projective._negative_multiple``), and pointedness as one
+Fourier-Motzkin feasibility test of <w, h(e_i)> > 0 over the generators
+(``fan.cone_is_strongly_convex``).
+
 ``star_subdivision_facets``, ``common_refinement_pairs``,
 ``refines_dot`` and ``classify_crossing_ref`` are the wall-crossing
 checks that the signs of the inverse codes and the hyperplane normals of
@@ -123,7 +132,6 @@ from qsecfan.errors import (
 )
 from qsecfan.fan import (
     QuantumFan,
-    _collinear_positive,
     _cols,
     _cone_intersection_rays,
     _fan_of_vertices,
@@ -776,6 +784,27 @@ def is_bounded_rank(P):
     return Calibration(d, len(normals), normals).positively_spanning
 
 
+def collinear_positive_dot(u, v):
+    return normalize_direction(u) == normalize_direction(v) and dot(u, v).sign() > 0
+
+
+def negative_multiple_minors(u, v):
+    """u = c v with c < 0."""
+    cross_ok = all(
+        (u[i] * v[j] - u[j] * v[i]).is_zero()
+        for i in range(len(u)) for j in range(i + 1, len(u))
+    )
+    return cross_ok and dot(u, v).sign() < 0
+
+
+def cone_is_strongly_convex_lp(cal, sigma):
+    """Exact test: some w has <w, h(e_i)> > 0 for every generator of sigma."""
+    if not sigma:
+        return True
+    cons = [lp.gt(cal.column(i), 0) for i in sorted(sigma)]
+    return lp.feasible(cons, cal.d)
+
+
 def star_subdivision_facets(f, i):
     """Insert the ray h(e_i): cones containing it are replaced by the joins
     of i with their i-free facets; i leaves the virtual set."""
@@ -784,7 +813,7 @@ def star_subdivision_facets(f, i):
     if not any(cone_contains_dot(cal, s, v) for s in f.max_cones):
         raise NotAdmissibleError(f"h(e_{i}) lies outside the fan support")
     for j in f.rays():
-        if _collinear_positive(cal.column(j), v):
+        if collinear_positive_dot(cal.column(j), v):
             # the ray is already present: nothing to subdivide
             return QuantumFan(cal, f.max_cones, f.virtual - {i}, f.complete)
     new_cones = []

@@ -274,6 +274,36 @@ def test_a_radicand_above_the_bound_is_invalid_input(tmp_path, capsys):
                 f"invalid input: radicand must lie in 1..4294967296, got {m}\n"
 
 
+@pytest.mark.parametrize("entry", ["1/0", "3/00", {"a": "1/0"}, {"a": 1, "b": "1/0", "m": 2}])
+def test_a_zero_denominator_is_invalid_input(tmp_path, capsys, entry):
+    """Each once exited 1 with a ZeroDivisionError traceback."""
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"calibration": dict(SQUARE_PLUS, columns=[
+        [1, 0], [0, 1], [-1, -1], [entry, 1]])}))
+    assert main(["gale", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: zero denominator in a scalar encoding: {entry!r}\n"
+
+
+@pytest.mark.parametrize("entry, code", [
+    ({"a": 1, "b": 0, "m": "x"}, 2), ({"a": 1, "m": -5}, 2), ({"a": 1, "b": 1, "m": "2"}, 2),
+    ({"a": 1, "m": 0}, 2), ({"a": 1, "b": "0", "m": [1]}, 2), ({"a": 1, "m": 10**20}, 2),
+    ({"a": 1, "b": 0, "m": 2}, 0), ({"a": 1, "m": None}, 0), ({"a": 1, "b": 1, "m": 2}, 0)])
+def test_a_radicand_is_checked_whatever_b_is(tmp_path, capsys, entry, code):
+    """A radicand is absent, null or a JSON integer in 1..2^32: the first
+    six once read as 1, or as 1 + sqrt(2) for the string "2"."""
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"calibration": dict(SQUARE_PLUS, columns=[
+        [1, 0], [0, 1], [-1, -1], [entry, 1]])}))
+    assert main(["gale", "--input", str(p)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == \
+            f"invalid input: radicand must lie in 1..4294967296, got {entry['m']!r}\n"
+
+
 def test_plot_of_an_unbounded_polytope_is_not_admissible(tmp_path, capsys):
     """Columns in a closed half-plane give an unbounded P_b, which is not
     the hull of its vertices: plot exits 3 as fan does, and draws nothing."""

@@ -72,6 +72,37 @@ def test_star_subdivision_matches_the_facet_route(fans):
     assert seen == {True}
 
 
+def test_star_subdivision_never_asks_for_the_cone_containing_the_ray(fans, monkeypatch):
+    """One membership pass: the cones that hold h(e_i) are found by
+    _facets_missing alone, with no pre-scan through cone_containing."""
+    def no_scan(self, x):
+        raise AssertionError("star_subdivision called QuantumFan.cone_containing")
+
+    expected = [outcome(f, i, star_subdivision_facets) for f in fans for i in range(1, f.n + 1)]
+    monkeypatch.setattr(QuantumFan, "cone_containing", no_scan)
+    assert [outcome(f, i, star_subdivision) for f in fans for i in range(1, f.n + 1)] == expected
+
+
+def test_a_ray_outside_a_non_complete_fan_is_rejected():
+    """A simplicial cone and a square-pyramid cone: a ray inside either
+    subdivides it, a ray present by direction only leaves the virtual set,
+    and a ray in neither is outside the support, as on the facet route."""
+    cal = cal_of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (-1, -1, -1), (2, 0, 0),
+                     (1, 1, -1), (1, -1, -1), (-1, -1, -2), (-1, 1, -2), (0, 0, -1)],
+                 virtual={4, 5, 6, 11})
+    f = QuantumFan(cal, [{1, 2, 3}, {7, 8, 9, 10}], {4, 5, 6, 11}, complete=False)
+    for i in (4, 5, 6, 11):
+        assert outcome(f, i, star_subdivision) == outcome(f, i, star_subdivision_facets)
+    with pytest.raises(NotAdmissibleError, match=r"^h\(e_5\) lies outside the fan support$"):
+        star_subdivision(f, 5)
+    assert star_subdivision(f, 6) == QuantumFan(cal, f.max_cones, {4, 5, 11}, complete=False)
+    pyramid = frozenset({7, 8, 9, 10})
+    assert set(star_subdivision(f, 4).max_cones) == {
+        pyramid, frozenset({1, 2, 4}), frozenset({1, 3, 4}), frozenset({2, 3, 4})}
+    assert set(star_subdivision(f, 11).max_cones) == {frozenset({1, 2, 3})} | {
+        frozenset(s) for s in ({7, 8, 11}, {8, 9, 11}, {9, 10, 11}, {7, 10, 11})}
+
+
 def test_star_subdivision_of_a_non_simplicial_cone_skips_the_facet_holding_the_ray():
     """A square-pyramid cone with h(e_5) inside its facet {1, 2}, completed
     by simplicial cones on h(e_6): the pyramid keeps the facet route, and

@@ -5,6 +5,7 @@ import ast
 import gc
 import json
 import re
+import sys
 import weakref
 from pathlib import Path
 
@@ -57,6 +58,43 @@ def test_the_scan_sees_an_unused_import(tmp_path):
                    "try:\n    import json\nexcept ImportError:\n    json = None\n"
                    "print(gcd(os.sep, json))\n")
     assert unused_module_imports(src) == [(3, "lcm")]
+
+
+def third_party_imports(path):
+    """(line, module) of each import, at any depth, that is neither
+    relative nor of a standard-library module (sys.stdlib_module_names),
+    judged by its top-level package; the package's own absolute imports
+    count as third party too."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in modules
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return sorted(found)
+
+
+def test_src_imports_only_the_standard_library():
+    """qsecfan has no dependencies: no optional backend sits beside the
+    standard library's."""
+    found = {p.name: third_party_imports(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+def test_the_scan_sees_a_third_party_import(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from __future__ import annotations\n"
+                   "import os.path, numpy as np\n"
+                   "from fractions import Fraction\n"
+                   "from . import lp\n"
+                   "from .scalar import Scalar\n"
+                   "try:\n    from gmpy2 import mpq\nexcept ImportError:\n    mpq = None\n"
+                   "def f():\n    import qsecfan.linalg\n")
+    assert third_party_imports(src) == [(2, "numpy"), (7, "gmpy2"), (11, "qsecfan.linalg")]
 
 
 def function_local_imports(path):

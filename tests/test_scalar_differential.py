@@ -158,11 +158,19 @@ def test_minus_one_hashes_to_minus_two():
 
 def from_json_via_fractions(data):
     """Scalar.from_json as it read every entry: a Fraction for a and for b,
-    then the constructor, which builds both again."""
+    then the constructor, which builds both again; m is checked first, and
+    a zero denominator is invalid input."""
     parts = {"a": data} if isinstance(data, (int, str)) else data
     if not isinstance(parts, dict) or any(type(parts.get(k)) in (bool, float) for k in "abm"):
         raise ValueError(f"not a scalar encoding: {data!r}")
-    return Scalar(Rational(parts["a"]), Rational(parts.get("b", 0)), parts.get("m"))
+    a, b, m = parts["a"], parts.get("b", 0), parts.get("m")
+    if m is not None and not (type(m) is int and 0 < m <= scalar.MAX_RADICAND):
+        raise ValueError(f"radicand must lie in 1..{scalar.MAX_RADICAND}, got {m!r}")
+    try:
+        a, b = Rational(a), Rational(b)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in a scalar encoding: {data!r}") from None
+    return Scalar(a, b, m)
 
 
 def read(parse, data):
