@@ -43,6 +43,8 @@ EXIT_DEGENERATE = 3
 
 
 def _vec_from_json(xs) -> Vec:
+    if type(xs) is not list:
+        raise TypeError(f"a vector must be a JSON array, not {type(xs).__name__}")
     return tuple(Scalar.from_json(x) for x in xs)
 
 

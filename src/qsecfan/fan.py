@@ -42,8 +42,8 @@ from .linalg import (
     vscale,
     integer_kernel_rank,
 )
-from .polytope import HPolytope, affine_dim, vertices_of
-from .scalar import S0, IntVec, Scalar, dot_sign, encode
+from .polytope import HPolytope, basis_scan, incidence_dim
+from .scalar import S0, IntVec, Scalar, common_field, dot_sign, encode
 
 IndexSet = frozenset
 
@@ -271,30 +271,35 @@ def normal_fan(cal: Calibration, b: Sequence) -> QuantumFan:
     One maximal cone per vertex, generated by the facet-cutting tight
     constraints; generators whose face has dimension below d-1 (or is
     empty) become virtual.  When the columns positively span R^d, P_b is
-    the convex hull of its vertices, so the dimension of P_b and of each
-    face is the affine dimension of the vertices on it.
+    the hull of its vertices, whose tight sets the basis_scan of chi = k^T b
+    gives (once per basis), so each face dimension is their incidence_dim.
     """
     if not cal.positively_spanning:
         # no P_b is bounded; an empty or thin one is reported as such first
         if HPolytope.from_parameter(cal, b).dimension() != cal.d:
             raise NotAdmissibleError("P_b is empty or lower-dimensional")
         raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")
-    return _fan_of_vertices(cal, vertices_of(cal, b))
+    bb = vec(b)
+    if len(bb) != cal.n:
+        raise DimensionMismatchError("parameter length differs from n")
+    common_field(cal.field_m, encode(bb).m)  # b and the columns share one radical
+    scan = basis_scan(cal, encode(cal.gale_t.matvec(bb)))
+    return _fan_of_vertices(cal, tuple(dict.fromkeys(frozenset(t) for _, t in scan)))
 
 
-def _fan_of_vertices(cal: Calibration, verts) -> QuantumFan:
-    """normal_fan from the (vertex, tight set) pairs of a bounded P_b.  A
-    simple vertex, on exactly d constraints, has a full simplicial tangent
-    cone: P_b is then d-dimensional and those d constraints cut facets without
-    affine_dim, the only reader of vertex coordinates (None when all are simple)."""
+def _fan_of_vertices(cal: Calibration, tight_sets) -> QuantumFan:
+    """normal_fan from the distinct tight sets of the vertices of a bounded
+    P_b.  A simple vertex, on exactly d constraints, has a full simplicial
+    tangent cone: P_b is then d-dimensional and those d constraints cut
+    facets; the other constraints are facets when their incidence_dim is d-1."""
     d = cal.d
-    facet_set = set().union(*(t for _, t in verts if len(t) == d))
-    if not facet_set and affine_dim([v for v, _ in verts]) != d:
+    facet_set = set().union(*(t for t in tight_sets if len(t) == d))
+    if not facet_set and incidence_dim(tight_sets) != d:
         raise NotAdmissibleError("P_b is empty or lower-dimensional")
-    facet_set.update(i for i in set().union(*(t for _, t in verts)) - facet_set
-                     if affine_dim([v for v, t in verts if i in t]) == d - 1)
+    facet_set.update(i for i in set().union(*tight_sets) - facet_set
+                     if incidence_dim([t for t in tight_sets if i in t]) == d - 1)
     virtual = frozenset(i + 1 for i in range(cal.n) if i not in facet_set)
-    cones = {frozenset(i + 1 for i in tight & facet_set) for _, tight in verts}
+    cones = {frozenset(i + 1 for i in tight & facet_set) for tight in tight_sets}
     return QuantumFan(cal, tuple(cones), virtual, complete=True)
 
 

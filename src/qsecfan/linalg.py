@@ -500,6 +500,11 @@ class Calibration:
         return MappingProxyType(out)
 
     @cached_property
+    def bracket_code(self) -> IntVec:
+        """encode(brackets), read by chamber_codes and HPolytope's vertex test."""
+        return encode(self.brackets)
+
+    @cached_property
     def bracket_index(self) -> Mapping[tuple[int, ...], int]:
         """The position of [K] in brackets, by 0-based d-subset K."""
         return MappingProxyType({K: t for t, K in enumerate(combinations(range(self.n), self.d))})
@@ -531,8 +536,8 @@ class Calibration:
     def chamber_codes(self) -> Mapping[tuple[int, ...], Mapping[int, IntVec]]:
         """sign([J]) [J] z(J, j), a positive multiple of chamber_form(J, j) in
         Q(sqrt(m)), by J with [J] != 0 and then j outside J, in increasing
-        order: signed brackets, so read off encode(brackets) by sign flips."""
-        enc, at, out = encode(self.brackets), self.bracket_index, {}
+        order: signed brackets, so read off bracket_code by sign flips."""
+        enc, at, out = self.bracket_code, self.bracket_index, {}
         for J, bracket in zip(at, self.brackets):
             if bracket.is_zero():
                 continue
@@ -570,8 +575,10 @@ class Calibration:
         d, n, virtual = data["d"], data["n"], data.get("virtual", [])
         if any(type(x) is not int for x in (d, n, *virtual)):
             raise InvalidCalibrationError("d, n and the virtual indices must be integers")
-        cols = [[Scalar.from_json(x) for x in c] for c in data["columns"]]
-        return cls(d, n, tuple(map(tuple, cols)), frozenset(virtual))
+        cols = data["columns"]
+        if type(cols) is not list or any(type(v) is not list for v in (virtual, *cols)):
+            raise InvalidCalibrationError("columns, each column and virtual must be JSON arrays")
+        return cls(d, n, tuple(tuple(Scalar.from_json(x) for x in c) for c in cols), frozenset(virtual))
 
 
 def gale_transform(c: Calibration) -> Matrix:

@@ -1,10 +1,12 @@
 """H-polytopes with exact vertex enumeration and face dimensions.
 
 A polytope is {x in R^d : <x, normal_i> + offset_i >= 0}.  Its vertices
-come from the brackets and hyperplane normals of its normals' Calibration.  A
-bounded polytope is the convex hull of its vertices and each face the
-convex hull of the vertices on it (Ziegler, Lectures on Polytopes,
-ch. 2), so its face dimensions are affine dimensions of vertex sets.  An
+come from the brackets and hyperplane normals of its normals' Calibration,
+kept by the signs of (d+1)-minors of the rows (normal_s, offset_s) (Bjorner
+et al., Oriented Matroids, ch. 3).  A bounded polytope is the convex hull
+of its vertices and each face the hull of the vertices on it, in a graded
+face lattice (Ziegler, Lectures on Polytopes, ch. 2), so its face
+dimensions are read off the tight sets of its vertices.  An
 unbounded one is not; its face dimensions come from the rank of the
 implicit-equality normals, detected by exact feasibility tests.
 """
@@ -18,15 +20,20 @@ from typing import Iterator, Optional, Sequence
 
 from . import lp
 from .errors import DimensionMismatchError, InvalidCalibrationError
-from .linalg import Calibration, Matrix, Vec, dot, is_zero_vec, rank, vec, vsub
-from .scalar import S0, IntVec, Scalar, dot_sign, encode
+from .linalg import Calibration, Matrix, Vec, dot, is_zero_vec, rank, vec
+from .scalar import S0, IntVec, Scalar, common_field, dot_sign, encode
 
 
-def affine_dim(points: Sequence[Vec]) -> int:
-    """Dimension of the affine hull of the points, -1 for none."""
-    if len(points) < 2:
-        return len(points) - 1
-    return rank(Matrix([vsub(p, points[0]) for p in points[1:]]))
+def incidence_dim(tights: Sequence[frozenset[int]]) -> int:
+    """Dimension of the face of a bounded polytope whose vertices have these
+    distinct full tight sets, -1 for none.  Each facet of the face is where
+    one more constraint is tight, one tight at some of its vertices but not
+    all, and the face lattice is graded, so the largest is one dimension down."""
+    if len(tights) < 2:
+        return len(tights) - 1
+    inner = frozenset.intersection(*tights)
+    return 1 + incidence_dim(max(([t for t in tights if i in t]
+                                  for i in frozenset.union(*tights) - inner), key=len))
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,7 @@ class HPolytope:
 
     def face_dim(self, tight: Sequence[int]) -> int:
         """Dimension of the face where all listed constraints are tight:
-        the affine dimension of the vertices on it when P is bounded."""
+        the incidence_dim of the vertices on it when P is bounded."""
         tight = tuple(tight)
         n = self.nfacets
         for i in tight:
@@ -121,7 +128,7 @@ class HPolytope:
         if not self.is_bounded():
             return self._face_dim_lp(tight)
         T = frozenset(tight)
-        return affine_dim([v for v, t in self._vertices if T <= t])
+        return incidence_dim([t for _, t in self._vertices if T <= t])
 
     def facet_indices(self) -> list[int]:
         """Constraints that cut a facet: the d tight at a simple vertex, whose
@@ -147,9 +154,10 @@ class HPolytope:
     def vertices(self) -> list[tuple[Vec, frozenset[int]]]:
         """All vertices with their full tight-constraint sets, sorted.
 
-        A candidate, the _basic_point of J, comes from every d-subset J of
-        nonzero normals with [J] != 0, unless J lies in the tight set (taken
-        against all constraints) of a vertex already found.
+        A candidate J is every d-subset of nonzero normals with [J] != 0 that
+        lies in no tight set (taken against all constraints) of a vertex found
+        (its one point is that vertex).  It is kept when the _lifted_sign of no
+        slack is negative, and only then solved, as its _basic_point.
         """
         return list(self._vertices)
 
@@ -158,11 +166,30 @@ class HPolytope:
         cal, found = self._calibration, []
         if cal is None:
             return ()
-        nonzero = [i for i, nr in enumerate(self.normals) if not is_zero_vec(nr)]
+        zero = {i: o.sign() for i, (nr, o) in enumerate(zip(self.normals, self.offsets)) if is_zero_vec(nr)}
+        nonzero = [i for i in range(self.nfacets) if i not in zero]
         offsets = [self.offsets[i] for i in nonzero]
-        for J, bracket in zip(combinations(range(len(nonzero)), self.ambient_dim), cal.brackets):
-            if not (bracket.is_zero() or _known(found, [nonzero[j] for j in J])):
-                _add_vertex(found, _basic_point(cal, J, bracket, offsets), self.normals, self.offsets)
+        e, k, signs = encode(offsets), len(nonzero), {}  # sign D(S) by S
+        common_field(e.m, cal.field_m)  # offsets and normals share one radical
+        if -1 in zero.values():
+            return ()
+        everywhere = [i for i, sign in zero.items() if sign == 0]
+        for J, bracket in zip(combinations(range(k), self.ambient_dim), cal.brackets):
+            tight = [nonzero[j] for j in J]
+            if bracket.is_zero() or any(t.issuperset(tight) for _, t in found):
+                continue
+            for i in (i for i in range(k) if i not in J):
+                p = sum(j < i for j in J)  # i sorts into place p
+                S = J[:p] + (i,) + J[p:]
+                if S not in signs:
+                    signs[S] = _lifted_sign(cal, e, S)
+                sign = bracket.sign() * (-1) ** p * signs[S]
+                if sign < 0:
+                    break
+                if sign == 0:
+                    tight.append(nonzero[i])
+            else:
+                found.append((_basic_point(cal, J, bracket, offsets), frozenset(tight + everywhere)))
         return tuple(sorted(found))
 
     def is_bounded(self) -> bool:
@@ -196,24 +223,17 @@ def virtual_indices(calibration, b: Sequence) -> frozenset[int]:
     return frozenset(i + 1 for i in range(calibration.n) if i not in facets)
 
 
-def _known(found, J) -> bool:
-    """J lies in the tight set of a vertex already found.  J is tight at a
-    unique point when its normals are independent, so its candidate is
-    that vertex (and a dependent J gives no candidate at all)."""
-    return any(t.issuperset(J) for _, t in found)
-
-
-def _add_vertex(found, x: Vec, normals, offsets) -> None:
-    """Append (x, tight set) to found when x satisfies every constraint;
-    one slack pass that stops at the first negative slack."""
-    tight = []
-    for i, (nr, o) in enumerate(zip(normals, offsets)):
-        sign = (dot(nr, x) + o).sign()
-        if sign < 0:
-            return
-        if sign == 0:
-            tight.append(i)
-    found.append((x, frozenset(tight)))
+def _lifted_sign(cal: Calibration, e: IntVec, S: tuple[int, ...]) -> int:
+    """The sign of D(S) = sum_t (-1)^t b_{S_t} [S - S_t] for a 0-based
+    (d+1)-subset S and e = encode(b): the minor of the rows (h(e_s), b_s),
+    s in S, up to (-1)^d.  For S = J with i in place p, [J] times the slack
+    <x, h(e_i)> + b_i at the basic point x of J is (-1)^p D(S)."""
+    at, br = cal.bracket_index, cal.bracket_code
+    rows = [at[S[:t] + S[t + 1:]] for t in range(len(S))]
+    brackets = (None if v is None else tuple(v[r] for r in rows) for v in (br.p, br.q))
+    b_S = (None if v is None else tuple(-v[s] if t % 2 else v[s] for t, s in enumerate(S))
+           for v in (e.p, e.q))
+    return dot_sign(IntVec(*brackets, br.m), IntVec(*b_S, e.m))
 
 
 def basis_scan(calibration, e: IntVec) -> Iterator[tuple[tuple[int, ...], list[int]]]:
@@ -232,21 +252,6 @@ def basis_scan(calibration, e: IntVec) -> Iterator[tuple[tuple[int, ...], list[i
                 tight.append(i)
         else:
             yield J, tight
-
-
-def vertices_of(calibration, b: Sequence) -> list[tuple[Vec, frozenset[int]]]:
-    """HPolytope.from_parameter(calibration, b).vertices(), read off the
-    basis_scan of chi = k^T b; a kept J is solved only when its vertex is
-    not yet known, as its _basic_point."""
-    bb = vec(b)
-    if len(bb) != calibration.n:
-        raise DimensionMismatchError("parameter length differs from n")
-    at, brackets = calibration.bracket_index, calibration.brackets
-    found: list[tuple[Vec, frozenset[int]]] = []
-    for J, tight in basis_scan(calibration, encode(calibration.gale_t.matvec(bb))):
-        if not _known(found, J):
-            found.append((_basic_point(calibration, J, brackets[at[J]], bb), frozenset(tight)))
-    return sorted(found)
 
 
 def _basic_point(cal: Calibration, J: tuple[int, ...], bracket: Scalar, b) -> Vec:

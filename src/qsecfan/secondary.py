@@ -260,7 +260,7 @@ def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
     if old is not None:
         ineqs, comb, f = old.inequalities, old.comb, old.fan
     else:
-        f = _fan_of_vertices(cal, [(None, t) for t in tight_sets])
+        f = _fan_of_vertices(cal, tight_sets)
         ineqs = []
         for s1, s2 in combinations(f.max_cones, 2):
             if len(s1 & s2) != cal.d - 1:

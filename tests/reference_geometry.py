@@ -24,6 +24,18 @@ ran two eliminations.  All are copied unchanged apart from their names,
 their ``self`` argument and their imports, and none but
 ``vertices_of_dict`` reads the facts cached on a Calibration.
 
+``affine_dim``, ``vertices_of`` and ``hpolytope_vertices_slack`` (with
+its ``_add_vertex``) are the routes that vertex tight sets and the signs
+of lifted minors replaced: the affine dimension of a set of vertices, by
+``rank``, which gave every face dimension of a bounded polytope and of
+P_b in the normal fan; P_b's vertices from the ``basis_scan`` of chi,
+each solved for its coordinates, which the normal fan read; and
+``HPolytope``'s vertices, every candidate solved and then checked by a
+Scalar slack pass.  They are copied the same way and read the cached
+facts their originals read.  The two reference routes that called the
+normal fan's builder with (vertex, tight set) pairs now pass the tight
+sets alone.
+
 ``common_refinement_fm`` is the d = 3 overlay that intersected every pair
 of maximal cones, each through ``cone_intersection_rays_fm``: a
 Fourier-Motzkin test that the intersection has interior points, then the
@@ -159,7 +171,7 @@ from qsecfan.linalg import (
     vec,
     vscale,
 )
-from qsecfan.polytope import HPolytope, VertexOracle, affine_dim, vertices_of
+from qsecfan.polytope import HPolytope, VertexOracle, _basic_point, basis_scan
 from qsecfan.projective import ProjectiveCertificate
 from qsecfan.scalar import S0, S1, Scalar, dot_sign, encode
 from qsecfan.secondary import (
@@ -293,6 +305,28 @@ def projective_certificate_lp(cal):
     return None
 
 
+def affine_dim(points):
+    """Dimension of the affine hull of the points, -1 for none."""
+    if len(points) < 2:
+        return len(points) - 1
+    return rank(Matrix([vsub(p, points[0]) for p in points[1:]]))
+
+
+def vertices_of(calibration, b):
+    """HPolytope.from_parameter(calibration, b).vertices(), read off the
+    basis_scan of chi = k^T b; a kept J is solved only when its vertex is
+    not yet known, as its _basic_point."""
+    bb = vec(b)
+    if len(bb) != calibration.n:
+        raise DimensionMismatchError("parameter length differs from n")
+    at, brackets = calibration.bracket_index, calibration.brackets
+    found = []
+    for J, tight in basis_scan(calibration, encode(calibration.gale_t.matvec(bb))):
+        if not any(t.issuperset(J) for _, t in found):
+            found.append((_basic_point(calibration, J, brackets[at[J]], bb), frozenset(tight)))
+    return sorted(found)
+
+
 def solve_unique_via_solve(M, rhs):
     res = solve(M, rhs)
     if res is None or res[1]:
@@ -312,6 +346,33 @@ def hpolytope_vertices_dict(P):
             continue
         seen[x] = P.tight_at(x)
     return list(sorted(seen.items()))
+
+
+def hpolytope_vertices_slack(P):
+    """HPolytope._vertices: every candidate J solved as its _basic_point,
+    then kept by a Scalar slack pass over every constraint."""
+    cal, found = P._calibration, []
+    if cal is None:
+        return ()
+    nonzero = [i for i, nr in enumerate(P.normals) if not is_zero_vec(nr)]
+    offsets = [P.offsets[i] for i in nonzero]
+    for J, bracket in zip(combinations(range(len(nonzero)), P.ambient_dim), cal.brackets):
+        if not (bracket.is_zero() or any(t.issuperset([nonzero[j] for j in J]) for _, t in found)):
+            _add_vertex(found, _basic_point(cal, J, bracket, offsets), P.normals, P.offsets)
+    return tuple(sorted(found))
+
+
+def _add_vertex(found, x, normals, offsets):
+    """Append (x, tight set) to found when x satisfies every constraint;
+    one slack pass that stops at the first negative slack."""
+    tight = []
+    for i, (nr, o) in enumerate(zip(normals, offsets)):
+        sign = (dot(nr, x) + o).sign()
+        if sign < 0:
+            return
+        if sign == 0:
+            tight.append(i)
+    found.append((x, frozenset(tight)))
 
 
 def vertices_of_dict(calibration, b):
@@ -542,7 +603,7 @@ def chamber_of_vertices(cal, chi):
     if not generic:
         raise OnWallError("chi lies on a degenerate-span cone",
                           degenerate_span_witnesses(cal, cc))
-    f = normal_fan(cal, b) if verts is None else _fan_of_vertices(cal, verts)
+    f = normal_fan(cal, b) if verts is None else _fan_of_vertices(cal, [t for _, t in verts])
     ineqs = []
     cones = sorted(f.max_cones, key=sorted)
     for s1, s2 in combinations(cones, 2):
@@ -865,7 +926,7 @@ def classify_crossing_ref(cal, normal, chi_star, f_minus, f_plus, t_star):
     b = preimage_at_free(cal, chi_star)
     if not cal.positively_spanning:
         raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")
-    f0 = _fan_of_vertices(cal, vertices_of_dict(cal, b))
+    f0 = _fan_of_vertices(cal, [t for _, t in vertices_of_dict(cal, b)])
     rays_minus, rays_plus = set(f_minus.rays()), set(f_plus.rays())
     checks = {}
     if rays_minus == rays_plus:

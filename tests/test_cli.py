@@ -420,3 +420,40 @@ def test_main_builds_its_parser_once(doc_path, tmp_path, monkeypatch):
     assert run(["gale", "--input", doc_path], tmp_path)[0] == 0
     assert run(["fan", "--input", doc_path], tmp_path)[0] == 0
     assert builds == [1]
+
+
+@pytest.mark.parametrize("command, change, kind", [
+    ("fan", {"b": "1111"}, "str"),
+    ("fan", {"b": {"1": 1, "2": 2, "3": 3, "4": 4}}, "dict"),
+    ("chamber", {"chi": "11"}, "str"),
+    ("project-link", {"b": "1111"}, "str"),
+    ("cobordism", {"path": {"beta": "11", "alpha": [1, 0]}}, "str"),
+    ("wall-cross", {"path": {"beta": [1, 1], "alpha": {"1": 1, "0": 0}}}, "dict"),
+])
+def test_a_vector_that_is_no_json_array_is_invalid_input(command, change, kind, tmp_path, capsys):
+    """"b": "1111" once ran fan with b = (1, 1, 1, 1), and an object ran
+    with its keys as the entries; the same went for chi and the path."""
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(dict(QEX_DOC, **change)))
+    assert main([command, "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: a vector must be a JSON array, not {kind}\n"
+
+
+@pytest.mark.parametrize("change", [
+    {"columns": [[1, 0], [0, 1], [-1, -1], "11"]},
+    {"columns": [[1, 0], {"0": 0, "1": 1}, [-1, -1], [1, 1]]},
+    {"columns": {"10": 0, "01": 0, "11": 0, "12": 0}},
+    {"virtual": ""},
+    {"virtual": {}},
+])
+def test_a_calibration_part_that_is_no_json_array_is_invalid_input(change, tmp_path, capsys):
+    """A column "11" once ran gale as (1, 1), and "virtual": "" as no
+    virtual generators."""
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"calibration": dict(SQUARE_PLUS, **change)}))
+    assert main(["gale", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: columns, each column and virtual must be JSON arrays\n"

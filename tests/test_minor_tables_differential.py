@@ -18,6 +18,7 @@ import pytest
 from qsecfan import (
     Calibration,
     DimensionMismatchError,
+    HPolytope,
     NotAdmissibleError,
     chamber_of,
     enumerate_chambers,
@@ -36,7 +37,6 @@ from qsecfan.linalg import (
     vec,
     vscale,
 )
-from qsecfan.polytope import vertices_of
 from qsecfan.scalar import Scalar, encode
 
 from conftest import assert_codes_fit_forms, decode, forms_of, unconstrained_calibration
@@ -221,10 +221,11 @@ def test_cone_dim_matches_rank(references, instance_pool, unconstrained):
                 assert cone_dim(cal, frozenset(sigma)) == want
 
 
-def test_vertices_of_matches_the_inverse_route(references, instance_pool, unconstrained):
-    """Vertices solved from the hyperplane normals against the basis
-    inverses, at the pool's parameters and at small random ones, bounded
-    or not; also at zeros in b, which the normals route skips."""
+def test_parameter_vertices_match_the_inverse_route(references, instance_pool, unconstrained):
+    """P_b's vertices, kept by the signs of lifted minors and solved from
+    the hyperplane normals, against the basis inverses, at the pool's
+    parameters and at small random ones, bounded or not; also at zeros in
+    b, which the normals route skips."""
     rng = random.Random(50)
     params = [(cal, b) for cal, _, b in instance_pool]
     for cal in references + golden_calibrations()[:60] + unconstrained:
@@ -234,7 +235,7 @@ def test_vertices_of_matches_the_inverse_route(references, instance_pool, uncons
                                      for _ in range(cal.n)])))
     kinds = set()
     for cal, b in params:
-        got = vertices_of(cal, b)
+        got = HPolytope.from_parameter(cal, b).vertices()
         assert repr(got) == repr(vertices_of_dict(cal, b))
         kinds.add((bool(got), cal.positively_spanning))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}

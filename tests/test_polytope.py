@@ -5,7 +5,6 @@ import pytest
 from qsecfan import (Calibration, DimensionMismatchError, HPolytope, NotAdmissibleError, Rational,
                      Scalar, VertexOracle, normal_fan, virtual_indices)
 from qsecfan.linalg import vec
-from qsecfan.polytope import vertices_of
 
 from conftest import SQ2
 
@@ -113,11 +112,11 @@ def test_vertex_oracle_matches_enumeration(qex, fig5):
             assert oracle.comb_key(b) == expected
 
 
-def test_vertices_of_rejects_a_wrong_parameter_length(p2):
-    assert len(vertices_of(p2, vec([1, 1, 1]))) == 3
+def test_normal_fan_rejects_a_wrong_parameter_length(p2):
+    assert len(normal_fan(p2, vec([1, 1, 1])).max_cones) == 3
     for b in ([1, 1], [1, 1, 1, 1]):
         with pytest.raises(DimensionMismatchError, match="parameter length differs from n"):
-            vertices_of(p2, vec(b))
+            normal_fan(p2, vec(b))
 
 
 def test_comb_key_rejects_a_wrong_parameter_length(p2):

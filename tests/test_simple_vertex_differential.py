@@ -1,6 +1,7 @@
-"""The normal fan read off simple vertices, the vertex-based genericity
-in chamber_of and the sign-based boundary test of Chamber.facets against
-the affine_dim, is_generic and three-LP rules they replaced."""
+"""The normal fan read off the tight sets of vertices, the vertex-based
+genericity in chamber_of and the sign-based boundary test of
+Chamber.facets against the affine_dim, is_generic and three-LP rules
+they replaced."""
 
 import dataclasses
 import random
@@ -23,11 +24,15 @@ from qsecfan import (
 )
 from qsecfan import lp
 from qsecfan.linalg import dot, preimage_of_chi, vec, vscale
-from qsecfan.polytope import vertices_of
 from qsecfan.secondary import ChamberInequality
 
 from conftest import cal_of, random_generic_chi, segment, special_points
-from reference_geometry import chamber_facets_3lp, chamber_of_is_generic, normal_fan_affine
+from reference_geometry import (
+    chamber_facets_3lp,
+    chamber_of_is_generic,
+    normal_fan_affine,
+    vertices_of_dict,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +60,8 @@ def assert_same_fan(cal, b):
 
 def tight_only_at_non_simple(cal, b):
     """Constraints tight at some vertex of P_b but at no simple one: the
-    only ones whose facet test still runs affine_dim."""
-    verts = vertices_of(cal, b)
+    only ones whose facet test still runs incidence_dim."""
+    verts = vertices_of_dict(cal, b)
     simple = set().union(*(t for _, t in verts if len(t) == cal.d))
     return set().union(*(t for _, t in verts)) - simple
 
@@ -77,7 +82,7 @@ def test_normal_fan_matches_the_affine_rule_on_reference_instances(references):
 def test_normal_fan_matches_the_affine_rule_on_the_pool(instance_pool):
     for cal, _, b in instance_pool:
         assert assert_same_fan(cal, b)[0] != "NotAdmissibleError"
-        # a generic parameter: every vertex simple, no affine_dim at all
+        # a generic parameter: every vertex simple, no incidence_dim at all
         assert not tight_only_at_non_simple(cal, b)
 
 
@@ -110,20 +115,20 @@ def test_normal_fan_matches_the_affine_rule_at_non_simple_vertices(references,
             got = assert_same_fan(cal, b)
             if got[0] in ("NotAdmissibleError", "DimensionMismatchError"):
                 continue
-            verts = vertices_of(cal, b)
+            verts = vertices_of_dict(cal, b)
             non_simple += any(len(t) > cal.d for _, t in verts)
             left = tight_only_at_non_simple(cal, b)
             decided += bool(left)
             facet_outcomes |= {i + 1 in got[1] for i in left}
     assert non_simple > 100 and decided > 0
-    # affine_dim found both facets and virtual generators among them
+    # incidence_dim found both facets and virtual generators among them
     assert facet_outcomes == {True, False}
 
 
 def test_a_constraint_tight_at_non_simple_vertices_alone_can_cut_a_facet():
     """The unit square with its bottom corners touched by x + y >= 0 and
     -x + y >= -1: each corner lies on three constraints, so only
-    affine_dim finds that the bottom edge y >= 0 cuts a facet and that
+    incidence_dim finds that the bottom edge y >= 0 cuts a facet and that
     the two touching constraints are virtual."""
     cal = cal_of(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1)])
     b = vec([0, 1, 0, 1, 0, 1])
