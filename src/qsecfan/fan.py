@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import lp
@@ -33,6 +33,7 @@ from .linalg import (
     facet_normals,
     gale_rows,
     in_cone,
+    is_zero_vec,
     kernel_basis,
     minor,
     normalize_direction,
@@ -389,7 +390,7 @@ def common_refinement(f1: QuantumFan, f2: QuantumFan):
     """Coarsest common refinement of two complete fans over one calibration.
 
     d = 2: angular merge of the ray-index union, returned as a QuantumFan.
-    d = 3: the cones common to both fans, whole (each meets every other
+    d >= 3: the cones common to both fans, whole (each meets every other
     cone in a proper face), plus the full-dimensional intersections of the
     cones that differ, every cone's extreme rays read off its _cone_hrep by
     _cone_intersection_rays.  Their rays can be no generator column (the
@@ -402,8 +403,6 @@ def common_refinement(f1: QuantumFan, f2: QuantumFan):
     virtual = f1.virtual & f2.virtual
     if cal.d == 2:
         return fan_from_rays(cal, set(f1.rays()) | set(f2.rays()), virtual)
-    if cal.d != 3:
-        raise UnsupportedDimensionError("refinement implemented for d <= 3")
     common = set(f1.max_cones) & set(f2.max_cones)
     cones = {_cone_intersection_rays(_cone_hrep(cal, s)) for s in common}
     hreps2 = [_cone_hrep(cal, s2) for s2 in f2.max_cones if s2 not in common]
@@ -418,20 +417,23 @@ def common_refinement(f1: QuantumFan, f2: QuantumFan):
 
 def _cone_hrep(cal: Calibration, sigma) -> list[Vec]:
     """Facet normals w (cone = {x : <w,x> >= 0 for all w}) of a
-    full-dimensional cone in d = 3: the hyperplane normals of its generator
-    pairs with every generator on one side, turned to that side."""
+    full-dimensional cone: the hyperplane normals of its (d-1)-subsets of
+    generators with every generator on one side, turned to that side."""
     J, normals = _basis(sigma), cal.hyperplane_normals
-    return sorted(facet_normals((normals[S][0] for S in combinations(J, 2)), _cols(cal, sigma)))
+    return sorted(facet_normals((normals[S][0] for S in combinations(J, cal.d - 1)),
+                                _cols(cal, sigma)))
 
 
 def _cone_intersection_rays(normals: list[Vec]) -> Optional[frozenset]:
-    """Extreme rays of {x : <w,x> >= 0 for all normals} in d = 3 (the
+    """Extreme rays of {x : <w,x> >= 0 for all normals} in R^d (the
     intersection of two cones given by their _cone_hrep), or None when
     it is lower-dimensional: the cones are pointed, so their intersection
-    is too, its rays are the facet normals of Cone(normals), and it is
-    full-dimensional exactly when they span R^3."""
-    rays = facet_normals((cofactor_normal(pair, 3) for pair in combinations(normals, 2)), normals)
-    if len(rays) < 3 or rank(Matrix(list(rays))) < 3:
+    is too, its rays are the facet normals of Cone(normals), found among
+    the cofactor normals of (d-1)-subsets of them, and it is
+    full-dimensional exactly when they span R^d."""
+    d = len(normals[0])
+    rays = facet_normals((cofactor_normal(S, d) for S in combinations(normals, d - 1)), normals)
+    if len(rays) < d or rank(Matrix(list(rays))) < d:
         return None
     return rays
 
@@ -619,72 +621,65 @@ def has_strictly_convex_support(f: QuantumFan) -> bool:
 
 
 def validate_fan(f: QuantumFan) -> dict:
-    """Exact structural checks; intersection-is-face only for d <= 3."""
+    """Exact structural checks.  Two cones meet in the common face on
+    J = s1 & s2 exactly when a hyperplane separates them there: a w with
+    <w, h(e_j)> zero on J, positive on the rest of s1 and negative on the
+    rest of s2 (the separation lemma), one LP per pair."""
     cal = f.calibration
-    checks = {
+    return {
         "strongly_convex": all(cone_is_strongly_convex(cal, s) for s in f.max_cones),
         "index_cover": set(f.rays()) == set(range(1, f.n + 1)) - set(f.virtual),
+        "intersections_are_faces": all(
+            lp.feasible([lp.eq(cal.column(j), 0) for j in sorted(s1 & s2)]
+                        + [lp.gt(cal.column(j), 0) for j in sorted(s1 - s2)]
+                        + [lp.gt(vscale(-1, cal.column(j)), 0) for j in sorted(s2 - s1)], cal.d)
+            for s1, s2 in combinations(f.max_cones, 2)),
     }
-    if cal.d <= 3:
-        ok = True
-        for s1, s2 in combinations(f.max_cones, 2):
-            J = s1 & s2
-            if not (is_face(cal, J, s1) and is_face(cal, J, s2)):
-                ok = False
-                break
-        checks["intersections_are_faces"] = ok
-    return checks
 
 
 def is_complete(f: QuantumFan) -> bool:
-    """d = 2: angular sectors tile the circle; d = 3: every facet of every
-    maximal cone is shared by exactly one other maximal cone."""
+    """The maximal cones cover R^d exactly once: each is full-dimensional
+    and pointed, each facet (keyed by its generator directions) lies in
+    exactly two of them, one on each side of its hyperplane, and one
+    generic ray lies in exactly one.  Crossing a facet shared so keeps the
+    number of cones holding a generic point, and the points off the
+    (d-2)-faces are connected, so that number is 1 everywhere; at d = 1
+    the side condition alone makes it so."""
     cal = f.calibration
-    if cal.d == 2:
-        return _tiles_circle(cal, f)
-    if cal.d == 3:
-        seen: Counter = Counter()
-        for sigma in f.max_cones:
-            for facet in facets_of(cal, sigma):
-                key = frozenset(normalize_direction(cal.column(i)) for i in facet)
-                seen[key] += 1
-        return bool(seen) and all(v == 2 for v in seen.values())
-    raise UnsupportedDimensionError("completeness check implemented for d in {2,3}")
-
-
-def _sector_bounds(cal: Calibration, sigma) -> Optional[tuple[Vec, Vec]]:
-    """Extreme rays (a, b) of a planar cone, oriented so the cone sweeps
-    counterclockwise from a to b; None when the cone is not a proper sector."""
-    gens = [normalize_direction(cal.column(i)) for i in sorted(sigma)]
-    for a in gens:
-        for b in gens:
-            if minor((a, b)).sign() <= 0:
-                continue
-            if all(minor((a, g)).sign() >= 0 and minor((g, b)).sign() >= 0 for g in gens):
-                return a, b
-    return None
-
-
-def _tiles_circle(cal: Calibration, f: QuantumFan) -> bool:
-    """Planar completeness: the sectors chain end-to-start around 0."""
-    sectors = {}
-    for sigma in f.max_cones:
-        bounds = _sector_bounds(cal, sigma)
-        if bounds is None:
-            return False
-        u, v = bounds
-        if u in sectors:
-            return False
-        sectors[u] = v
-    if not sectors:
+    if not all(cone_dim(cal, s) == cal.d and cone_is_strongly_convex(cal, s)
+               for s in f.max_cones):
         return False
-    start = next(iter(sectors))
-    cur, steps = start, 0
-    while steps < len(sectors):
-        cur = sectors.get(cur)
-        if cur is None:
-            return False
-        steps += 1
-        if cur == start:
-            return steps == len(sectors)
-    return False
+    planes: dict = {}
+    sides: dict = {}
+    for sigma in f.max_cones:
+        for facet in facets_of(cal, sigma):
+            key = frozenset(normalize_direction(cal.column(i)) for i in facet)
+            if key not in planes:
+                planes[key] = _spanned_normal_code(cal, facet)
+            off = encode(cal.column(min(sigma - facet)))
+            sides.setdefault(key, []).append(dot_sign(planes[key], off))
+    if any(sorted(s) != [-1, 1] for s in sides.values()):
+        return False
+    ray = _generic_ray(cal)
+    return sum(cone_contains(cal, s, ray) for s in f.max_cones) == 1
+
+
+def _spanned_normal_code(cal: Calibration, facet) -> IntVec:
+    """The code of a nonzero hyperplane normal of d - 1 generators of a
+    facet, so of the hyperplane it spans."""
+    normals = cal.hyperplane_normals
+    return next(normals[S][1] for S in combinations(_basis(facet), cal.d - 1)
+                if not is_zero_vec(normals[S][0]))
+
+
+def _generic_ray(cal: Calibration) -> Vec:
+    """The first moment-curve point (1, t, ..., t^(d-1)), t = 1, 2, ...,
+    off every hyperplane spanned by columns.  Each nonzero normal vanishes
+    there at no more than d - 1 values of t, so the search ends within
+    (d - 1) C(n, d - 1) + 1 tries."""
+    codes = [e for w, e in cal.hyperplane_normals.values() if not is_zero_vec(w)]
+    for t in count(1):
+        ray = vec([t ** k for k in range(cal.d)])
+        e = encode(ray)
+        if all(dot_sign(c, e) for c in codes):
+            return ray

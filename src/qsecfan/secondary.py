@@ -492,10 +492,9 @@ def _classify_crossing(cal: Calibration, normal: Vec, chi_star: Vec,
         checks["on_wall_non_simplicial"] = not f0.is_simplicial()
         sides = _refines(cal, f_minus, f0) and _refines(cal, f_plus, f0)
         checks["sides_refine_on_wall"] = sides
-        if cal.d <= 3:
-            # each overlay cone lies in a cone of f_minus, so sides implies it
-            checks["refinement_inside_on_wall"] = sides or _refines(
-                cal, common_refinement(f_minus, f_plus), f0)
+        # each overlay cone lies in a cone of f_minus, so sides implies it
+        checks["refinement_inside_on_wall"] = sides or _refines(
+            cal, common_refinement(f_minus, f_plus), f0)
         index = None if wall.circuit is None else tuple(map(len, wall.circuit))
     else:
         toggled = rays_minus ^ rays_plus
@@ -513,7 +512,7 @@ def _classify_crossing(cal: Calibration, normal: Vec, chi_star: Vec,
 
 def _refines(cal: Calibration, fine, coarse: QuantumFan) -> bool:
     """Every cone of fine sits inside a maximal cone of coarse, each ray
-    encoded once.  fine is a QuantumFan or, as the d = 3 overlay of
+    encoded once.  fine is a QuantumFan or, as the d >= 3 overlay of
     common_refinement, a tuple of cones given by their rays."""
     if isinstance(fine, QuantumFan):
         fine = ([cal.column(i) for i in s] for s in fine.max_cones)

@@ -130,9 +130,18 @@ cone, common ones included, the refinement test that encoded a ray once
 per coarse cone, and the crossing classification built on them, with
 the on-wall fan from ``vertices_of_dict``.  Cone membership goes through
 ``cone_contains_dot`` and the simplicial test through ``rank``.
+
+``tiles_circle`` (with its ``_sector_bounds``) and ``facets_paired`` are
+the two completeness rules that the degree-one rule of ``is_complete``
+replaced: at d = 2 the angular sectors chained end to start around the
+origin, at d = 3 every facet, keyed by its generator directions, lying
+in exactly two maximal cones.  ``intersections_are_faces_lp`` is the
+check ``validate_fan`` ran before one separating-hyperplane LP per pair
+of cones: two ``is_face`` LPs on the index set s1 & s2.
 """
 
 import random
+from collections import Counter
 from itertools import combinations
 
 from qsecfan import lp
@@ -150,6 +159,7 @@ from qsecfan.fan import (
     combinatorial_type,
     facets_of,
     fan_from_rays,
+    is_face,
     normal_fan,
 )
 from qsecfan.linalg import (
@@ -161,6 +171,7 @@ from qsecfan.linalg import (
     inverse,
     kernel_basis,
     is_zero_vec,
+    minor,
     normalize_direction,
     preimage_at_free,
     preimage_matrix,
@@ -958,3 +969,60 @@ def classify_crossing_ref(cal, normal, chi_star, f_minus, f_plus, t_star):
             checks["star_subdivision"] = set(sub.max_cones) == set(f_minus.max_cones) \
                 and sub.virtual == f_minus.virtual
     return WallCrossingReport(t_star, wall, f_minus, f0, f_plus, index, checks)
+
+
+def _sector_bounds(cal, sigma):
+    """Extreme rays (a, b) of a planar cone, oriented so the cone sweeps
+    counterclockwise from a to b; None when the cone is not a proper sector."""
+    gens = [normalize_direction(cal.column(i)) for i in sorted(sigma)]
+    for a in gens:
+        for b in gens:
+            if minor((a, b)).sign() <= 0:
+                continue
+            if all(minor((a, g)).sign() >= 0 and minor((g, b)).sign() >= 0 for g in gens):
+                return a, b
+    return None
+
+
+def tiles_circle(cal, f):
+    """Planar completeness: the sectors chain end-to-start around 0."""
+    sectors = {}
+    for sigma in f.max_cones:
+        bounds = _sector_bounds(cal, sigma)
+        if bounds is None:
+            return False
+        u, v = bounds
+        if u in sectors:
+            return False
+        sectors[u] = v
+    if not sectors:
+        return False
+    start = next(iter(sectors))
+    cur, steps = start, 0
+    while steps < len(sectors):
+        cur = sectors.get(cur)
+        if cur is None:
+            return False
+        steps += 1
+        if cur == start:
+            return steps == len(sectors)
+    return False
+
+
+def facets_paired(f):
+    """d = 3 completeness: every facet of every maximal cone is shared by
+    exactly one other maximal cone."""
+    cal = f.calibration
+    seen = Counter()
+    for sigma in f.max_cones:
+        for facet in facets_of(cal, sigma):
+            key = frozenset(normalize_direction(cal.column(i)) for i in facet)
+            seen[key] += 1
+    return bool(seen) and all(v == 2 for v in seen.values())
+
+
+def intersections_are_faces_lp(f):
+    """Every s1 & s2 of two maximal cones is a face of both, by is_face."""
+    cal = f.calibration
+    return all(is_face(cal, s1 & s2, s1) and is_face(cal, s1 & s2, s2)
+               for s1, s2 in combinations(f.max_cones, 2))

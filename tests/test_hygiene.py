@@ -432,32 +432,61 @@ def test_the_scan_sees_an_upward_import(tmp_path):
 
 N_MINUS_D = re.compile(r"\bn\s*-\s*d\b")
 
+# planar by definition: the angular order and the classification of
+# planar calibrations
+PLANAR = {"sort_rays_by_angle", "classify_dim2"}
 
-def corank_limit_raises(path):
-    """(line, message) of each raise of UnsupportedDimensionError, by name
-    or as an attribute, whose message names n-d; the message is the text
-    of the string constants in its arguments, f-strings included."""
+
+def dimension_limit_raises(path):
+    """(line, function, message) of each raise of UnsupportedDimensionError,
+    by name or as an attribute: the innermost function around it (None at
+    module level), and the text of the string constants in its arguments,
+    f-strings included."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text())):
-        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
-            continue
-        func = node.exc.func
-        if getattr(func, "id", getattr(func, "attr", None)) != "UnsupportedDimensionError":
-            continue
-        text = "".join(c.value for arg in node.exc.args for c in ast.walk(arg)
-                       if isinstance(c, ast.Constant) and isinstance(c.value, str))
-        if N_MINUS_D.search(text):
-            found.append((node.lineno, text))
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call):
+                func = child.exc.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "UnsupportedDimensionError":
+                    text = "".join(c.value for arg in child.exc.args for c in ast.walk(arg)
+                                   if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                    found.append((child.lineno, function, text))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
     return sorted(found)
 
 
+def corank_limit_raises(path):
+    """The raises of dimension_limit_raises whose message names n-d."""
+    return [r for r in dimension_limit_raises(path) if N_MINUS_D.search(r[2])]
+
+
+def d_limit_raises(path):
+    """The raises of dimension_limit_raises outside the planar functions."""
+    return [r for r in dimension_limit_raises(path) if r[1] not in PLANAR]
+
+
 def test_no_corank_limit_in_src():
-    """Secondary fans are built for every n-d; only d keeps limits."""
+    """Secondary fans are built for every n-d."""
     found = {p.name: corank_limit_raises(p) for p in sorted(SRC.glob("*.py"))}
     assert {name: raises for name, raises in found.items() if raises} == {}
 
 
-def test_the_scan_sees_a_corank_limit(tmp_path):
+def test_no_d_limit_in_src():
+    """Fans, their completeness, face intersections and overlays, and the
+    crossing checks hold for every d; only planar functions limit it."""
+    found = {p.name: d_limit_raises(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: raises for name, raises in found.items() if raises} == {}
+    planar = {r[1] for p in SRC.glob("*.py") for r in dimension_limit_raises(p)}
+    assert planar == PLANAR
+
+
+def test_the_scan_sees_corank_and_d_limits(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("from . import errors\n"
                    "def f(m):\n"
@@ -467,9 +496,21 @@ def test_the_scan_sees_a_corank_limit(tmp_path):
                    "        raise errors.UnsupportedDimensionError(f'n - d = {m} is too big')\n"
                    "    raise UnsupportedDimensionError('refinement implemented for d <= 3')\n"
                    "def g():\n"
-                   "    raise ValueError('n-d <= 3')\n")
-    assert corank_limit_raises(src) == [(4, "implemented for n-d <= 3"),
-                                        (6, "n - d =  is too big")]
+                   "    raise ValueError('n-d <= 3')\n"
+                   "def sort_rays_by_angle(cal):\n"
+                   "    if cal.d != 2:\n"
+                   "        raise UnsupportedDimensionError('angular sort needs d = 2')\n"
+                   "class Fan:\n"
+                   "    def is_complete(self):\n"
+                   "        raise UnsupportedDimensionError('implemented for d in {2, 3}')\n"
+                   "raise UnsupportedDimensionError('d > 5')\n")
+    assert corank_limit_raises(src) == [(4, "f", "implemented for n-d <= 3"),
+                                        (6, "f", "n - d =  is too big")]
+    assert d_limit_raises(src) == [(4, "f", "implemented for n-d <= 3"),
+                                   (6, "f", "n - d =  is too big"),
+                                   (7, "f", "refinement implemented for d <= 3"),
+                                   (15, "is_complete", "implemented for d in {2, 3}"),
+                                   (16, None, "d > 5")]
 
 
 FIG5_COLUMNS = [(1, 0), (0, 1), (-3, 1), (1, -3), (-2, -1)]
