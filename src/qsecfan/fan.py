@@ -224,7 +224,7 @@ class QuantumFan:
     complete: bool = True
 
     def __post_init__(self):
-        cones = tuple(sorted((frozenset(s) for s in self.max_cones), key=sorted))
+        cones = tuple(sorted(set(map(frozenset, self.max_cones)), key=sorted))
         object.__setattr__(self, "max_cones", cones)
         object.__setattr__(self, "virtual", frozenset(self.virtual))
         if not self.virtual.union(*cones) <= set(range(1, self.n + 1)):
@@ -376,14 +376,15 @@ def sort_rays_by_angle(cal: Calibration, indices) -> list[int]:
 
 
 def fan_from_rays(cal: Calibration, ray_indices, virtual=frozenset()) -> QuantumFan:
-    """The complete d = 2 fan whose maximal cones are consecutive angular
-    sectors between the given rays."""
+    """The d = 2 fan whose maximal cones are consecutive angular sectors
+    between the given rays, complete exactly when each sector from u to v
+    is below pi, minor((u, v)) > 0."""
     order = sort_rays_by_angle(cal, set(ray_indices))
     if len(order) < 3:
         raise NotAdmissibleError("a complete planar fan needs at least 3 rays")
-    cones = [frozenset((order[k], order[(k + 1) % len(order)]))
-             for k in range(len(order))]
-    return QuantumFan(cal, tuple(cones), frozenset(virtual), complete=True)
+    pairs = [(order[k], order[(k + 1) % len(order)]) for k in range(len(order))]
+    complete = all(minor((cal.column(u), cal.column(v))).sign() > 0 for u, v in pairs)
+    return QuantumFan(cal, tuple(map(frozenset, pairs)), frozenset(virtual), complete=complete)
 
 
 def common_refinement(f1: QuantumFan, f2: QuantumFan):

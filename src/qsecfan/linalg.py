@@ -409,19 +409,20 @@ class Calibration:
 
     @cached_property
     def wall_normals(self) -> tuple:
-        """One normal per hyperplane spanned by n-d-1 Gale rows: their signed
-        minors (-1)^t det(rows without column t), turned so that the last
-        nonzero entry (where kernel_basis puts its 1) is positive, normalized.
-        Every wall of the secondary fan, and every cone on fewer than n-d
-        Gale rows, lies in one of these hyperplanes.  For n-d = 1 the one
-        subset is empty and its normal (1,) is that of the hyperplane {0};
-        empty when n = d."""
+        """One normal per hyperplane spanned by n-d-1 Gale rows T: (c_S)_F for
+        S the complement of T, orthogonal to the rows T as k (c_S)_F = c_S
+        vanishes there, and nonzero exactly when they are independent;
+        turned so that the last nonzero entry (where kernel_basis puts its 1)
+        is positive, normalized.  Every wall of the secondary fan, and every
+        cone on fewer than n-d Gale rows, lies in one of these hyperplanes.
+        n-d = 1 gives (1,), the normal of {0}; n = d gives none."""
         m = self.n - self.d
         if m == 0:
             return ()
-        normals, seen = [], set()
-        for sub in combinations(self.gale.rows, m - 1):
-            w = cofactor_normal(sub, m)
+        normals, seen, circuits = [], set(), self.circuits
+        for T in combinations(range(self.n), m - 1):
+            S = tuple(i for i in range(self.n) if i not in T)
+            w = self._at_free(S, circuits[S][0], S0)
             last = next((x for x in reversed(w) if not x.is_zero()), None)
             if last is None:
                 continue
@@ -438,21 +439,16 @@ class Calibration:
 
     @cached_property
     def positively_spanning(self) -> bool:
-        """Cone(h) = R^d, so every P_b is bounded: no d-1 columns S that
-        span a hyperplane have every column on one side of it.  Column i
-        lies on the side sign([S with i]) (-1)^(#S after i), read off the
-        brackets; S spans no hyperplane when all of these are 0."""
-        if self.d == 0:
-            return True  # R^0 is the cone of no columns
-        sign = dict(zip(combinations(range(self.n), self.d), (b.sign() for b in self.brackets)))
-        for S in combinations(range(self.n), self.d - 1):
-            sides = set()
-            for i in (i for i in range(self.n) if i not in S):
-                p = sum(s < i for s in S)  # i sorts into place p
-                sides.add(sign[S[:p] + (i,) + S[p:]] * (-1) ** (self.d - 1 - p))
-            if len(sides - {0}) == 1:
-                return False
-        return True
+        """Cone(h) = R^d, so every P_b is bounded.  As h has rank d, this
+        holds exactly when the columns are totally cyclic: each lies in the
+        support of a circuit c_S whose nonzero entries share one sign
+        (Bjorner et al., Oriented Matroids, ch. 3).  Every circuit is some
+        c_S; with d = 0 there are no columns, with n = d no circuits."""
+        covered = set()
+        for S, (entries, _) in self.circuits.items():
+            if not {1, -1} <= {x.sign() for x in entries}:
+                covered.update(s for s, x in zip(S, entries) if not x.is_zero())
+        return len(covered) == self.n
 
     @cached_property
     def brackets(self) -> tuple[Scalar, ...]:
@@ -500,52 +496,61 @@ class Calibration:
         return MappingProxyType(out)
 
     @cached_property
-    def bracket_code(self) -> IntVec:
-        """encode(brackets), read by chamber_codes and HPolytope's vertex test."""
-        return encode(self.brackets)
-
-    @cached_property
     def bracket_index(self) -> Mapping[tuple[int, ...], int]:
         """The position of [K] in brackets, by 0-based d-subset K."""
         return MappingProxyType({K: t for t, K in enumerate(combinations(range(self.n), self.d))})
 
-    def _circuit(self, J: tuple[int, ...], j: int):
-        """(sign, K) with [J] c_f = sign [K] at each free column f, for the
-        circuit c of chamber_form: [J] at f = j, -[J] y_k at f = J_k."""
-        for f in self.free_columns:
-            if f not in J:
-                yield int(f == j), J
-                continue
-            k = J.index(f)
-            rest = J[:k] + J[k + 1:]
-            p = sum(i < j for i in rest)  # j sorts into place p
-            yield (1 if (k - p) % 2 else -1), rest[:p] + (j,) + rest[p:]
+    @cached_property
+    def circuits(self) -> Mapping[tuple[int, ...], tuple[Vec, IntVec]]:
+        """(c_S at S, its code for scalar.dot_sign) for every 0-based
+        (d+1)-subset S of columns, in lexicographic order: the circuit
+        c_S = sum_t (-1)^t [S - S_t] e_{S_t}, zero when S spans no R^d.
+        h c_S = 0 by Cramer's rule, so c_S = k (c_S)_F.  The codes are
+        encode(brackets) read by sign flips, over one shared denominator."""
+        at, brackets = self.bracket_index, self.brackets
+        enc, out = encode(brackets), {}
+
+        def signed(v, rows):
+            return None if v is None else tuple(-v[r] if t % 2 else v[r] for t, r in enumerate(rows))
+
+        for S in combinations(range(self.n), self.d + 1):
+            rows = [at[S[:t] + S[t + 1:]] for t in range(len(S))]
+            out[S] = (signed(brackets, rows), IntVec(signed(enc.p, rows), signed(enc.q, rows), enc.m))
+        return MappingProxyType(out)
+
+    def _at_free(self, S: tuple[int, ...], entries: Sequence, zero) -> tuple:
+        """The vector with these entries at S, zero elsewhere, at the free columns F."""
+        return tuple(entries[S.index(f)] if f in S else zero for f in self.free_columns)
 
     def chamber_form(self, J: tuple[int, ...], j: int) -> Vec:
-        """z(J, j) for a 0-based d-subset J with [J] != 0 and j outside J: the
-        circuit c = e_j - sum_k y_k e_{J_k} at the free columns F, with
+        """z(J, j) = ((-1)^p / [J]) (c_S)_F for a 0-based d-subset J with
+        [J] != 0 and j outside J, S = J with j in place p: the circuit
+        c = e_j - sum_k y_k e_{J_k} at the free columns F, with
         y = M_J^{-T} h(e_j), y_k = [J with J_k -> j] / [J] by Cramer's rule.
         h c = 0, so c = k c_F and z . k^T b = c . b, the slack
         <x, h(e_j)> + b_j at the vertex x = M_J^{-1} (-b_J) of P_b, for every b."""
-        at, brackets = self.bracket_index, self.brackets
-        scale = brackets[at[J]].inv()
-        return tuple(S0 if not c else scale * brackets[at[K]] if c > 0
-                     else -(scale * brackets[at[K]]) for c, K in self._circuit(J, j))
+        p = sum(i < j for i in J)  # j sorts into place p
+        S = J[:p] + (j,) + J[p:]
+        scale = self.brackets[self.bracket_index[J]].inv() * (-1) ** p
+        return self._at_free(S, [scale * x for x in self.circuits[S][0]], S0)
 
     @cached_property
     def chamber_codes(self) -> Mapping[tuple[int, ...], Mapping[int, IntVec]]:
-        """sign([J]) [J] z(J, j), a positive multiple of chamber_form(J, j) in
-        Q(sqrt(m)), by J with [J] != 0 and then j outside J, in increasing
-        order: signed brackets, so read off bracket_code by sign flips."""
-        enc, at, out = self.bracket_code, self.bracket_index, {}
-        for J, bracket in zip(at, self.brackets):
-            if bracket.is_zero():
+        """sign([J]) (-1)^p code((c_S)_F), S = J with j in place p, a positive
+        multiple of chamber_form(J, j) in Q(sqrt(m)), by J with [J] != 0 and
+        then j outside J, in increasing order: circuits read by sign flips."""
+        circuits, out = self.circuits, {}
+        for J, bracket in zip(self.bracket_index, self.brackets):
+            s = bracket.sign()
+            if not s:
                 continue
             codes = out[J] = {}
             for j in (j for j in range(self.n) if j not in J):
-                terms = [(bracket.sign() * c, at[K]) for c, K in self._circuit(J, j)]
-                p, q = (None if v is None else tuple(c * v[u] for c, u in terms) for v in (enc.p, enc.q))
-                codes[j] = IntVec(p, q, enc.m)
+                p = sum(i < j for i in J)  # j sorts into place p
+                S = J[:p] + (j,) + J[p:]
+                c = circuits[S][1]
+                code = IntVec(*(None if v is None else self._at_free(S, v, 0) for v in (c.p, c.q)), c.m)
+                codes[j] = code if s == (-1) ** p else -code
         return MappingProxyType({J: MappingProxyType(codes) for J, codes in out.items()})
 
     @cached_property

@@ -224,16 +224,13 @@ def virtual_indices(calibration, b: Sequence) -> frozenset[int]:
 
 
 def _lifted_sign(cal: Calibration, e: IntVec, S: tuple[int, ...]) -> int:
-    """The sign of D(S) = sum_t (-1)^t b_{S_t} [S - S_t] for a 0-based
-    (d+1)-subset S and e = encode(b): the minor of the rows (h(e_s), b_s),
-    s in S, up to (-1)^d.  For S = J with i in place p, [J] times the slack
-    <x, h(e_i)> + b_i at the basic point x of J is (-1)^p D(S)."""
-    at, br = cal.bracket_index, cal.bracket_code
-    rows = [at[S[:t] + S[t + 1:]] for t in range(len(S))]
-    brackets = (None if v is None else tuple(v[r] for r in rows) for v in (br.p, br.q))
-    b_S = (None if v is None else tuple(-v[s] if t % 2 else v[s] for t, s in enumerate(S))
-           for v in (e.p, e.q))
-    return dot_sign(IntVec(*brackets, br.m), IntVec(*b_S, e.m))
+    """The sign of D(S) = c_S . b = sum_t (-1)^t b_{S_t} [S - S_t] for a
+    0-based (d+1)-subset S and e = encode(b): the minor of the rows
+    (h(e_s), b_s), s in S, up to (-1)^d, one dot_sign of the code of the
+    circuit c_S against b at S.  For S = J with i in place p, [J] times the
+    slack <x, h(e_i)> + b_i at the basic point x of J is (-1)^p D(S)."""
+    b_S = (None if v is None else tuple(v[s] for s in S) for v in (e.p, e.q))
+    return dot_sign(cal.circuits[S][1], IntVec(*b_S, e.m))
 
 
 def basis_scan(calibration, e: IntVec) -> Iterator[tuple[tuple[int, ...], list[int]]]:

@@ -10,7 +10,6 @@ the admissible cycle-type ones, except one explicit n = 4 family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import (
@@ -72,11 +71,9 @@ def projective_certificate(cal: Calibration) -> Optional[ProjectiveCertificate]:
     boundary weights would only witness a lower-dimensional or unbounded
     "simplex", which is why they are excluded here.
     """
-    d, n, at = cal.d, cal.n, cal.bracket_index
-    for I in combinations(range(n), d + 1):
-        # sum_t (-1)^t [I - I_t] h(e_{I_t}) = 0 spans the dependences, and is
+    for I, (dep, _) in cal.circuits.items():
+        # the circuit c_I spans the dependences of the columns I, and is
         # zero exactly when rank < d: at most one of them sums to 1
-        dep = [(-1) ** t * cal.brackets[at[I[:t] + I[t + 1:]]] for t in range(d + 1)]
         total = sum(dep, S0)
         if total.is_zero():
             continue

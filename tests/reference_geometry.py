@@ -138,6 +138,19 @@ origin, at d = 3 every facet, keyed by its generator directions, lying
 in exactly two maximal cones.  ``intersections_are_faces_lp`` is the
 check ``validate_fan`` ran before one separating-hyperplane LP per pair
 of cones: two ``is_face`` LPs on the index set s1 & s2.
+
+``chamber_form_brackets`` (with ``_circuit_brackets``),
+``chamber_codes_brackets``, ``wall_normals_cofactor``,
+``lifted_sign_brackets``, ``projective_certificate_brackets`` and
+``positively_spanning_sides`` are the routes that each built its own
+circuits before all were read off ``Calibration.circuits``: the chamber
+forms and codes from the brackets of each (J, j), d + 1 per circuit; the
+wall normals as Scalar cofactor minors of n-d-1 Gale rows; the lifted
+minor D(S) from the bracket codes at S - S_t; the certificate's
+dependence written out from the brackets; and positive spanning as a
+scan of the sides of every d-1 columns.  They are copied the same way,
+and read ``encode(brackets)`` where their originals read the cached
+``bracket_code``.
 """
 
 import random
@@ -165,6 +178,7 @@ from qsecfan.fan import (
 from qsecfan.linalg import (
     Calibration,
     Matrix,
+    cofactor_normal,
     dot,
     gale_rows,
     in_cone,
@@ -184,7 +198,7 @@ from qsecfan.linalg import (
 )
 from qsecfan.polytope import HPolytope, VertexOracle, _basic_point, basis_scan
 from qsecfan.projective import ProjectiveCertificate
-from qsecfan.scalar import S0, S1, Scalar, dot_sign, encode
+from qsecfan.scalar import S0, S1, IntVec, Scalar, dot_sign, encode
 from qsecfan.secondary import (
     Chamber,
     ChamberInequality,
@@ -1026,3 +1040,107 @@ def intersections_are_faces_lp(f):
     cal = f.calibration
     return all(is_face(cal, s1 & s2, s1) and is_face(cal, s1 & s2, s2)
                for s1, s2 in combinations(f.max_cones, 2))
+
+
+def _circuit_brackets(cal, J, j):
+    """(sign, K) with [J] c_f = sign [K] at each free column f, for the
+    circuit c of chamber_form: [J] at f = j, -[J] y_k at f = J_k."""
+    for f in cal.free_columns:
+        if f not in J:
+            yield int(f == j), J
+            continue
+        k = J.index(f)
+        rest = J[:k] + J[k + 1:]
+        p = sum(i < j for i in rest)  # j sorts into place p
+        yield (1 if (k - p) % 2 else -1), rest[:p] + (j,) + rest[p:]
+
+
+def chamber_form_brackets(cal, J, j):
+    """z(J, j) for a 0-based d-subset J with [J] != 0 and j outside J, each
+    entry a bracket [K] over [J], by the signs of _circuit_brackets."""
+    at, brackets = cal.bracket_index, cal.brackets
+    scale = brackets[at[J]].inv()
+    return tuple(S0 if not c else scale * brackets[at[K]] if c > 0
+                 else -(scale * brackets[at[K]]) for c, K in _circuit_brackets(cal, J, j))
+
+
+def chamber_codes_brackets(cal):
+    """sign([J]) [J] z(J, j), by J with [J] != 0 and then j outside J, in
+    increasing order: the signed brackets of each circuit, read off
+    encode(brackets) by sign flips."""
+    enc, at, out = encode(cal.brackets), cal.bracket_index, {}
+    for J, bracket in zip(at, cal.brackets):
+        if bracket.is_zero():
+            continue
+        codes = out[J] = {}
+        for j in (j for j in range(cal.n) if j not in J):
+            terms = [(bracket.sign() * c, at[K]) for c, K in _circuit_brackets(cal, J, j)]
+            p, q = (None if v is None else tuple(c * v[u] for c, u in terms) for v in (enc.p, enc.q))
+            codes[j] = IntVec(p, q, enc.m)
+    return out
+
+
+def wall_normals_cofactor(cal):
+    """One normal per hyperplane spanned by n-d-1 Gale rows: their signed
+    minors (-1)^t det(rows without column t), turned so that the last
+    nonzero entry is positive, normalized; (1,) for n-d = 1, () for n = d."""
+    m = cal.n - cal.d
+    if m == 0:
+        return ()
+    normals, seen = [], set()
+    for sub in combinations(cal.gale.rows, m - 1):
+        w = cofactor_normal(sub, m)
+        last = next((x for x in reversed(w) if not x.is_zero()), None)
+        if last is None:
+            continue
+        w = normalize_direction(w if last.sign() > 0 else vscale(-1, w))
+        if w not in seen:
+            seen.add(w)
+            normals.append(w)
+    return tuple(normals)
+
+
+def lifted_sign_brackets(cal, e, S):
+    """The sign of D(S) = sum_t (-1)^t b_{S_t} [S - S_t] for e = encode(b),
+    from the bracket codes at the d-subsets S - S_t."""
+    at, br = cal.bracket_index, encode(cal.brackets)
+    rows = [at[S[:t] + S[t + 1:]] for t in range(len(S))]
+    brackets = (None if v is None else tuple(v[r] for r in rows) for v in (br.p, br.q))
+    b_S = (None if v is None else tuple(-v[s] if t % 2 else v[s] for t, s in enumerate(S))
+           for v in (e.p, e.q))
+    return dot_sign(IntVec(*brackets, br.m), IntVec(*b_S, e.m))
+
+
+def projective_certificate_brackets(cal):
+    """First lexicographic (d+1)-subset whose columns positively span R^d,
+    its dependence written out from the brackets."""
+    d, n, at = cal.d, cal.n, cal.bracket_index
+    for I in combinations(range(n), d + 1):
+        # sum_t (-1)^t [I - I_t] h(e_{I_t}) = 0 spans the dependences, and is
+        # zero exactly when rank < d: at most one of them sums to 1
+        dep = [(-1) ** t * cal.brackets[at[I[:t] + I[t + 1:]]] for t in range(d + 1)]
+        total = sum(dep, S0)
+        if total.is_zero():
+            continue
+        lam = vscale(total.inv(), dep)
+        if all(w.sign() > 0 for w in lam):
+            return ProjectiveCertificate(tuple(i + 1 for i in I), lam)
+    return None
+
+
+def positively_spanning_sides(cal):
+    """Cone(h) = R^d: no d-1 columns S that span a hyperplane have every
+    column on one side of it.  Column i lies on the side
+    sign([S with i]) (-1)^(#S after i), read off the brackets; S spans no
+    hyperplane when all of these are 0."""
+    if cal.d == 0:
+        return True  # R^0 is the cone of no columns
+    sign = dict(zip(combinations(range(cal.n), cal.d), (b.sign() for b in cal.brackets)))
+    for S in combinations(range(cal.n), cal.d - 1):
+        sides = set()
+        for i in (i for i in range(cal.n) if i not in S):
+            p = sum(s < i for s in S)  # i sorts into place p
+            sides.add(sign[S[:p] + (i,) + S[p:]] * (-1) ** (cal.d - 1 - p))
+        if len(sides - {0}) == 1:
+            return False
+    return True

@@ -181,6 +181,31 @@ def test_fan_from_rays_orders_the_circle(fig5):
     assert is_complete(f)
 
 
+def test_a_cone_listed_twice_is_kept_once(p2):
+    """Delta is a set of cones, so a repeated cone is one cone, in the fan,
+    its JSON and every check."""
+    f = QuantumFan(p2, ({1, 2}, {1, 2}, {2, 3}, {1, 3}))
+    assert f == QuantumFan(p2, ({1, 2}, {2, 3}, {1, 3}))
+    assert f.to_json()["max_cones"] == [[1, 2], [1, 3], [2, 3]]
+    assert all(validate_fan(f).values()) and is_complete(f)
+    assert QuantumFan.from_json(p2, {"max_cones": [[1, 2], [2, 1]]}).max_cones == \
+        (frozenset({1, 2}),)
+
+
+@pytest.mark.parametrize("rays, complete", [
+    ((1, 2, 3), False),     # in a half-plane: one sector above pi
+    ((1, 2, 4), False),     # rays 2 and 4 opposite and consecutive: a sector of pi
+    ((2, 3, 4), False),     # the same from the other side
+    ((1, 3, 4), True),
+    ((1, 2, 3, 4), True),
+])
+def test_fan_from_rays_is_complete_exactly_when_every_sector_is_below_pi(rays, complete):
+    cal = cal_of(2, [(1, 0), (0, 1), (-1, 1), (0, -1)])
+    f = fan_from_rays(cal, rays)
+    assert f.complete is complete is is_complete(f)
+    assert f.to_json()["complete"] is complete
+
+
 @pytest.mark.parametrize("cone", [[0, 1], [1, 9], [-1, 2], [1, 2, 5]])
 def test_stabilizer_profiles_reject_indices_outside_1_to_n(cone):
     """Index 0 once read column n through negative indexing, and 9 ran

@@ -364,7 +364,7 @@ def test_cached_facts_do_not_grow_with_queries():
     assert set(sizes) == {"gale", "free_columns", "gale_facet_normals",
                           "gale_facet_codes", "wall_normals", "wall_codes",
                           "positively_spanning", "brackets", "hyperplane_normals",
-                          "inverse_codes", "bracket_index", "bracket_code",
+                          "inverse_codes", "bracket_index", "circuits",
                           "chamber_codes", "live_chambers"}
     for chi in points[1:]:
         results.append(chamber_of(cal, chi))

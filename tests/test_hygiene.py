@@ -368,6 +368,17 @@ def test_only_the_vertex_oracle_reads_the_basis_inverses():
     assert found == {("polytope.py", "VertexOracle.__init__")}
 
 
+def test_every_circuit_is_read_off_the_circuit_table():
+    """Chamber forms and codes, the vertex test, projective certificates and
+    wall normals read c_S off Calibration.circuits, not off the brackets by
+    index or the Gale rows."""
+    assert not hasattr(Calibration, "_circuit") and not hasattr(Calibration, "bracket_code")
+    assert [(p.name, at) for p in (SRC / "projective.py", SRC / "polytope.py")
+            for at in attribute_reads(p, "bracket_index")] == []
+    assert [at for name in ("gale", "rows") for at in attribute_reads(SRC / "linalg.py", name)
+            if at[0] == "Calibration.wall_normals"] == []
+
+
 def test_the_scan_sees_an_attribute_read(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("def basis_inverses(cal):\n    return cal.basis_inverses\n"

@@ -305,7 +305,7 @@ def rref_calls(monkeypatch):
     return calls
 
 
-# The vertex test reads bracket_index, an index of d-subsets that does
+# The vertex test reads the circuit table, built from the brackets with
 # no elimination; chamber forms are counted where they are built.
 CACHED_ELIMINATION = ("basis_inverses", "inverse_codes", "chamber_codes")
 
