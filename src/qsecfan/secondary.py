@@ -7,7 +7,8 @@ function across each pair of adjacent maximal cones, and redundancy of
 each virtual generator's constraint.  Walls between chambers either
 toggle a virtual generator (divisorial, a star subdivision) or exchange
 triangulations of a non-simplicial cone (flipping, described by a signed
-circuit).
+circuit).  Walls are read off facet tags and circuits (_wall_of); only the
+breadth-first search and the path walk step across them (_step_into).
 """
 
 from __future__ import annotations
@@ -217,8 +218,7 @@ class Chamber:
         return {
             "inequalities": [
                 {"normal": [x.to_json() for x in q.normal], "kind": q.kind,
-                 "payload": [sorted(p) if isinstance(p, frozenset) else p
-                             for p in q.payload]}
+                 "payload": list(q.payload)}
                 for q in self.inequalities
             ],
             "rep_comb": {"poset": self.comb.to_json(), "virtual": sorted(self.virtual)},
@@ -385,7 +385,8 @@ def enumerate_chambers(cal: Calibration) -> SecondaryFan:
 class Wall:
     normal: Vec
     type: str  # "divisorial" | "flipping" | "boundary"
-    circuit: Optional[tuple] = None       # (I_plus, I_minus) for flipping
+    # flipping (I+, I-): Z - {i}, i in I+, lies in a cone of the current fan
+    circuit: Optional[tuple] = None
     virtual_index: Optional[int] = None   # toggled generator for divisorial
 
     def to_json(self) -> dict:
@@ -397,28 +398,29 @@ class Wall:
         return out
 
 
-def _wall_circuit(cal: Calibration, f0: QuantumFan, f_minus: QuantumFan):
-    """Signed circuit of the first non-simplicial on-wall cone, with the
-    side triangulating f_minus listed first."""
-    idx = None
-    for tau in sorted(f0.max_cones, key=sorted):
-        if len(tau) > cal.d:
-            idx = sorted(tau)
-            break
-    if idx is None:
-        return None
-    # dependence among the generators of tau
-    kern = kernel_basis(Matrix.from_columns([cal.column(i) for i in idx], nrows=cal.d))
-    if not kern:
-        return None
-    lam = kern[0]
-    plus = frozenset(idx[p] for p, v in enumerate(lam) if v.sign() > 0)
-    minus = frozenset(idx[p] for p, v in enumerate(lam) if v.sign() < 0)
-    cones_minus = set(f_minus.max_cones)
-    tau_set = frozenset(idx)
-    if all((tau_set - {i}) in cones_minus for i in plus):
-        return plus, minus
-    return minus, plus
+def _wall_of(ch: Chamber, normal: Vec, boundary: bool, tags: tuple) -> Wall:
+    """The wall of ch on a facet, read off one circuit Z = c_S: S is the cone
+    of ch's fan holding h(e_i) plus i for the least virtual tag (i,), else
+    s1 + {j} for the first wall tag (s1, s2, j); Z's first part holds the i
+    with Z - {i} in a cone of ch's fan.  A part {z} inserts or deletes the
+    ray z (the lesser z when parallel columns swap); else the wall flips Z."""
+    if boundary:
+        return Wall(normal, "boundary")
+    virtual = min((q.payload[0] for q in tags if q.kind == "virtual"), default=None)
+    if virtual is not None:
+        S = ch.fan.cone_containing(ch.calibration.column(virtual)) | {virtual}
+    else:
+        S = next({*q.payload[0], q.payload[2]} for q in tags if q.kind == "wall")
+    S = tuple(sorted(i - 1 for i in S))
+    signs = [(i + 1, x.sign()) for i, x in zip(S, ch.calibration.circuits[S][0])]
+    plus, minus = (frozenset(i for i, s in signs if s == t) for t in (1, -1))
+    Z = plus | minus
+    if not all(any(Z - {i} <= c for c in ch.fan.max_cones) for i in plus):
+        plus, minus = minus, plus
+    single = [min(part) for part in (plus, minus) if len(part) == 1]
+    if single:
+        return Wall(normal, "divisorial", virtual_index=min(single))
+    return Wall(normal, "flipping", circuit=(plus, minus))
 
 
 @dataclass
@@ -479,16 +481,16 @@ class CobordismReport:
                 "chambers_visited": len(self.chamber_keys)}
 
 
-def _classify_crossing(cal: Calibration, normal: Vec, chi_star: Vec,
+def _classify_crossing(cal: Calibration, wall: Wall, chi_star: Vec,
                        f_minus: QuantumFan, f_plus: QuantumFan,
                        t_star: Optional[Scalar]) -> WallCrossingReport:
+    """Crossing wall at chi_star from f_minus to f_plus: the checks test the wall's claim."""
     # every preimage of chi_star gives a translate of one P_b, so one fan
     f0 = normal_fan(cal, preimage_at_free(cal, chi_star))
     rays_minus, rays_plus = set(f_minus.rays()), set(f_plus.rays())
     checks: dict = {}
-    if rays_minus == rays_plus:
-        wall = Wall(normal, "flipping", circuit=_wall_circuit(cal, f0, f_minus))
-        checks["rays_equal"] = True
+    if wall.type == "flipping":
+        checks["rays_equal"] = rays_minus == rays_plus
         checks["on_wall_non_simplicial"] = not f0.is_simplicial()
         sides = _refines(cal, f_minus, f0) and _refines(cal, f_plus, f0)
         checks["sides_refine_on_wall"] = sides
@@ -497,10 +499,8 @@ def _classify_crossing(cal: Calibration, normal: Vec, chi_star: Vec,
             cal, common_refinement(f_minus, f_plus), f0)
         index = None if wall.circuit is None else tuple(map(len, wall.circuit))
     else:
-        toggled = rays_minus ^ rays_plus
-        i = min(toggled)
-        wall = Wall(normal, "divisorial", virtual_index=i)
-        checks["single_ray_toggled"] = len(toggled) == 1
+        i = wall.virtual_index
+        checks["single_ray_toggled"] = rays_minus ^ rays_plus == {i}
         # the side holding the ray i is the star subdivision of the other at i
         index, coarse, fine = ((1, cal.d), f_minus, f_plus) if i in rays_plus \
             else ((cal.d, 1), f_plus, f_minus)
@@ -534,18 +534,18 @@ def cobordism_from_path(path: AffinePath, cal: Calibration) -> CobordismReport:
     while True:
         # exact exit times of the current chamber along the path
         candidates = []
-        for w, _tags in ch.unique_normals():
+        for w, tags in ch.unique_normals():
             a = dot(w, chi_0)
             s = dot(w, chi_hi) - a
             if s.is_zero():
                 continue
             t_star = -a / s
             if t_cur < t_star < one:
-                candidates.append((t_star, w))
+                candidates.append((t_star, w, tags))
         if not candidates:
             break
         candidates.sort(key=lambda c: c[0])
-        t_star, w = candidates[0]
+        t_star, w, tags = candidates[0]
         same = [c for c in candidates if c[0] == t_star]
         if len(same) > 1:
             raise DegeneratePathError("path hits a codimension-2 locus")
@@ -560,7 +560,8 @@ def cobordism_from_path(path: AffinePath, cal: Calibration) -> CobordismReport:
                 f"could not isolate the wall crossing at t_star = {t_star!r} with "
                 f"normal {w!r}: 80 steps rejected ({not_generic} not admissible "
                 f"or not generic, {overshoot} overshot)")
-        crossings.append(_classify_crossing(cal, w, chi_star, ch.fan, nch.fan, t_star))
+        crossings.append(_classify_crossing(cal, _wall_of(ch, w, False, tags), chi_star,
+                                            ch.fan, nch.fan, t_star))
         ch = nch
         keys.append(ch.key)
         t_cur = t_star
@@ -581,10 +582,6 @@ def cross_wall(path: AffinePath, cal: Calibration) -> WallCrossingReport:
 
 def classify_wall(ch: Chamber, facet: FacetRecord) -> Wall:
     """Divisorial or flipping nature of a chamber facet (or the boundary
-    marker when the facet lies on the Gale cone's own boundary)."""
-    if facet.boundary:
-        return Wall(facet.normal, "boundary")
-    cal = ch.calibration
-    nch = _step_beyond(cal, ch, facet)
-    rep = _classify_crossing(cal, facet.normal, facet.point, ch.fan, nch.fan, None)
-    return rep.wall
+    marker when the facet lies on the Gale cone's own boundary), read off
+    its tags."""
+    return _wall_of(ch, facet.normal, facet.boundary, facet.tags)

@@ -151,6 +151,15 @@ dependence written out from the brackets; and positive spanning as a
 scan of the sides of every d-1 columns.  They are copied the same way,
 and read ``encode(brackets)`` where their originals read the cached
 ``bracket_code``.
+
+``classify_wall_stepping`` (with ``_wall_from_rays`` and
+``_wall_circuit``) is the wall rule that reading a facet's tags
+and ``Calibration.circuits`` replaced: it stepped across the facet to
+the neighbour chamber, called the wall divisorial at the least ray of
+the two fans that only one side has, and otherwise flipping with the
+``kernel_basis`` dependence of the first non-simplicial cone of the
+on-wall fan, the side triangulating the current fan listed first.
+``classify_crossing_ref`` reads its wall the same way.
 """
 
 import random
@@ -205,7 +214,7 @@ from qsecfan.secondary import (
     FacetRecord,
     Wall,
     WallCrossingReport,
-    _wall_circuit,
+    _step_beyond,
     degenerate_span_witnesses,
     gale_cone,
     is_admissible,
@@ -946,6 +955,50 @@ def refines_dot(cal, fine, coarse):
                for rays in fine)
 
 
+def _wall_circuit(cal, f0, f_minus):
+    """Signed circuit of the first non-simplicial on-wall cone, with the
+    side triangulating f_minus listed first."""
+    idx = None
+    for tau in sorted(f0.max_cones, key=sorted):
+        if len(tau) > cal.d:
+            idx = sorted(tau)
+            break
+    if idx is None:
+        return None
+    # dependence among the generators of tau
+    kern = kernel_basis(Matrix.from_columns([cal.column(i) for i in idx], nrows=cal.d))
+    if not kern:
+        return None
+    lam = kern[0]
+    plus = frozenset(idx[p] for p, v in enumerate(lam) if v.sign() > 0)
+    minus = frozenset(idx[p] for p, v in enumerate(lam) if v.sign() < 0)
+    cones_minus = set(f_minus.max_cones)
+    tau_set = frozenset(idx)
+    if all((tau_set - {i}) in cones_minus for i in plus):
+        return plus, minus
+    return minus, plus
+
+
+def _wall_from_rays(cal, normal, f0, f_minus, f_plus):
+    """Flipping when both sides have the same rays, with the circuit of the
+    on-wall fan f0; else divisorial at the least ray only one side has."""
+    rays_minus, rays_plus = set(f_minus.rays()), set(f_plus.rays())
+    if rays_minus == rays_plus:
+        return Wall(normal, "flipping", circuit=_wall_circuit(cal, f0, f_minus))
+    return Wall(normal, "divisorial", virtual_index=min(rays_minus ^ rays_plus))
+
+
+def classify_wall_stepping(ch, facet):
+    """The wall of a chamber facet found by stepping across it to the
+    neighbour chamber and comparing the two fans and the on-wall fan."""
+    if facet.boundary:
+        return Wall(facet.normal, "boundary")
+    cal = ch.calibration
+    nch = _step_beyond(cal, ch, facet)
+    f0 = normal_fan(cal, preimage_at_free(cal, facet.point))
+    return _wall_from_rays(cal, facet.normal, f0, ch.fan, nch.fan)
+
+
 def classify_crossing_ref(cal, normal, chi_star, f_minus, f_plus, t_star):
     """The report of the crossing of the wall with this normal at chi_star."""
     b = preimage_at_free(cal, chi_star)
@@ -953,9 +1006,9 @@ def classify_crossing_ref(cal, normal, chi_star, f_minus, f_plus, t_star):
         raise NotAdmissibleError("P_b is unbounded, its normal fan is not complete")
     f0 = _fan_of_vertices(cal, [t for _, t in vertices_of_dict(cal, b)])
     rays_minus, rays_plus = set(f_minus.rays()), set(f_plus.rays())
+    wall = _wall_from_rays(cal, normal, f0, f_minus, f_plus)
     checks = {}
-    if rays_minus == rays_plus:
-        wall = Wall(normal, "flipping", circuit=_wall_circuit(cal, f0, f_minus))
+    if wall.type == "flipping":
         checks["rays_equal"] = True
         checks["on_wall_non_simplicial"] = not all(
             len(s) == rank(Matrix(_cols(cal, s))) for s in f0.max_cones)
@@ -969,8 +1022,7 @@ def classify_crossing_ref(cal, normal, chi_star, f_minus, f_plus, t_star):
             index = (len(wall.circuit[0]), len(wall.circuit[1]))
     else:
         toggled = rays_minus ^ rays_plus
-        i = min(toggled)
-        wall = Wall(normal, "divisorial", virtual_index=i)
+        i = wall.virtual_index
         checks["single_ray_toggled"] = len(toggled) == 1
         if i in rays_plus:
             index = (1, cal.d)

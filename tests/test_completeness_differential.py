@@ -19,7 +19,7 @@ from qsecfan import (
 )
 from qsecfan.fan import fan_from_rays
 from qsecfan.linalg import vadd
-from qsecfan.secondary import _classify_crossing, _refines, _step_beyond
+from qsecfan.secondary import _classify_crossing, _refines, _step_beyond, classify_wall
 
 from conftest import cal_of, random_calibration, random_instance
 from reference_geometry import (
@@ -204,7 +204,8 @@ def test_flip_overlays_refine_both_sides_at_d_4(seed):
             if facet.boundary:
                 continue
             other = _step_beyond(cal, ch, facet)
-            rep = _classify_crossing(cal, facet.normal, facet.point, ch.fan, other.fan, None)
+            rep = _classify_crossing(cal, classify_wall(ch, facet), facet.point, ch.fan,
+                                     other.fan, None)
             if rep.wall.type == "flipping":
                 flips += 1
                 overlay = common_refinement(ch.fan, other.fan)

@@ -226,7 +226,7 @@ def test_the_overlay_is_built_only_when_a_side_check_fails(crossings, monkeypatc
     flips = 0
     for cal, path, c in crossings:
         before = len(calls)
-        rep = _classify_crossing(cal, c.wall.normal, path.chi(cal, c.t_star),
+        rep = _classify_crossing(cal, c.wall, path.chi(cal, c.t_star),
                                  c.fan_minus, c.fan_plus, c.t_star)
         built = len(calls) - before
         assert built == (rep.checks.get("sides_refine_on_wall") is False)
@@ -252,12 +252,12 @@ def test_planted_reports_where_a_side_check_fails_match_the_replaced_checks(
         if facet is None:
             continue
         for other in group[1:3]:
+            want = classify_crossing_ref(cal, facet.normal, facet.point, first.fan, other.fan, None)
             before = len(calls)
-            got = _classify_crossing(cal, facet.normal, facet.point, first.fan, other.fan, None)
+            got = _classify_crossing(cal, want.wall, facet.point, first.fan, other.fan, None)
             sides.append(got.checks["sides_refine_on_wall"])
             assert len(calls) - before == (not sides[-1])
-            assert same_report(got, classify_crossing_ref(
-                cal, facet.normal, facet.point, first.fan, other.fan, None))
+            assert same_report(got, want)
     assert False in sides and len(calls) == sides.count(False)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qsecfan import Calibration, chamber_of, cobordism_from_path, enumerate_chambers
+from qsecfan import Calibration, chamber_of, cobordism_from_path, enumerate_chambers, secondary
 from qsecfan.cli import main
 
 from conftest import cal_of, segment
@@ -341,9 +341,8 @@ def test_the_scan_sees_an_elimination_import(tmp_path):
                                         (6, "solve_unique")]
 
 
-def attribute_reads(path, attr):
-    """(enclosing definitions, line) of each access to an attribute named
-    attr, on any object; a getattr by string is not seen."""
+def scoped_reads(path, hit):
+    """(enclosing definitions, line) of each node for which hit is true."""
     found = []
 
     def visit(node, scope):
@@ -351,12 +350,26 @@ def attribute_reads(path, attr):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == attr:
+            if hit(child):
                 found.append((".".join(scope), child.lineno))
             visit(child, scope)
 
     visit(ast.parse(path.read_text()), [])
     return sorted(found)
+
+
+def attribute_reads(path, attr):
+    """(enclosing definitions, line) of each access to an attribute named
+    attr, on any object; a getattr by string is not seen."""
+    return scoped_reads(path, lambda n: isinstance(n, ast.Attribute) and n.attr == attr)
+
+
+def name_reads(path, name):
+    """(enclosing definitions, line) of each read of a bare name or an
+    attribute called name: an import is not a read."""
+    return sorted(scoped_reads(path, lambda n: isinstance(n, ast.Name)
+                               and isinstance(n.ctx, ast.Load) and n.id == name)
+                  + attribute_reads(path, name))
 
 
 def test_only_the_vertex_oracle_reads_the_basis_inverses():
@@ -369,14 +382,19 @@ def test_only_the_vertex_oracle_reads_the_basis_inverses():
 
 
 def test_every_circuit_is_read_off_the_circuit_table():
-    """Chamber forms and codes, the vertex test, projective certificates and
-    wall normals read c_S off Calibration.circuits, not off the brackets by
-    index or the Gale rows."""
+    """Chamber forms and codes, the vertex test, projective certificates,
+    wall normals and walls read c_S off Calibration.circuits, not off the
+    brackets by index, the Gale rows or a kernel."""
     assert not hasattr(Calibration, "_circuit") and not hasattr(Calibration, "bracket_code")
     assert [(p.name, at) for p in (SRC / "projective.py", SRC / "polytope.py")
             for at in attribute_reads(p, "bracket_index")] == []
     assert [at for name in ("gale", "rows") for at in attribute_reads(SRC / "linalg.py", name)
             if at[0] == "Calibration.wall_normals"] == []
+    # walls read their circuit off the table too: only the deficient-span
+    # witnesses, which are not circuits, take a kernel
+    assert not hasattr(secondary, "_wall_circuit")
+    assert {scope for scope, _ in name_reads(SRC / "secondary.py", "kernel_basis")} == \
+        {"degenerate_span_witnesses"}
 
 
 def test_the_scan_sees_an_attribute_read(tmp_path):
@@ -388,6 +406,9 @@ def test_the_scan_sees_an_attribute_read(tmp_path):
                    "x = [c.basis_inverses for c in ()]\n")
     assert attribute_reads(src, "basis_inverses") == [("", 8), ("C.f.g", 6),
                                                       ("basis_inverses", 2)]
+    src.write_text("from m import kernel_basis\ndef f(A):\n    kernel_basis = g(A)\n"
+                   "    return kernel_basis, m.kernel_basis(A)\nh = kernel_basis\n")
+    assert name_reads(src, "kernel_basis") == [("", 5), ("f", 4), ("f", 4)]
 
 
 LAYERS = ("errors", "scalar", "linalg", "lp", "polytope", "fan", "secondary", "projective",

@@ -239,6 +239,32 @@ def test_flipping_crossing_checks(frustum):
     assert rep.checks["refinement_inside_on_wall"]
 
 
+def counting_builds(monkeypatch):
+    """A list that gets the name of each chamber_of and normal_fan call of secondary."""
+    calls = []
+    for name in ("chamber_of", "normal_fan"):
+        def counted(*args, _name=name, _f=getattr(secondary, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(secondary, name, counted)
+    return calls
+
+
+def test_classify_wall_builds_no_chamber_and_no_fan(frustum, fig5, monkeypatch):
+    """Each wall is read off its facet's tags: no step across the facet,
+    so no neighbour chamber and no on-wall fan."""
+    facets = [(ch, f) for cal in (frustum, fig5)
+              for ch in enumerate_chambers(cal).chambers for f in ch.facets()]
+    calls = counting_builds(monkeypatch)
+    walls = [classify_wall(ch, f) for ch, f in facets]
+    assert calls == []
+    assert {w.type for w in walls} == {"boundary", "divisorial", "flipping"}
+    # the counters see a step across a facet
+    ch, f = next((ch, f) for ch, f in facets if not f.boundary)
+    secondary._step_beyond(ch.calibration, ch, f)
+    assert "chamber_of" in calls
+
+
 def test_chamber_json_round_trip_shape(qex):
     ch = chamber_of(qex, vec([1, 1]))
     data = ch.to_json()
