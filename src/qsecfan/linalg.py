@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatchError, InvalidCalibrationError
-from .scalar import S0, S1, IntVec, Scalar, common_field, dot_sign, encode
+from .scalar import S0, S1, IntVec, MinorTable, Scalar, common_field, dot_sign, encode, minor_table
 
 Vec = tuple[Scalar, ...]
 
@@ -443,29 +443,39 @@ class Calibration:
         holds exactly when the columns are totally cyclic: each lies in the
         support of a circuit c_S whose nonzero entries share one sign
         (Bjorner et al., Oriented Matroids, ch. 3).  Every circuit is some
-        c_S; with d = 0 there are no columns, with n = d no circuits."""
+        c_S; with d = 0 there are no columns, with n = d no circuits.  The
+        scan stops once every column is covered."""
         covered = set()
         for S, (entries, _) in self.circuits.items():
             if not {1, -1} <= {x.sign() for x in entries}:
                 covered.update(s for s, x in zip(S, entries) if not x.is_zero())
+                if len(covered) == self.n:
+                    return True
         return len(covered) == self.n
+
+    @cached_property
+    def minor_table(self) -> MinorTable:
+        """The integer cofactor normals N_S and brackets D_J of the columns,
+        over their least common denominator L, from one pass; see
+        scalar.MinorTable."""
+        return minor_table(self.columns, self.d)
 
     @cached_property
     def brackets(self) -> tuple[Scalar, ...]:
         """[J] = det M_J for every 0-based d-subset J, in lexicographic
-        order, where M_J has rows h(e_j), j in J."""
-        return tuple(minor([self.columns[j] for j in J])
-                     for J in combinations(range(self.n), self.d))
+        order, where M_J has rows h(e_j), j in J: D_J / L^d off the minor
+        table."""
+        return self.minor_table.scalar_brackets()
 
     @cached_property
     def hyperplane_normals(self) -> Mapping[tuple[int, ...], tuple[Vec, IntVec]]:
         """(n_S, its code for scalar.dot_sign) for every 0-based (d-1)-subset S
         of columns, in lexicographic order: n_S . x = det(x, h(e_s), s in S),
-        zero when S is dependent.  n_{J - J_k} vanishes on J - J_k and has
-        n_{J - J_k} . h(e_{J_k}) = (-1)^k [J], so it is (-1)^k [J] times
-        column k of M_J^{-1}."""
-        normals = {S: cofactor_normal([self.columns[s] for s in S], self.d)
-                   for S in combinations(range(self.n), self.d - 1)}
+        zero when S is dependent, N_S / L^(d-1) off the minor table.
+        n_{J - J_k} vanishes on J - J_k and has n_{J - J_k} . h(e_{J_k}) =
+        (-1)^k [J], so it is (-1)^k [J] times column k of M_J^{-1}."""
+        table = self.minor_table
+        normals = {S: table.normal(S) for S in table.normals}
         return MappingProxyType({S: (w, encode(w)) for S, w in normals.items()})
 
     @cached_property

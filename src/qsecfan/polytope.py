@@ -1,10 +1,11 @@
 """H-polytopes with exact vertex enumeration and face dimensions.
 
 A polytope is {x in R^d : <x, normal_i> + offset_i >= 0}.  Its vertices
-come from the brackets and hyperplane normals of its normals' Calibration,
-kept by the signs of (d+1)-minors of the rows (normal_s, offset_s) (Bjorner
-et al., Oriented Matroids, ch. 3).  A bounded polytope is the convex hull
-of its vertices and each face the hull of the vertices on it, in a graded
+come from the brackets of its normals' Calibration, kept by the signs of
+(d+1)-minors of the rows (normal_s, offset_s) (Bjorner et al., Oriented
+Matroids, ch. 3) and solved in integers off the calibration's minor
+table.  A bounded polytope is the convex hull of its vertices and each
+face the hull of the vertices on it, in a graded
 face lattice (Ziegler, Lectures on Polytopes, ch. 2), so its face
 dimensions are read off the tight sets of its vertices.  An
 unbounded one is not; its face dimensions come from the rank of the
@@ -21,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 from . import lp
 from .errors import DimensionMismatchError, InvalidCalibrationError
 from .linalg import Calibration, Matrix, Vec, dot, is_zero_vec, rank, vec
-from .scalar import S0, IntVec, Scalar, common_field, dot_sign, encode
+from .scalar import IntVec, Scalar, common_field, dot_sign, encode
 
 
 def incidence_dim(tights: Sequence[frozenset[int]]) -> int:
@@ -189,7 +190,7 @@ class HPolytope:
                 if sign == 0:
                     tight.append(nonzero[i])
             else:
-                found.append((_basic_point(cal, J, bracket, offsets), frozenset(tight + everywhere)))
+                found.append((_basic_point(cal, J, offsets), frozenset(tight + everywhere)))
         return tuple(sorted(found))
 
     def is_bounded(self) -> bool:
@@ -251,17 +252,11 @@ def basis_scan(calibration, e: IntVec) -> Iterator[tuple[tuple[int, ...], list[i
             yield J, tight
 
 
-def _basic_point(cal: Calibration, J: tuple[int, ...], bracket: Scalar, b) -> Vec:
-    """M_J^{-1} (-b_J) for [J] = bracket != 0, where <x, h(e_j)> + b_j = 0
-    for j in J: -(1/[J]) sum_k (-1)^k b_{J_k} n_{J - J_k}, read off the
-    calibration's hyperplane normals, a zero b_j skipped."""
-    acc = (S0,) * cal.d
-    for k, j in enumerate(J):
-        if not b[j].is_zero():
-            c = -b[j] if k % 2 else b[j]
-            acc = tuple(a + c * w for a, w in zip(acc, cal.hyperplane_normals[J[:k] + J[k + 1:]][0]))
-    scale = -bracket.inv()
-    return tuple(scale * a for a in acc)
+def _basic_point(cal: Calibration, J: tuple[int, ...], b) -> Vec:
+    """M_J^{-1} (-b_J) for [J] != 0, where <x, h(e_j)> + b_j = 0 for j in J:
+    -(1/[J]) sum_k (-1)^k b_{J_k} n_{J - J_k}, in integers off the
+    calibration's minor table, one Scalar per coordinate."""
+    return cal.minor_table.basic_point(J, [b[j] for j in J])
 
 
 class VertexOracle:

@@ -18,6 +18,13 @@ positive side of a form?), encode() writes a vector as integer
 coordinates over a shared denominator, and dot_sign() decides the sign
 of a dot product with integer sums and the same comparison, building no
 Scalar and taking no gcd.
+
+For the minors a calibration reads, minor_table() writes the rows over
+their least common denominator and computes, in one integer pass, the
+cofactor normal of every d-1 rows and the bracket of every d rows, as
+one integer dot each; MinorTable builds the brackets, the normals and
+the basic points (Cramer's rule, divided once by a conjugate) as
+Scalars, one per entry, through the canonical reduction.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import numbers
 import re
 import sys
 from fractions import Fraction as Rational
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence, Union
@@ -352,14 +360,21 @@ class IntVec(NamedTuple):
                       None if self.q is None else tuple(-x for x in self.q), self.m)
 
 
-def encode(xs: Sequence[Scalar]) -> IntVec:
-    """The IntVec of xs, over the least common denominator L; raises
+def _field_and_den(xs: Sequence[Scalar]) -> tuple[int | None, int]:
+    """The one radical of xs (None when all are rational) and the least
+    common denominator L of their entries (1 for none); raises
     MixedFieldError when the entries carry two distinct radicals."""
     m = None
     for x in xs:
         if x._m is not None and x._m != m:
             m = common_field(m, x._m)
-    L = lcm(*[x._den for x in xs])
+    return m, lcm(*[x._den for x in xs])
+
+
+def encode(xs: Sequence[Scalar]) -> IntVec:
+    """The IntVec of xs, over the least common denominator L; raises
+    MixedFieldError when the entries carry two distinct radicals."""
+    m, L = _field_and_den(xs)
     p = tuple(x._p * (L // x._den) for x in xs)
     q = None if m is None else tuple(x._q * (L // x._den) for x in xs)
     return IntVec(p, q, m)
@@ -385,3 +400,107 @@ def dot_sign(u: IntVec, v: IntVec) -> int:
     p += m * sum(map(mul, u.q, v.q))
     return _sign(p, sum(map(mul, a, v.q)) + sum(map(mul, u.q, c)), m)
 
+
+class MinorTable(NamedTuple):
+    """Every minor of the rows h_1, ..., h_n in Q(sqrt(m))^d that the
+    brackets, hyperplane normals and basic points of a calibration read,
+    from one integer pass.  The rows are scaled by the least common
+    denominator L of their entries to H_j = L h_j in Z[sqrt(m)]^d, and an
+    element p + q*sqrt(m) is kept as the pair (p, q), q == 0 when m is None.
+
+    normals[S], for every (d-1)-subset S in lexicographic order, is the
+    integer cofactor normal N_S of the rows H_s, s in S: entry t is (-1)^t
+    times their minor without column t, so n_S = N_S / L^(d-1).
+    brackets[J], for every d-subset J in lexicographic order, is
+    D_J = N_{J - J_0} . H_{J_0}, Laplace along the first row of det(H_j, j
+    in J), so [J] = D_J / L^d; [()] = 1 when d = 0."""
+
+    d: int
+    den: int
+    m: int | None
+    normals: dict[tuple[int, ...], tuple[tuple[int, int], ...]]
+    brackets: dict[tuple[int, ...], tuple[int, int]]
+
+    def scalar_brackets(self) -> tuple[Scalar, ...]:
+        """[J] for every d-subset J, in lexicographic order."""
+        den, m = self.den ** self.d, self.m
+        return tuple(_reduced(p, q, den, m) for p, q in self.brackets.values())
+
+    def normal(self, S: tuple[int, ...]) -> tuple[Scalar, ...]:
+        """n_S for a (d-1)-subset S: n_S . x = det(x, h_s, s in S)."""
+        den, m = self.den ** (self.d - 1), self.m
+        return tuple(_reduced(p, q, den, m) for p, q in self.normals[S])
+
+    def basic_point(self, J: tuple[int, ...], b: Sequence[Scalar]) -> tuple[Scalar, ...]:
+        """The x with <x, h_j> + b_k = 0 for the k-th j of a d-subset J with
+        [J] != 0, given b = (b_k): x = -(1/[J]) sum_k (-1)^k b_k n_{J - J_k}
+        (Cramer's rule), in integers as -L sum_k (-1)^k B_k N_{J - J_k} /
+        (L_b D_J) with B = L_b b over the least common denominator L_b of b,
+        divided once by the conjugate of D_J.  Raises MixedFieldError when b
+        and the rows carry two distinct radicals."""
+        mb, Lb = _field_and_den(b)
+        m = common_field(self.m, mb)
+        mm = m or 0
+        acc = [[0, 0] for _ in J]
+        for k, x in enumerate(b):
+            if x._p or x._q:
+                s = Lb // x._den if k % 2 == 0 else -(Lb // x._den)
+                bp, bq = x._p * s, x._q * s
+                for a, (p, q) in zip(acc, self.normals[J[:k] + J[k + 1:]]):
+                    a[0] += bp * p + bq * q * mm
+                    a[1] += bp * q + bq * p
+        p, q = self.brackets[J]
+        if q:  # times the conjugate p - q sqrt(m), over the norm
+            acc = [(P * p - Q * q * mm, Q * p - P * q) for P, Q in acc]
+            p = p * p - q * q * mm
+        if p == 0:
+            raise DegenerateInputError(f"basic point of a singular basis {J}")
+        L, den = self.den, Lb * p
+        return tuple(_reduced(-L * P, -L * Q, den, m) for P, Q in acc)
+
+
+def minor_table(rows: Sequence[Sequence[Scalar]], d: int) -> MinorTable:
+    """The MinorTable of rows of length d; raises MixedFieldError when they
+    carry two distinct radicals.  The k-minors of the rows S at the columns
+    C, for k = 1 .. d-1, are expanded along the first row of S from the
+    (k-1)-minors of S - S_0, each level kept only while the next is built."""
+    m, L = _field_and_den([x for r in rows for x in r])
+    mm = m or 0
+    H = [tuple((x._p * (L // x._den), x._q * (L // x._den)) for x in r) for r in rows]
+    n = len(H)
+    if d == 0:
+        return MinorTable(0, L, m, {}, {(): (1, 0)})
+    # minors[S][i]: the minor of the rows S at the i-th column set of size
+    # |S| in lexicographic order; at[C] is the place of C in that order
+    minors, at = {(): ((1, 0),)}, {(): 0}
+    for k in range(1, d):
+        columns = list(combinations(range(d), k))
+        plan = [[(c, t % 2, at[C[:t] + C[t + 1:]]) for t, c in enumerate(C)] for C in columns]
+        level = {}
+        for S in combinations(range(n), k):
+            row, sub, out = H[S[0]], minors[S[1:]], []
+            for terms in plan:
+                P = Q = 0
+                for c, odd, i in terms:
+                    a, b = row[c]
+                    if a or b:
+                        e, f = sub[i]
+                        if odd:
+                            a, b = -a, -b
+                        P += a * e + b * f * mm
+                        Q += a * f + b * e
+                out.append((P, Q))
+            level[S] = tuple(out)
+        minors, at = level, {C: i for i, C in enumerate(columns)}
+    full = tuple(range(d))
+    drop = [(t % 2, at[full[:t] + full[t + 1:]]) for t in range(d)]
+    normals = {S: tuple((-M[i][0], -M[i][1]) if odd else M[i] for odd, i in drop)
+               for S, M in minors.items()}
+    brackets = {}
+    for J in combinations(range(n), d):
+        P = Q = 0
+        for (a, b), (e, f) in zip(H[J[0]], normals[J[1:]]):
+            P += a * e + b * f * mm
+            Q += a * f + b * e
+        brackets[J] = (P, Q)
+    return MinorTable(d, L, m, normals, brackets)

@@ -152,6 +152,16 @@ scan of the sides of every d-1 columns.  They are copied the same way,
 and read ``encode(brackets)`` where their originals read the cached
 ``bracket_code``.
 
+``brackets_laplace``, ``hyperplane_normals_cofactor`` and
+``basic_point_normals`` are the Scalar routes that the integer minor
+table of ``Calibration.minor_table`` replaced: every bracket by
+``linalg.minor`` (Laplace expansion, recursive beyond size 3), every
+hyperplane normal by ``cofactor_normal``, and ``polytope._basic_point``
+as a chain of Scalar products and sums over the hyperplane normals,
+scaled by -1/[J].  The reference ``vertices_of`` and
+``hpolytope_vertices_slack`` solve through ``basic_point_normals``, so
+a mixed-radical error they raise is the Scalar route's own.
+
 ``classify_wall_stepping`` (with ``_wall_from_rays`` and
 ``_wall_circuit``) is the wall rule that reading a facet's tags
 and ``Calibration.circuits`` replaced: it stepped across the facet to
@@ -205,7 +215,7 @@ from qsecfan.linalg import (
     vec,
     vscale,
 )
-from qsecfan.polytope import HPolytope, VertexOracle, _basic_point, basis_scan
+from qsecfan.polytope import HPolytope, VertexOracle, basis_scan
 from qsecfan.projective import ProjectiveCertificate
 from qsecfan.scalar import S0, S1, IntVec, Scalar, dot_sign, encode
 from qsecfan.secondary import (
@@ -349,7 +359,7 @@ def affine_dim(points):
 def vertices_of(calibration, b):
     """HPolytope.from_parameter(calibration, b).vertices(), read off the
     basis_scan of chi = k^T b; a kept J is solved only when its vertex is
-    not yet known, as its _basic_point."""
+    not yet known, as its basic_point_normals."""
     bb = vec(b)
     if len(bb) != calibration.n:
         raise DimensionMismatchError("parameter length differs from n")
@@ -357,7 +367,7 @@ def vertices_of(calibration, b):
     found = []
     for J, tight in basis_scan(calibration, encode(calibration.gale_t.matvec(bb))):
         if not any(t.issuperset(J) for _, t in found):
-            found.append((_basic_point(calibration, J, brackets[at[J]], bb), frozenset(tight)))
+            found.append((basic_point_normals(calibration, J, brackets[at[J]], bb), frozenset(tight)))
     return sorted(found)
 
 
@@ -383,7 +393,7 @@ def hpolytope_vertices_dict(P):
 
 
 def hpolytope_vertices_slack(P):
-    """HPolytope._vertices: every candidate J solved as its _basic_point,
+    """HPolytope._vertices: every candidate J solved as its basic_point_normals,
     then kept by a Scalar slack pass over every constraint."""
     cal, found = P._calibration, []
     if cal is None:
@@ -392,7 +402,7 @@ def hpolytope_vertices_slack(P):
     offsets = [P.offsets[i] for i in nonzero]
     for J, bracket in zip(combinations(range(len(nonzero)), P.ambient_dim), cal.brackets):
         if not (bracket.is_zero() or any(t.issuperset([nonzero[j] for j in J]) for _, t in found)):
-            _add_vertex(found, _basic_point(cal, J, bracket, offsets), P.normals, P.offsets)
+            _add_vertex(found, basic_point_normals(cal, J, bracket, offsets), P.normals, P.offsets)
     return tuple(sorted(found))
 
 
@@ -1196,3 +1206,32 @@ def positively_spanning_sides(cal):
         if len(sides - {0}) == 1:
             return False
     return True
+
+
+def brackets_laplace(cal):
+    """[J] = det M_J for every 0-based d-subset J, in lexicographic
+    order, where M_J has rows h(e_j), j in J."""
+    return tuple(minor([cal.columns[j] for j in J])
+                 for J in combinations(range(cal.n), cal.d))
+
+
+def hyperplane_normals_cofactor(cal):
+    """(n_S, its code for scalar.dot_sign) for every 0-based (d-1)-subset S
+    of columns, in lexicographic order: n_S . x = det(x, h(e_s), s in S),
+    zero when S is dependent."""
+    normals = {S: cofactor_normal([cal.columns[s] for s in S], cal.d)
+               for S in combinations(range(cal.n), cal.d - 1)}
+    return {S: (w, encode(w)) for S, w in normals.items()}
+
+
+def basic_point_normals(cal, J, bracket, b):
+    """M_J^{-1} (-b_J) for [J] = bracket != 0, where <x, h(e_j)> + b_j = 0
+    for j in J: -(1/[J]) sum_k (-1)^k b_{J_k} n_{J - J_k}, read off the
+    calibration's hyperplane normals, a zero b_j skipped."""
+    acc = (S0,) * cal.d
+    for k, j in enumerate(J):
+        if not b[j].is_zero():
+            c = -b[j] if k % 2 else b[j]
+            acc = tuple(a + c * w for a, w in zip(acc, cal.hyperplane_normals[J[:k] + J[k + 1:]][0]))
+    scale = -bracket.inv()
+    return tuple(scale * a for a in acc)

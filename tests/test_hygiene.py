@@ -411,6 +411,39 @@ def test_the_scan_sees_an_attribute_read(tmp_path):
     assert name_reads(src, "kernel_basis") == [("", 5), ("f", 4), ("f", 4)]
 
 
+SCALAR_ROUTES = ("minor", "cofactor_normal", "vscale", "vadd")
+TABLE_READERS = {"Calibration.brackets", "Calibration.hyperplane_normals", "_basic_point"}
+
+
+def scalar_route_reads(path, readers=TABLE_READERS):
+    """(reader, name) of each read, inside one of the readers, of a Scalar
+    route to a minor or a basic point: minor, cofactor_normal, vscale or vadd."""
+    return sorted({(scope, name) for name in SCALAR_ROUTES
+                   for scope, _ in name_reads(path, name) if scope in readers})
+
+
+def test_the_minor_table_readers_take_no_scalar_route():
+    """The brackets, the hyperplane normals and the basic points are read
+    off the integer minor table, built once per calibration in scalar.py."""
+    paths = (SRC / "linalg.py", SRC / "polytope.py")
+    assert {scope for p in paths for scope, _ in name_reads(p, "minor_table")} >= TABLE_READERS
+    assert [found for p in paths for found in scalar_route_reads(p)] == []
+
+
+def test_the_scan_sees_a_scalar_route(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from .linalg import minor, vadd, vscale\n"
+                   "class Calibration:\n"
+                   "    def brackets(self):\n        return minor(self.rows), self.minor_table\n"
+                   "    def hyperplane_normals(self):\n"
+                   "        return [linalg.cofactor_normal(r, 2) for r in self.rows]\n"
+                   "def _basic_point(cal, J, b):\n    return vadd(b, b)\n"
+                   "def other(x):\n    return vscale(2, minor(x))\n")
+    assert scalar_route_reads(src) == [("Calibration.brackets", "minor"),
+                                       ("Calibration.hyperplane_normals", "cofactor_normal"),
+                                       ("_basic_point", "vadd")]
+
+
 LAYERS = ("errors", "scalar", "linalg", "lp", "polytope", "fan", "secondary", "projective",
           "cli")
 
