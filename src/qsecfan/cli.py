@@ -22,7 +22,7 @@ from .errors import (
     QsecfanError,
 )
 from .fan import combinatorial_type, normal_fan, stabilizer_profiles
-from .linalg import Calibration, Vec, gale_rows, gale_transform, vadd, vec, vscale
+from .linalg import Calibration, Vec, gale_rows, gale_transform, preimage_at_free, vadd, vec, vscale
 from .polytope import HPolytope, basis_scan
 from .projective import classify_dim2, path_to_projective, projective_certificate
 from .scalar import Rational, Scalar, encode
@@ -291,9 +291,10 @@ def _sample_census(cal: Calibration, sf, samples: int, seed: int) -> dict:
         if not is_generic(cal, chi):
             continue
         kept += 1
-        # basis_scan keeps J when the basic point x_J lies in P_b, for any
-        # preimage b of chi, as VertexOracle.comb_key does
-        keys.add(frozenset(frozenset(j + 1 for j in J) for J, _ in basis_scan(cal, encode(chi))))
+        # basis_scan keeps J when the basic point x_J lies in P_b, the same
+        # J for every b with k^T b = chi: here chi at the free columns
+        e = encode(preimage_at_free(cal, chi))
+        keys.add(frozenset(frozenset(j + 1 for j in J) for J, _ in basis_scan(cal, e)))
     return {"samples": samples, "distinct_classes": len(keys),
             "chambers": len(sf.chambers),
             "match": len(keys) == len(sf.chambers)}

@@ -3,8 +3,8 @@
 A fan stores its maximal cones as 1-based generator index subsets; all
 geometry (containment, faces, convexity) is recomputed from the
 calibration columns on demand, through exact feasibility tests or the
-facts the calibration caches: normal fans come from the scan of its
-chamber codes, and every simplicial cone question (dimension,
+facts the calibration caches: normal fans come from the basis_scan of
+b against its circuits, and every simplicial cone question (dimension,
 membership, facets, star subdivision) from its brackets and the codes of
 its hyperplane normals.
 """
@@ -27,7 +27,6 @@ from .linalg import (
     Calibration,
     Matrix,
     Vec,
-    cofactor_normal,
     det,
     dot,
     facet_normals,
@@ -35,7 +34,6 @@ from .linalg import (
     in_cone,
     is_zero_vec,
     kernel_basis,
-    minor,
     normalize_direction,
     rank,
     solve,
@@ -44,7 +42,7 @@ from .linalg import (
     integer_kernel_rank,
 )
 from .polytope import HPolytope, basis_scan, incidence_dim
-from .scalar import S0, IntVec, Scalar, common_field, dot_sign, encode
+from .scalar import S0, IntVec, Scalar, common_field, dot_sign, encode, minor_table
 
 IndexSet = frozenset
 
@@ -272,8 +270,8 @@ def normal_fan(cal: Calibration, b: Sequence) -> QuantumFan:
     One maximal cone per vertex, generated by the facet-cutting tight
     constraints; generators whose face has dimension below d-1 (or is
     empty) become virtual.  When the columns positively span R^d, P_b is
-    the hull of its vertices, whose tight sets the basis_scan of chi = k^T b
-    gives (once per basis), so each face dimension is their incidence_dim.
+    the hull of its vertices, whose tight sets the basis_scan of b gives
+    (once per basis), so each face dimension is their incidence_dim.
     """
     if not cal.positively_spanning:
         # no P_b is bounded; an empty or thin one is reported as such first
@@ -283,8 +281,9 @@ def normal_fan(cal: Calibration, b: Sequence) -> QuantumFan:
     bb = vec(b)
     if len(bb) != cal.n:
         raise DimensionMismatchError("parameter length differs from n")
-    common_field(cal.field_m, encode(bb).m)  # b and the columns share one radical
-    scan = basis_scan(cal, encode(cal.gale_t.matvec(bb)))
+    e = encode(bb)
+    common_field(cal.field_m, e.m)  # b and the columns share one radical
+    scan = basis_scan(cal, e)
     return _fan_of_vertices(cal, tuple(dict.fromkeys(frozenset(t) for _, t in scan)))
 
 
@@ -361,11 +360,16 @@ def _half(u: Vec) -> int:
     return 1
 
 
+def _turn(u: Vec, v: Vec) -> int:
+    """The sign of det(u, v) = u0 v1 - u1 v0: one dot_sign of u against (v1, -v0)."""
+    return dot_sign(encode(u), encode((v[1], -v[0])))
+
+
 def angular_compare(u: Vec, v: Vec) -> int:
     hu, hv = _half(u), _half(v)
     if hu != hv:
         return -1 if hu < hv else 1
-    return -minor((u, v)).sign()
+    return -_turn(u, v)
 
 
 def sort_rays_by_angle(cal: Calibration, indices) -> list[int]:
@@ -378,12 +382,12 @@ def sort_rays_by_angle(cal: Calibration, indices) -> list[int]:
 def fan_from_rays(cal: Calibration, ray_indices, virtual=frozenset()) -> QuantumFan:
     """The d = 2 fan whose maximal cones are consecutive angular sectors
     between the given rays, complete exactly when each sector from u to v
-    is below pi, minor((u, v)) > 0."""
+    is below pi, det(u, v) > 0."""
     order = sort_rays_by_angle(cal, set(ray_indices))
     if len(order) < 3:
         raise NotAdmissibleError("a complete planar fan needs at least 3 rays")
     pairs = [(order[k], order[(k + 1) % len(order)]) for k in range(len(order))]
-    complete = all(minor((cal.column(u), cal.column(v))).sign() > 0 for u, v in pairs)
+    complete = all(_turn(cal.column(u), cal.column(v)) > 0 for u, v in pairs)
     return QuantumFan(cal, tuple(map(frozenset, pairs)), frozenset(virtual), complete=complete)
 
 
@@ -430,10 +434,11 @@ def _cone_intersection_rays(normals: list[Vec]) -> Optional[frozenset]:
     intersection of two cones given by their _cone_hrep), or None when
     it is lower-dimensional: the cones are pointed, so their intersection
     is too, its rays are the facet normals of Cone(normals), found among
-    the cofactor normals of (d-1)-subsets of them, and it is
-    full-dimensional exactly when they span R^d."""
+    the cofactor normals of (d-1)-subsets of them (off their minor_table),
+    and it is full-dimensional exactly when they span R^d."""
     d = len(normals[0])
-    rays = facet_normals((cofactor_normal(S, d) for S in combinations(normals, d - 1)), normals)
+    table = minor_table(normals, d)
+    rays = facet_normals(map(table.normal, table.normals), normals)
     if len(rays) < d or rank(Matrix(list(rays))) < d:
         return None
     return rays

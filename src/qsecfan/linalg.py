@@ -155,34 +155,11 @@ def rank(M: Matrix) -> int:
 
 
 def det(M: Matrix) -> Scalar:
+    """The determinant of a square matrix, its one bracket off the integer
+    minor_table of its rows; raises MixedFieldError for two radicals."""
     if M.nrows != M.ncols:
         raise DimensionMismatchError("determinant of non-square matrix")
-    return minor(M.rows)
-
-
-def minor(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """The determinant of the square matrix with these rows, by Laplace
-    expansion along the first row: a closed form up to size 3, exact for
-    any size, with no division."""
-    if len(rows) <= 1:
-        return rows[0][0] if rows else S1
-    if len(rows) == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = S0
-    for c, x in enumerate(rows[0]):
-        if not x.is_zero():
-            term = x * minor([r[:c] + r[c + 1:] for r in rows[1:]])
-            acc = acc - term if c % 2 else acc + term
-    return acc
-
-
-def cofactor_normal(rows: Sequence[Sequence[Scalar]], k: int) -> Vec:
-    """The normal w of the hyperplane that k - 1 rows of length k span,
-    with w . x = det(x, rows): entry t is (-1)^t times the minor of the
-    rows without column t.  Zero when the rows are dependent; (1,) when
-    k = 1 and there are no rows."""
-    return tuple(-x if t % 2 else x for t, x in
-                 enumerate(minor([r[:t] + r[t + 1:] for r in rows]) for t in range(k)))
+    return minor_table(M.rows, M.nrows).scalar_brackets()[0]
 
 
 def kernel_basis(M: Matrix) -> list[Vec]:
@@ -512,20 +489,30 @@ class Calibration:
 
     @cached_property
     def circuits(self) -> Mapping[tuple[int, ...], tuple[Vec, IntVec]]:
-        """(c_S at S, its code for scalar.dot_sign) for every 0-based
-        (d+1)-subset S of columns, in lexicographic order: the circuit
-        c_S = sum_t (-1)^t [S - S_t] e_{S_t}, zero when S spans no R^d.
-        h c_S = 0 by Cramer's rule, so c_S = k (c_S)_F.  The codes are
-        encode(brackets) read by sign flips, over one shared denominator."""
-        at, brackets = self.bracket_index, self.brackets
+        """(c_S at S, its code over all n columns for scalar.dot_sign, zero
+        off S) for every 0-based (d+1)-subset S of columns, in lexicographic
+        order: the circuit c_S = sum_t (-1)^t [S - S_t] e_{S_t}, zero when S
+        spans no R^d.  h c_S = 0 by Cramer's rule, so c_S = k (c_S)_F.  The
+        codes are encode(brackets) read by sign flips, over one shared
+        denominator, so c_S . b is signed against encode(b) as it stands."""
+        at, brackets, n = self.bracket_index, self.brackets, self.n
         enc, out = encode(brackets), {}
 
         def signed(v, rows):
             return None if v is None else tuple(-v[r] if t % 2 else v[r] for t, r in enumerate(rows))
 
-        for S in combinations(range(self.n), self.d + 1):
+        def placed(v, S):
+            if v is None:
+                return None
+            c = [0] * n
+            for s, x in zip(S, v):
+                c[s] = x
+            return tuple(c)
+
+        for S in combinations(range(n), self.d + 1):
             rows = [at[S[:t] + S[t + 1:]] for t in range(len(S))]
-            out[S] = (signed(brackets, rows), IntVec(signed(enc.p, rows), signed(enc.q, rows), enc.m))
+            code = IntVec(placed(signed(enc.p, rows), S), placed(signed(enc.q, rows), S), enc.m)
+            out[S] = (signed(brackets, rows), code)
         return MappingProxyType(out)
 
     def _at_free(self, S: tuple[int, ...], entries: Sequence, zero) -> tuple:
@@ -543,25 +530,6 @@ class Calibration:
         S = J[:p] + (j,) + J[p:]
         scale = self.brackets[self.bracket_index[J]].inv() * (-1) ** p
         return self._at_free(S, [scale * x for x in self.circuits[S][0]], S0)
-
-    @cached_property
-    def chamber_codes(self) -> Mapping[tuple[int, ...], Mapping[int, IntVec]]:
-        """sign([J]) (-1)^p code((c_S)_F), S = J with j in place p, a positive
-        multiple of chamber_form(J, j) in Q(sqrt(m)), by J with [J] != 0 and
-        then j outside J, in increasing order: circuits read by sign flips."""
-        circuits, out = self.circuits, {}
-        for J, bracket in zip(self.bracket_index, self.brackets):
-            s = bracket.sign()
-            if not s:
-                continue
-            codes = out[J] = {}
-            for j in (j for j in range(self.n) if j not in J):
-                p = sum(i < j for i in J)  # j sorts into place p
-                S = J[:p] + (j,) + J[p:]
-                c = circuits[S][1]
-                code = IntVec(*(None if v is None else self._at_free(S, v, 0) for v in (c.p, c.q)), c.m)
-                codes[j] = code if s == (-1) ** p else -code
-        return MappingProxyType({J: MappingProxyType(codes) for J, codes in out.items()})
 
     @cached_property
     def gale_row_codes(self) -> tuple[IntVec, ...]:

@@ -1,11 +1,12 @@
 """H-polytopes with exact vertex enumeration and face dimensions.
 
 A polytope is {x in R^d : <x, normal_i> + offset_i >= 0}.  Its vertices
-come from the brackets of its normals' Calibration, kept by the signs of
-(d+1)-minors of the rows (normal_s, offset_s) (Bjorner et al., Oriented
-Matroids, ch. 3) and solved in integers off the calibration's minor
-table.  A bounded polytope is the convex hull of its vertices and each
-face the hull of the vertices on it, in a graded
+are the basic points x_J of the d-subsets J of its normals that
+basis_scan keeps: the slack of i at x_J is the circuit c_S of S = J + {i}
+against the offsets, up to the sign of [J] (Bjorner et al., Oriented
+Matroids, ch. 3), and each is solved in integers off the calibration's
+minor table.  A bounded polytope is the convex hull of its vertices and
+each face the hull of the vertices on it, in a graded
 face lattice (Ziegler, Lectures on Polytopes, ch. 2), so its face
 dimensions are read off the tight sets of its vertices.  An
 unbounded one is not; its face dimensions come from the rank of the
@@ -15,7 +16,7 @@ implicit-equality normals, detected by exact feasibility tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
@@ -155,43 +156,31 @@ class HPolytope:
     def vertices(self) -> list[tuple[Vec, frozenset[int]]]:
         """All vertices with their full tight-constraint sets, sorted.
 
-        A candidate J is every d-subset of nonzero normals with [J] != 0 that
-        lies in no tight set (taken against all constraints) of a vertex found
-        (its one point is that vertex).  It is kept when the _lifted_sign of no
-        slack is negative, and only then solved, as its _basic_point.
+        The basis_scan of the nonzero normals against their offsets gives
+        every J with [J] != 0 whose basic point lies in P, with the tight
+        set there; each distinct tight set is one vertex, solved once, as
+        the _basic_point of its first J.
         """
         return list(self._vertices)
 
     @cached_property
     def _vertices(self) -> tuple[tuple[Vec, frozenset[int]], ...]:
-        cal, found = self._calibration, []
+        cal, found = self._calibration, {}
         if cal is None:
             return ()
         zero = {i: o.sign() for i, (nr, o) in enumerate(zip(self.normals, self.offsets)) if is_zero_vec(nr)}
         nonzero = [i for i in range(self.nfacets) if i not in zero]
         offsets = [self.offsets[i] for i in nonzero]
-        e, k, signs = encode(offsets), len(nonzero), {}  # sign D(S) by S
+        e = encode(offsets)
         common_field(e.m, cal.field_m)  # offsets and normals share one radical
         if -1 in zero.values():
             return ()
         everywhere = [i for i, sign in zero.items() if sign == 0]
-        for J, bracket in zip(combinations(range(k), self.ambient_dim), cal.brackets):
-            tight = [nonzero[j] for j in J]
-            if bracket.is_zero() or any(t.issuperset(tight) for _, t in found):
-                continue
-            for i in (i for i in range(k) if i not in J):
-                p = sum(j < i for j in J)  # i sorts into place p
-                S = J[:p] + (i,) + J[p:]
-                if S not in signs:
-                    signs[S] = _lifted_sign(cal, e, S)
-                sign = bracket.sign() * (-1) ** p * signs[S]
-                if sign < 0:
-                    break
-                if sign == 0:
-                    tight.append(nonzero[i])
-            else:
-                found.append((_basic_point(cal, J, offsets), frozenset(tight + everywhere)))
-        return tuple(sorted(found))
+        for J, tight in basis_scan(cal, e):
+            tight = frozenset([nonzero[i] for i in tight] + everywhere)
+            if tight not in found:
+                found[tight] = _basic_point(cal, J, offsets)
+        return tuple(sorted((x, tight) for tight, x in found.items()))
 
     def is_bounded(self) -> bool:
         """True when the recession cone {x : <x, normal_i> >= 0} is {0}: by
@@ -224,26 +213,44 @@ def virtual_indices(calibration, b: Sequence) -> frozenset[int]:
     return frozenset(i + 1 for i in range(calibration.n) if i not in facets)
 
 
-def _lifted_sign(cal: Calibration, e: IntVec, S: tuple[int, ...]) -> int:
-    """The sign of D(S) = c_S . b = sum_t (-1)^t b_{S_t} [S - S_t] for a
-    0-based (d+1)-subset S and e = encode(b): the minor of the rows
-    (h(e_s), b_s), s in S, up to (-1)^d, one dot_sign of the code of the
-    circuit c_S against b at S.  For S = J with i in place p, [J] times the
-    slack <x, h(e_i)> + b_i at the basic point x of J is (-1)^p D(S)."""
-    b_S = (None if v is None else tuple(v[s] for s in S) for v in (e.p, e.q))
-    return dot_sign(cal.circuits[S][1], IntVec(*b_S, e.m))
+@cache
+def _scan_plan(n: int, d: int) -> tuple:
+    """(J, steps) for every 0-based d-subset J of range(n), in bracket
+    order, with one step (i, S, k, (-1)^p) per i outside J: S = J + {i},
+    k its place among the (d+1)-subsets in lexicographic order and p the
+    place of i in S.  Shared by every calibration of shape (n, d)."""
+    at = {S: k for k, S in enumerate(combinations(range(n), d + 1))}
+    plan = []
+    for J in combinations(range(n), d):
+        steps = []
+        for i in (i for i in range(n) if i not in J):
+            p = sum(j < i for j in J)  # i sorts into place p
+            S = J[:p] + (i,) + J[p:]
+            steps.append((i, S, at[S], -1 if p % 2 else 1))
+        plan.append((J, tuple(steps)))
+    return tuple(plan)
 
 
 def basis_scan(calibration, e: IntVec) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """(J, tight) for every invertible 0-based d-subset J whose basic point
-    x_J = M_J^{-1} (-b_J) lies in P_b, for every b with k^T b = chi encoded
-    as e.  The slack of i at x_J is z(J, i) . chi, the chamber code of
-    (J, i), so J is kept when each sign is >= 0, read up to the first
+    """(J, tight) for every 0-based d-subset J with [J] != 0 whose basic
+    point x_J = M_J^{-1} (-b_J) lies in P_b, for e = encode(b), in bracket
+    order.  [J] times the slack <x_J, h(e_i)> + b_i is (-1)^p c_S . b for
+    S = J with i in place p, so its sign is sign([J]) (-1)^p times one
+    dot_sign of the circuit code of S against e, read once per S and
+    scan.  J is kept when no slack is negative, read up to the first
     negative one; tight is J followed by the i whose slack is zero."""
-    for J, codes in calibration.chamber_codes.items():
+    circuits = calibration.circuits
+    signs = [None] * len(circuits)
+    for (J, steps), bracket in zip(_scan_plan(calibration.n, calibration.d), calibration.brackets):
+        s = bracket.sign()
+        if not s:
+            continue
         tight = list(J)
-        for i, z in codes.items():
-            sign = dot_sign(z, e)
+        for i, S, k, t in steps:
+            sign = signs[k]
+            if sign is None:
+                sign = signs[k] = dot_sign(circuits[S][1], e)
+            sign *= s * t
             if sign < 0:
                 break
             if sign == 0:

@@ -151,16 +151,15 @@ def is_generic(cal: Calibration, chi: Sequence) -> bool:
 class ChamberInequality:
     """<normal, chi> >= 0; kind "wall" carries (sigma, sigma', j), kind
     "virtual" carries the virtual generator index.  code is the normal
-    encoded for dot_sign, computed when not given."""
+    encoded for dot_sign."""
 
     normal: Vec
     kind: str
     payload: tuple
-    code: IntVec = field(default=None, compare=False, repr=False)
+    code: IntVec = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.code is None:
-            object.__setattr__(self, "code", encode(self.normal))
+        object.__setattr__(self, "code", encode(self.normal))
 
 
 @dataclass(frozen=True)
@@ -230,18 +229,19 @@ def _chamber_inequality(cal: Calibration, sigma, j: int, kind: str,
                         payload: tuple) -> ChamberInequality:
     """z . chi >= 0 for z . chi = <x_sigma(b), h(e_j)> + b_j, where x_sigma(b)
     is the vertex of P_b dual to the simplicial cone sigma (1-based
-    indices): z is the calibration's chamber form, its code looked up."""
+    indices): z is the calibration's chamber form."""
     J = _basis(sigma)
-    codes = cal.chamber_codes.get(J)
-    if codes is None:
+    at = cal.bracket_index.get(J)
+    if at is None or cal.brackets[at].is_zero():
         raise NotAdmissibleError("maximal cone does not span R^d")
-    return ChamberInequality(cal.chamber_form(J, j - 1), kind, payload, codes[j - 1])
+    return ChamberInequality(cal.chamber_form(J, j - 1), kind, payload)
 
 
 def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
     """The GKZ chamber containing the generic admissible point chi, decided
-    by the signs of the calibration's encoded chi-space forms at chi; a live
-    chamber with the same basis-scan tight sets lends its fan and inequalities."""
+    by the basis_scan of its preimage b with zeros off the free columns; a
+    live chamber with the same basis-scan tight sets lends its fan and
+    inequalities."""
     cc = _chi_vec(cal, chi)
     e = encode(cc)
     if not _signs_at_least(cal.gale_facet_codes, e, 1):
@@ -249,7 +249,7 @@ def chamber_of(cal: Calibration, chi: Sequence) -> Chamber:
     # P_b is d-dimensional for admissible chi; it is never bounded without
     # positively spanning columns, and with them it is simple exactly when
     # chi is generic
-    tight_sets = tuple(frozenset(tight) for _, tight in basis_scan(cal, e)) \
+    tight_sets = tuple(frozenset(t) for _, t in basis_scan(cal, encode(preimage_at_free(cal, cc)))) \
         if cal.positively_spanning else None
     if tight_sets is None or any(len(t) > cal.d for t in tight_sets):
         witnesses = degenerate_span_witnesses(cal, cc)

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from qsecfan import AffinePath, Calibration, InvalidCalibrationError, Rational, Scalar
-from qsecfan.linalg import gale_rows, normalize_direction, preimage_of_chi, vadd, vec, vscale
-from qsecfan.scalar import encode
-from qsecfan.secondary import is_generic
+from qsecfan.linalg import dot, gale_rows, normalize_direction, preimage_of_chi, vadd, vec, vscale
+from qsecfan.scalar import dot_sign, encode
+from qsecfan.secondary import _chamber_inequality, is_generic
 
 SQ2 = Scalar.sqrt(2)
 S0 = Scalar(0)
@@ -223,18 +223,23 @@ def decode(code):
 
 
 def forms_of(cal):
-    """Calibration.chamber_form at every (J, j) of chamber_codes, keyed the same way."""
-    return {J: {j: cal.chamber_form(J, j) for j in codes} for J, codes in cal.chamber_codes.items()}
+    """Calibration.chamber_form at every (J, j) with [J] != 0 and j outside J,
+    by J in lexicographic order and then j in increasing order."""
+    return {J: {j: cal.chamber_form(J, j) for j in range(cal.n) if j not in J}
+            for J, bracket in zip(cal.bracket_index, cal.brackets) if not bracket.is_zero()}
 
 
 def assert_codes_fit_forms(cal):
-    """Each chamber code is an exact positive multiple of its chamber form, as
-    encode(form) is: equal directions after normalize_direction."""
-    for J, codes in cal.chamber_codes.items():
-        for j, code in codes.items():
-            z = cal.chamber_form(J, j)
-            assert normalize_direction(decode(code)) == normalize_direction(z) \
-                == normalize_direction(decode(encode(z)))
+    """The chamber inequality of each (J, j) has the chamber form as its
+    normal and a code with the form's sign at each Gale row, an exact
+    positive multiple of the form: equal directions after normalize_direction."""
+    rows = [(g, encode(g)) for g in cal.gale.rows]
+    for J, forms in forms_of(cal).items():
+        for j, z in forms.items():
+            q = _chamber_inequality(cal, frozenset(k + 1 for k in J), j + 1, "wall", ())
+            assert q.normal == z
+            assert normalize_direction(decode(q.code)) == normalize_direction(z)
+            assert [dot_sign(q.code, e) for _, e in rows] == [dot(z, g).sign() for g, _ in rows]
 
 
 @pytest.fixture

@@ -28,8 +28,8 @@ their ``self`` argument and their imports, and none but
 its ``_add_vertex``) are the routes that vertex tight sets and the signs
 of lifted minors replaced: the affine dimension of a set of vertices, by
 ``rank``, which gave every face dimension of a bounded polytope and of
-P_b in the normal fan; P_b's vertices from the ``basis_scan`` of chi,
-each solved for its coordinates, which the normal fan read; and
+P_b in the normal fan; P_b's vertices from the ``basis_scan``, now of
+b, each solved for its coordinates, which the normal fan read; and
 ``HPolytope``'s vertices, every candidate solved and then checked by a
 Scalar slack pass.  They are copied the same way and read the cached
 facts their originals read.  The two reference routes that called the
@@ -66,7 +66,7 @@ and the simplicity check on their tight sets, then the fan of those
 vertices, with each inequality's form looked up by ``_chamber_form``.
 Its chambers encode their inequality normals on construction, as the
 forms come without codes.  It calls ``vertices_of_dict`` in place of
-``vertices_of``, which now runs the chamber-code scan of ``chamber_of``
+``vertices_of``, which now runs the ``basis_scan`` of ``chamber_of``
 itself; both return the same list.
 
 ``gale_facet_normals_subsets`` is the Gale-cone facet enumeration that
@@ -155,7 +155,7 @@ and read ``encode(brackets)`` where their originals read the cached
 ``brackets_laplace``, ``hyperplane_normals_cofactor`` and
 ``basic_point_normals`` are the Scalar routes that the integer minor
 table of ``Calibration.minor_table`` replaced: every bracket by
-``linalg.minor`` (Laplace expansion, recursive beyond size 3), every
+``minor`` (Laplace expansion, recursive beyond size 3), every
 hyperplane normal by ``cofactor_normal``, and ``polytope._basic_point``
 as a chain of Scalar products and sums over the hyperplane normals,
 scaled by -1/[J].  The reference ``vertices_of`` and
@@ -170,6 +170,15 @@ the two fans that only one side has, and otherwise flipping with the
 ``kernel_basis`` dependence of the first non-simplicial cone of the
 on-wall fan, the side triangulating the current fan listed first.
 ``classify_crossing_ref`` reads its wall the same way.
+
+``minor`` and ``cofactor_normal`` are the Scalar Laplace engine that
+``linalg`` kept beside the minor table for ``det``, the planar turns of
+``angular_compare`` and ``fan_from_rays`` and the cofactor normals of
+``_cone_intersection_rays``, until each read the table or one
+``dot_sign``.  ``basis_scan_chi`` is the vertex test ``basis_scan`` ran
+in chi-space, over the per-calibration table ``chamber_codes`` of the
+sign([J]) (-1)^p codes of (c_S)_F, before it signed each c_S against b
+itself; it takes that table as ``chamber_codes_brackets`` builds it.
 """
 
 import random
@@ -197,14 +206,12 @@ from qsecfan.fan import (
 from qsecfan.linalg import (
     Calibration,
     Matrix,
-    cofactor_normal,
     dot,
     gale_rows,
     in_cone,
     inverse,
     kernel_basis,
     is_zero_vec,
-    minor,
     normalize_direction,
     preimage_at_free,
     preimage_matrix,
@@ -358,14 +365,14 @@ def affine_dim(points):
 
 def vertices_of(calibration, b):
     """HPolytope.from_parameter(calibration, b).vertices(), read off the
-    basis_scan of chi = k^T b; a kept J is solved only when its vertex is
+    basis_scan of b; a kept J is solved only when its vertex is
     not yet known, as its basic_point_normals."""
     bb = vec(b)
     if len(bb) != calibration.n:
         raise DimensionMismatchError("parameter length differs from n")
     at, brackets = calibration.bracket_index, calibration.brackets
     found = []
-    for J, tight in basis_scan(calibration, encode(calibration.gale_t.matvec(bb))):
+    for J, tight in basis_scan(calibration, encode(bb)):
         if not any(t.issuperset(J) for _, t in found):
             found.append((basic_point_normals(calibration, J, brackets[at[J]], bb), frozenset(tight)))
     return sorted(found)
@@ -1142,6 +1149,23 @@ def chamber_codes_brackets(cal):
     return out
 
 
+def basis_scan_chi(codes, e):
+    """polytope.basis_scan in chi-space, over a chamber-code table such as
+    chamber_codes_brackets(cal), for e = encode(chi): (J, tight) for every J
+    of the table whose codes all have sign >= 0 at chi, read up to the first
+    negative one; tight is J followed by the j whose sign is zero."""
+    for J, row in codes.items():
+        tight = list(J)
+        for j, z in row.items():
+            sign = dot_sign(z, e)
+            if sign < 0:
+                break
+            if sign == 0:
+                tight.append(j)
+        else:
+            yield J, tight
+
+
 def wall_normals_cofactor(cal):
     """One normal per hyperplane spanned by n-d-1 Gale rows: their signed
     minors (-1)^t det(rows without column t), turned so that the last
@@ -1206,6 +1230,31 @@ def positively_spanning_sides(cal):
         if len(sides - {0}) == 1:
             return False
     return True
+
+
+def minor(rows):
+    """The determinant of the square matrix with these rows, by Laplace
+    expansion along the first row: a closed form up to size 3, exact for
+    any size, with no division."""
+    if len(rows) <= 1:
+        return rows[0][0] if rows else S1
+    if len(rows) == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    acc = S0
+    for c, x in enumerate(rows[0]):
+        if not x.is_zero():
+            term = x * minor([r[:c] + r[c + 1:] for r in rows[1:]])
+            acc = acc - term if c % 2 else acc + term
+    return acc
+
+
+def cofactor_normal(rows, k):
+    """The normal w of the hyperplane that k - 1 rows of length k span,
+    with w . x = det(x, rows): entry t is (-1)^t times the minor of the
+    rows without column t.  Zero when the rows are dependent; (1,) when
+    k = 1 and there are no rows."""
+    return tuple(-x if t % 2 else x for t, x in
+                 enumerate(minor([r[:t] + r[t + 1:] for r in rows]) for t in range(k)))
 
 
 def brackets_laplace(cal):

@@ -1,10 +1,11 @@
 """Calibration.circuits, the one table of circuits c_S, and its readers
-(chamber forms and codes, wall normals, the lifted signs of the vertex
-test, projective certificates and positive spanning) against the routes
-they replaced, which rebuilt each circuit from the brackets or the Gale
-rows: on the references, the pool, sqrt(2) column sets, the unconstrained
-kinds, n - d = 1 and n = d.  Each circuit is also checked to lie in
-ker h and to be k times its entries at the free columns."""
+(chamber forms and the codes of chamber inequalities, wall normals, the
+lifted signs of basis_scan, projective certificates and positive
+spanning) against the routes they replaced, which rebuilt each circuit
+from the brackets or the Gale rows: on the references, the pool, sqrt(2)
+column sets, the unconstrained kinds, n - d = 1 and n = d.  Each circuit
+is also checked to lie in ker h, to be k times its entries at the free
+columns, and to have a code over all n columns, zero off S."""
 
 import random
 from itertools import combinations
@@ -13,10 +14,15 @@ import pytest
 
 from qsecfan import Calibration, Scalar, projective_certificate
 from qsecfan.linalg import is_zero_vec, normalize_direction, vadd, vec, vscale
-from qsecfan.polytope import _lifted_sign
-from qsecfan.scalar import encode
+from qsecfan.scalar import dot_sign, encode
 
-from conftest import decode, random_calibration, unconstrained_calibration
+from conftest import (
+    assert_codes_fit_forms,
+    decode,
+    forms_of,
+    random_calibration,
+    unconstrained_calibration,
+)
 from reference_geometry import (
     chamber_codes_brackets,
     chamber_form_brackets,
@@ -51,16 +57,16 @@ def assert_circuits_match(cal, rng):
             h_c = vadd(h_c, vscale(c[s], cal.columns[s]))
         assert h_c == zero
         assert cal.gale.matvec(cal._at_free(S, entries, Scalar(0))) == tuple(c)
-        assert [x.is_zero() for x in decode(code)] == [x.is_zero() for x in entries]
+        assert [x.is_zero() for x in decode(code)] == [x.is_zero() for x in c]
         if not is_zero_vec(entries):
-            assert normalize_direction(decode(code)) == normalize_direction(entries)
-    for J, codes in cal.chamber_codes.items():
-        for j in codes:
-            assert repr(cal.chamber_form(J, j)) == repr(chamber_form_brackets(cal, J, j))
-    want = chamber_codes_brackets(cal)
-    assert list(cal.chamber_codes) == list(want)
-    assert {J: dict(codes) for J, codes in cal.chamber_codes.items()} == want
-    assert all(list(cal.chamber_codes[J]) == list(want[J]) for J in want)
+            assert normalize_direction(decode(code)) == normalize_direction(c)
+    forms, want = forms_of(cal), chamber_codes_brackets(cal)
+    assert [(J, list(row)) for J, row in forms.items()] == [(J, list(row)) for J, row in want.items()]
+    for J, row in forms.items():
+        for j, z in row.items():
+            assert repr(z) == repr(chamber_form_brackets(cal, J, j))
+            assert normalize_direction(decode(want[J][j])) == normalize_direction(z)
+    assert_codes_fit_forms(cal)
     assert repr(cal.wall_normals) == repr(wall_normals_cofactor(cal))
     assert cal.positively_spanning == positively_spanning_sides(cal)
     assert certificate_json(projective_certificate(cal)) == \
@@ -68,7 +74,7 @@ def assert_circuits_match(cal, rng):
     for _ in range(2):
         e = encode(random_parameter(rng, cal))
         for S in cal.circuits:
-            assert _lifted_sign(cal, e, S) == lifted_sign_brackets(cal, e, S)
+            assert dot_sign(cal.circuits[S][1], e) == lifted_sign_brackets(cal, e, S)
 
 
 @pytest.fixture(scope="module")

@@ -365,7 +365,7 @@ def test_cached_facts_do_not_grow_with_queries():
                           "gale_facet_codes", "wall_normals", "wall_codes",
                           "positively_spanning", "brackets", "hyperplane_normals",
                           "inverse_codes", "bracket_index", "circuits",
-                          "chamber_codes", "live_chambers", "minor_table"}
+                          "live_chambers", "minor_table"}
     for chi in points[1:]:
         results.append(chamber_of(cal, chi))
         # one entry per distinct chamber the test keeps alive, at most

@@ -11,7 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from qsecfan import Calibration, chamber_of, cobordism_from_path, enumerate_chambers, secondary
+from qsecfan import (
+    Calibration,
+    chamber_of,
+    cobordism_from_path,
+    enumerate_chambers,
+    linalg,
+    polytope,
+    secondary,
+)
 from qsecfan.cli import main
 
 from conftest import cal_of, segment
@@ -411,6 +419,76 @@ def test_the_scan_sees_an_attribute_read(tmp_path):
     assert name_reads(src, "kernel_basis") == [("", 5), ("f", 4), ("f", 4)]
 
 
+def circuit_code_reads(path):
+    """(enclosing definitions, line) of each read of a circuit's code off a
+    table named circuits (a name or an attribute): circuits[S][1], or a
+    pair circuits[S] or an item of circuits.items() or .values() bound to
+    a target that keeps its second entry (any target but a pair (x, _))."""
+    def is_table(node):
+        return isinstance(node, ast.Name) and node.id == "circuits" or \
+            isinstance(node, ast.Attribute) and node.attr == "circuits"
+
+    def keeps_code(target):
+        return not (isinstance(target, ast.Tuple) and len(target.elts) == 2
+                    and isinstance(target.elts[1], ast.Name) and target.elts[1].id == "_")
+
+    def loops(node):
+        if isinstance(node, ast.For):
+            yield node.target, node.iter
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            yield from ((g.target, g.iter) for g in node.generators)
+
+    def hit(node):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript) \
+                and is_table(node.value.value):
+            return isinstance(node.slice, ast.Constant) and node.slice.value == 1
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript) \
+                and is_table(node.value.value):
+            return any(map(keeps_code, node.targets))
+        for target, it in loops(node):
+            if isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute) \
+                    and is_table(it.func.value) and it.func.attr in ("items", "values"):
+                if it.func.attr == "items" and isinstance(target, ast.Tuple) and len(target.elts) == 2:
+                    target = target.elts[1]
+                if keeps_code(target):
+                    return True
+        return False
+
+    return scoped_reads(path, hit)
+
+
+SCAN_READERS = {"HPolytope._vertices", "normal_fan", "chamber_of", "_sample_census"}
+
+
+def test_one_vertex_test_for_every_parameter_polytope():
+    """basis_scan is the one per-basis vertex test: it alone reads the
+    circuit codes, signed against b, and the vertices of an HPolytope, the
+    normal fan, chamber_of and the census all call it; none of them reads
+    the Gale transform to reach chi, and no chi-space code table is left."""
+    assert not hasattr(Calibration, "chamber_codes") and not hasattr(polytope, "_lifted_sign")
+    paths = sorted(SRC.glob("*.py"))
+    assert {(p.name, scope) for p in paths for scope, _ in circuit_code_reads(p)} == \
+        {("polytope.py", "basis_scan")}
+    assert {scope for p in paths for scope, _ in name_reads(p, "basis_scan")} == SCAN_READERS
+    assert [(p.name, scope) for p in paths for scope, _ in attribute_reads(p, "gale_t")
+            if scope in SCAN_READERS] == []
+
+
+def test_the_scan_sees_a_circuit_code_read(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def entries(cal, S):\n    return cal.circuits[S][0]\n"
+                   "def scan(cal, S):\n    circuits = cal.circuits\n    return circuits[S][1]\n"
+                   "def spanning(cal):\n    for S, (c, _) in cal.circuits.items():\n"
+                   "        yield c\n"
+                   "def unpacked(cal):\n"
+                   "    return [code for S, (c, code) in cal.circuits.items()]\n"
+                   "def pairs(cal, S):\n    c, code = cal.circuits[S]\n"
+                   "    return [p for p in cal.circuits.values()], c.gale_t\n")
+    assert circuit_code_reads(src) == [("pairs", 12), ("pairs", 13), ("scan", 5),
+                                       ("unpacked", 10)]
+    assert attribute_reads(src, "gale_t") == [("pairs", 13)]
+
+
 SCALAR_ROUTES = ("minor", "cofactor_normal", "vscale", "vadd")
 TABLE_READERS = {"Calibration.brackets", "Calibration.hyperplane_normals", "_basic_point"}
 
@@ -425,6 +503,7 @@ def scalar_route_reads(path, readers=TABLE_READERS):
 def test_the_minor_table_readers_take_no_scalar_route():
     """The brackets, the hyperplane normals and the basic points are read
     off the integer minor table, built once per calibration in scalar.py."""
+    assert not hasattr(linalg, "minor") and not hasattr(linalg, "cofactor_normal")
     paths = (SRC / "linalg.py", SRC / "polytope.py")
     assert {scope for p in paths for scope, _ in name_reads(p, "minor_table")} >= TABLE_READERS
     assert [found for p in paths for found in scalar_route_reads(p)] == []

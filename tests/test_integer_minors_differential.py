@@ -6,8 +6,9 @@ and HPolytope.vertices() against the Scalar basic point.  Run on the
 references with corank4, the pool, the benchmark's golden calibrations,
 unconstrained column sets and sqrt(2) column sets with d = 1..4; d = 0,
 d = 1, n = d, zero brackets and zero b_j are asserted present.  The
-kernels themselves are checked on random matrices against linalg.minor,
-cofactor_normal and solve_unique."""
+kernels themselves are checked on random matrices against the Scalar
+Laplace minor and cofactor_normal of reference_geometry, and against
+solve_unique."""
 
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from qsecfan import Calibration, HPolytope, Scalar
 from qsecfan.errors import DegenerateInputError, MixedFieldError
-from qsecfan.linalg import Matrix, cofactor_normal, minor, solve_unique, vec
+from qsecfan.linalg import Matrix, det, solve_unique, vec
 from qsecfan.polytope import _basic_point
 from qsecfan.scalar import minor_table
 
@@ -27,8 +28,10 @@ from conftest import random_calibration, unconstrained_calibration
 from reference_geometry import (
     basic_point_normals,
     brackets_laplace,
+    cofactor_normal,
     hpolytope_vertices_slack,
     hyperplane_normals_cofactor,
+    minor,
 )
 from test_minor_tables_differential import golden_calibrations
 
@@ -174,6 +177,7 @@ def test_basic_point_matches_solve_unique(k, data):
     rows, b = data.draw(matrices(k))
     J = tuple(range(k))
     want = solve_unique(Matrix(rows), [-x for x in b])
+    assert repr(det(Matrix(rows))) == repr(minor(rows))
     if minor(rows).is_zero():
         assert want is None
         with pytest.raises(DegenerateInputError):

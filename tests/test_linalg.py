@@ -3,7 +3,7 @@
 import pytest
 
 from qsecfan import Calibration, Matrix, Rational, Scalar
-from qsecfan.errors import DimensionMismatchError, InvalidCalibrationError
+from qsecfan.errors import DimensionMismatchError, InvalidCalibrationError, MixedFieldError
 from qsecfan.linalg import (
     chi_of_b,
     det,
@@ -40,6 +40,10 @@ def test_det():
     assert det(Matrix([[1, 2], [3, 4]])) == S(-2)
     assert det(Matrix([[SQ2, 1], [1, SQ2]])) == S(1)
     assert det(Matrix([[1, 1], [1, 1]])).is_zero()
+    assert det(Matrix([])) == S(1)
+    # two radicals raise even where every product that meets them is zero
+    with pytest.raises(MixedFieldError):
+        det(Matrix([[SQ2, Scalar.sqrt(3)], [0, 0]]))
 
 
 def test_kernel_basis_orthogonal_to_rows():

@@ -305,9 +305,9 @@ def rref_calls(monkeypatch):
     return calls
 
 
-# The vertex test reads the circuit table, built from the brackets with
-# no elimination; chamber forms are counted where they are built.
-CACHED_ELIMINATION = ("basis_inverses", "inverse_codes", "chamber_codes")
+# The vertex test, basis_scan, reads the circuit table, built from the
+# brackets with no elimination; chamber forms are counted where they are built.
+CACHED_ELIMINATION = ("basis_inverses", "inverse_codes", "hyperplane_normals")
 
 
 def test_a_parameter_polytope_reads_its_facts_off_its_calibration(calibrations_built,

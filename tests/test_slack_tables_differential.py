@@ -1,6 +1,7 @@
-"""The chamber forms and codes a Calibration gives, the chamber inequalities
-and vertex slacks read from them against the per-call chain they replaced,
-and genericity with its witnesses against the LP scan."""
+"""The chamber forms a Calibration gives, the chamber inequalities with
+their codes and the vertex slacks read from them against the per-call
+chain they replaced, and genericity with its witnesses against the LP
+scan."""
 
 import random
 from itertools import combinations
@@ -9,6 +10,7 @@ import pytest
 
 from qsecfan import NotAdmissibleError, chamber_of, is_admissible, is_generic
 from qsecfan.linalg import dot, is_zero_vec, vadd, vec
+from qsecfan.scalar import dot_sign, encode
 from qsecfan.secondary import _chamber_inequality, degenerate_span_witnesses
 
 from conftest import assert_codes_fit_forms, forms_of, special_points
@@ -28,13 +30,13 @@ def references(qex, qex_t1, p2, fig5, frustum, exc4):
 
 def assert_tables_match_the_chain(cal):
     """Every d-subset J: an invertible one has one chamber form and its
-    code per j outside J, the form equal to the reference chain and to the
-    Cramer table (which checks h c = 0 per entry), the code an exact
-    positive multiple of it; a singular one has none and raises the
-    reference's error."""
+    inequality per j outside J, the form equal to the reference chain and
+    to the Cramer table (which checks h c = 0 per entry), the inequality's
+    code its encoding; a singular one has none and raises the reference's
+    error."""
     n, d = cal.n, cal.d
-    cramer = chamber_forms_cramer(cal)
-    assert list(cal.chamber_codes) == list(cal.basis_inverses) == list(cramer)
+    cramer, forms = chamber_forms_cramer(cal), forms_of(cal)
+    assert list(forms) == list(cal.basis_inverses) == list(cramer)
     checked = 0
     for J in combinations(range(n), d):
         sigma = frozenset(k + 1 for k in J)
@@ -46,13 +48,13 @@ def assert_tables_match_the_chain(cal):
                 _chamber_inequality(cal, sigma, outside[0] + 1, "wall", ())
             assert str(got.value) == str(want.value)
             continue
-        assert list(cal.chamber_codes[J]) == outside == list(cramer[J])
+        assert list(forms[J]) == outside == list(cramer[J])
         for j in outside:
-            z = cal.chamber_form(J, j)
+            z = forms[J][j]
             assert repr(z) == repr(cramer[J][j])
             assert z == to_chi_space(cal, b_space_inequality(cal, sigma, j + 1))
             q = _chamber_inequality(cal, sigma, j + 1, "wall", ())
-            assert q.normal == z and q.code is cal.chamber_codes[J][j]
+            assert q.normal == z and q.code == encode(z)
             checked += 1
     assert_codes_fit_forms(cal)
     return checked
@@ -95,8 +97,8 @@ def test_chamber_forms_give_the_slack_at_each_basic_point(instance_pool):
 
 def test_chamber_inequalities_match_the_chain(references, instance_pool):
     """Each wall and virtual inequality of chamber_of against the chain
-    run on its payload, for every n-d of the pool; its code is the
-    calibration's table entry, not a fresh encoding."""
+    run on its payload, for every n-d of the pool; its code is the encoded
+    normal, positive at the chamber's representative point."""
     rng = random.Random(46)
     chambers = [chamber_of(cal, chi) for cal, chi, _ in instance_pool]
     for cal in references:
@@ -112,7 +114,8 @@ def test_chamber_inequalities_match_the_chain(references, instance_pool):
                 (j,) = q.payload
                 sigma = ch.fan.cone_containing(cal.column(j))
             assert q.normal == to_chi_space(cal, b_space_inequality(cal, sigma, j))
-            assert q.code is cal.chamber_codes[tuple(sorted(k - 1 for k in sigma))][j - 1]
+            assert q.code == encode(q.normal)
+            assert dot_sign(q.code, encode(ch.rep_point)) == dot(q.normal, ch.rep_point).sign() == 1
             kinds.add(q.kind)
     assert kinds == {"wall", "virtual"}
 
