@@ -5,8 +5,8 @@ geometry (containment, faces, convexity) is recomputed from the
 calibration columns on demand, through exact feasibility tests or the
 facts the calibration caches: normal fans come from the basis_scan of
 b against its circuits, and every simplicial cone question (dimension,
-membership, facets, star subdivision) from its brackets and the codes of
-its hyperplane normals.
+membership, facets, star subdivision) from its chirotope and the integer
+codes of its hyperplane normals.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .linalg import (
     facet_normals,
     gale_rows,
     in_cone,
-    is_zero_vec,
     kernel_basis,
     normalize_direction,
     rank,
@@ -424,9 +423,8 @@ def _cone_hrep(cal: Calibration, sigma) -> list[Vec]:
     """Facet normals w (cone = {x : <w,x> >= 0 for all w}) of a
     full-dimensional cone: the hyperplane normals of its (d-1)-subsets of
     generators with every generator on one side, turned to that side."""
-    J, normals = _basis(sigma), cal.hyperplane_normals
-    return sorted(facet_normals((normals[S][0] for S in combinations(J, cal.d - 1)),
-                                _cols(cal, sigma)))
+    J, table = _basis(sigma), cal.minor_table
+    return sorted(facet_normals(map(table.normal, combinations(J, cal.d - 1)), _cols(cal, sigma)))
 
 
 def _cone_intersection_rays(normals: list[Vec]) -> Optional[frozenset]:
@@ -657,11 +655,13 @@ def is_complete(f: QuantumFan) -> bool:
         return False
     planes: dict = {}
     sides: dict = {}
+    normals = cal.hyperplane_normals
     for sigma in f.max_cones:
         for facet in facets_of(cal, sigma):
             key = frozenset(normalize_direction(cal.column(i)) for i in facet)
-            if key not in planes:
-                planes[key] = _spanned_normal_code(cal, facet)
+            if key not in planes:  # a spanning normal of d - 1 of the facet's generators
+                planes[key] = next(normals[S] for S in combinations(_basis(facet), cal.d - 1)
+                                   if S in normals)
             off = encode(cal.column(min(sigma - facet)))
             sides.setdefault(key, []).append(dot_sign(planes[key], off))
     if any(sorted(s) != [-1, 1] for s in sides.values()):
@@ -670,20 +670,12 @@ def is_complete(f: QuantumFan) -> bool:
     return sum(cone_contains(cal, s, ray) for s in f.max_cones) == 1
 
 
-def _spanned_normal_code(cal: Calibration, facet) -> IntVec:
-    """The code of a nonzero hyperplane normal of d - 1 generators of a
-    facet, so of the hyperplane it spans."""
-    normals = cal.hyperplane_normals
-    return next(normals[S][1] for S in combinations(_basis(facet), cal.d - 1)
-                if not is_zero_vec(normals[S][0]))
-
-
 def _generic_ray(cal: Calibration) -> Vec:
     """The first moment-curve point (1, t, ..., t^(d-1)), t = 1, 2, ...,
     off every hyperplane spanned by columns.  Each nonzero normal vanishes
     there at no more than d - 1 values of t, so the search ends within
     (d - 1) C(n, d - 1) + 1 tries."""
-    codes = [e for w, e in cal.hyperplane_normals.values() if not is_zero_vec(w)]
+    codes = list(cal.hyperplane_normals.values())
     for t in count(1):
         ray = vec([t ** k for k in range(cal.d)])
         e = encode(ray)

@@ -2,7 +2,8 @@
 
 Everything is immutable and deterministic: Gaussian elimination always
 picks the first nonzero pivot, reduced echelon form orders free
-variables increasingly, so repeated calls give identical output.
+variables increasingly, so repeated calls give identical output.  A
+Calibration reads every sign off its chirotope and integer codes.
 """
 
 from __future__ import annotations
@@ -341,7 +342,8 @@ class Calibration:
     # Each is computed on first use and kept in the instance __dict__ by
     # cached_property, outside the dataclass fields, so it takes no part in
     # ==, hash, repr or to_json.  Each has a size fixed by (n, d) but
-    # live_chambers, which holds only live chambers, weakly: it keeps none alive.
+    # live_chambers, which holds live chambers weakly.  Signs are read off the
+    # chirotope and integer codes; Scalars are built only where output.
 
     @cached_property
     def gale(self) -> Matrix:
@@ -396,10 +398,10 @@ class Calibration:
         m = self.n - self.d
         if m == 0:
             return ()
-        normals, seen, circuits = [], set(), self.circuits
+        normals, seen, table = [], set(), self.minor_table
         for T in combinations(range(self.n), m - 1):
             S = tuple(i for i in range(self.n) if i not in T)
-            w = self._at_free(S, circuits[S][0], S0)
+            w = self._at_free(S, table.scalar_circuit(S), S0)
             last = next((x for x in reversed(w) if not x.is_zero()), None)
             if last is None:
                 continue
@@ -420,12 +422,13 @@ class Calibration:
         holds exactly when the columns are totally cyclic: each lies in the
         support of a circuit c_S whose nonzero entries share one sign
         (Bjorner et al., Oriented Matroids, ch. 3).  Every circuit is some
-        c_S; with d = 0 there are no columns, with n = d no circuits.  The
-        scan stops once every column is covered."""
+        c_S, signed by circuit_signs; d = 0 has no columns, n = d no
+        circuits.  The scan stops once every column is covered."""
         covered = set()
-        for S, (entries, _) in self.circuits.items():
-            if not {1, -1} <= {x.sign() for x in entries}:
-                covered.update(s for s, x in zip(S, entries) if not x.is_zero())
+        for S in combinations(range(self.n), self.d + 1):
+            signs = self.circuit_signs(S)
+            if not {1, -1} <= set(signs):
+                covered.update(s for s, x in zip(S, signs) if x)
                 if len(covered) == self.n:
                     return True
         return len(covered) == self.n
@@ -438,6 +441,15 @@ class Calibration:
         return minor_table(self.columns, self.d)
 
     @cached_property
+    def chirotope(self) -> Mapping[tuple[int, ...], int]:
+        """sign [J] = sign D_J (L^d > 0) by 0-based d-subset J, in lexicographic order."""
+        return MappingProxyType(self.minor_table.chirotope())
+
+    def circuit_signs(self, S: tuple[int, ...]) -> tuple[int, ...]:
+        """sign((-1)^t [S - S_t]) at S_t: the signs of c_S at a (d+1)-subset S."""
+        return tuple((-1) ** t * self.chirotope[S[:t] + S[t + 1:]] for t in range(len(S)))
+
+    @cached_property
     def brackets(self) -> tuple[Scalar, ...]:
         """[J] = det M_J for every 0-based d-subset J, in lexicographic
         order, where M_J has rows h(e_j), j in J: D_J / L^d off the minor
@@ -445,26 +457,23 @@ class Calibration:
         return self.minor_table.scalar_brackets()
 
     @cached_property
-    def hyperplane_normals(self) -> Mapping[tuple[int, ...], tuple[Vec, IntVec]]:
-        """(n_S, its code for scalar.dot_sign) for every 0-based (d-1)-subset S
-        of columns, in lexicographic order: n_S . x = det(x, h(e_s), s in S),
-        zero when S is dependent, N_S / L^(d-1) off the minor table.
-        n_{J - J_k} vanishes on J - J_k and has n_{J - J_k} . h(e_{J_k}) =
-        (-1)^k [J], so it is (-1)^k [J] times column k of M_J^{-1}."""
-        table = self.minor_table
-        normals = {S: table.normal(S) for S in table.normals}
-        return MappingProxyType({S: (w, encode(w)) for S, w in normals.items()})
+    def hyperplane_normals(self) -> Mapping[tuple[int, ...], IntVec]:
+        """The code N_S = L^(d-1) n_S (n_S itself is minor_table.normal(S)) of
+        every 0-based (d-1)-subset S spanning a hyperplane, in lexicographic
+        order: n_S . x = det(x, h(e_s), s in S), and n_{J - J_k} is (-1)^k [J]
+        times column k of M_J^{-1}, as n_{J - J_k} . h(e_{J_k}) = (-1)^k [J]."""
+        return MappingProxyType(self.minor_table.normal_codes())
 
     @cached_property
     def basis_inverses(self) -> Mapping[tuple[int, ...], Matrix]:
         """M_J^{-1} for every 0-based d-subset J (in lexicographic order) with
-        [J] != 0, column k read off hyperplane_normals."""
-        normals, out = self.hyperplane_normals, {}
-        for J, bracket in zip(self.bracket_index, self.brackets):
-            if not bracket.is_zero():
+        [J] != 0, column k read off the minor table's normal n_{J - J_k}."""
+        table, out = self.minor_table, {}
+        for (J, s), bracket in zip(self.chirotope.items(), self.brackets):
+            if s:
                 scale = bracket.inv()
                 out[J] = Matrix.from_columns([vscale(-scale if k % 2 else scale,
-                                                     normals[J[:k] + J[k + 1:]][0])
+                                                     table.normal(J[:k] + J[k + 1:]))
                                               for k in range(self.d)], nrows=self.d)
         return MappingProxyType(out)
 
@@ -472,48 +481,24 @@ class Calibration:
     def inverse_codes(self) -> Mapping[tuple[int, ...], tuple[IntVec, ...]]:
         """For every J with [J] != 0, in lexicographic order, the columns of
         M_J^{-1} coded up to positive factors: the code of n_{J - J_k} turned
-        by the sign of (-1)^k [J].  Their signs against x are those of the
-        coordinates M_J^{-T} x of x in the basis h(e_j), j in J."""
+        by the chirotope's sign of (-1)^k [J].  Their signs against x are
+        those of the coordinates M_J^{-T} x of x in the basis h(e_j), j in J."""
         normals, out = self.hyperplane_normals, {}
-        for J, bracket in zip(self.bracket_index, self.brackets):
-            s = bracket.sign()
+        for J, s in self.chirotope.items():
             if s:
-                out[J] = tuple(normals[J[:k] + J[k + 1:]][1] if s == (-1) ** k
-                               else -normals[J[:k] + J[k + 1:]][1] for k in range(self.d))
+                out[J] = tuple(normals[J[:k] + J[k + 1:]] if s == (-1) ** k
+                               else -normals[J[:k] + J[k + 1:]] for k in range(self.d))
         return MappingProxyType(out)
 
     @cached_property
-    def bracket_index(self) -> Mapping[tuple[int, ...], int]:
-        """The position of [K] in brackets, by 0-based d-subset K."""
-        return MappingProxyType({K: t for t, K in enumerate(combinations(range(self.n), self.d))})
-
-    @cached_property
-    def circuits(self) -> Mapping[tuple[int, ...], tuple[Vec, IntVec]]:
-        """(c_S at S, its code over all n columns for scalar.dot_sign, zero
-        off S) for every 0-based (d+1)-subset S of columns, in lexicographic
-        order: the circuit c_S = sum_t (-1)^t [S - S_t] e_{S_t}, zero when S
-        spans no R^d.  h c_S = 0 by Cramer's rule, so c_S = k (c_S)_F.  The
-        codes are encode(brackets) read by sign flips, over one shared
-        denominator, so c_S . b is signed against encode(b) as it stands."""
-        at, brackets, n = self.bracket_index, self.brackets, self.n
-        enc, out = encode(brackets), {}
-
-        def signed(v, rows):
-            return None if v is None else tuple(-v[r] if t % 2 else v[r] for t, r in enumerate(rows))
-
-        def placed(v, S):
-            if v is None:
-                return None
-            c = [0] * n
-            for s, x in zip(S, v):
-                c[s] = x
-            return tuple(c)
-
-        for S in combinations(range(n), self.d + 1):
-            rows = [at[S[:t] + S[t + 1:]] for t in range(len(S))]
-            code = IntVec(placed(signed(enc.p, rows), S), placed(signed(enc.q, rows), S), enc.m)
-            out[S] = (signed(brackets, rows), code)
-        return MappingProxyType(out)
+    def circuits(self) -> Mapping[tuple[int, ...], IntVec]:
+        """The code L^d c_S over all n columns of the circuit c_S = sum_t
+        (-1)^t [S - S_t] e_{S_t} of every 0-based (d+1)-subset S, in
+        lexicographic order, zero off S and everywhere when S spans no R^d.
+        h c_S = 0 by Cramer's rule, so c_S = k (c_S)_F."""
+        table, n = self.minor_table, self.n
+        return MappingProxyType({S: table.circuit_code(S, n)
+                                 for S in combinations(range(n), self.d + 1)})
 
     def _at_free(self, S: tuple[int, ...], entries: Sequence, zero) -> tuple:
         """The vector with these entries at S, zero elsewhere, at the free columns F."""
@@ -528,8 +513,8 @@ class Calibration:
         <x, h(e_j)> + b_j at the vertex x = M_J^{-1} (-b_J) of P_b, for every b."""
         p = sum(i < j for i in J)  # j sorts into place p
         S = J[:p] + (j,) + J[p:]
-        scale = self.brackets[self.bracket_index[J]].inv() * (-1) ** p
-        return self._at_free(S, [scale * x for x in self.circuits[S][0]], S0)
+        c = self.minor_table.scalar_circuit(S)  # (-1)^p [J] at j
+        return self._at_free(S, vscale(c[p].inv(), c), S0)
 
     @cached_property
     def gale_row_codes(self) -> tuple[IntVec, ...]:

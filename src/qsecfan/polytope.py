@@ -4,13 +4,13 @@ A polytope is {x in R^d : <x, normal_i> + offset_i >= 0}.  Its vertices
 are the basic points x_J of the d-subsets J of its normals that
 basis_scan keeps: the slack of i at x_J is the circuit c_S of S = J + {i}
 against the offsets, up to the sign of [J] (Bjorner et al., Oriented
-Matroids, ch. 3), and each is solved in integers off the calibration's
-minor table.  A bounded polytope is the convex hull of its vertices and
-each face the hull of the vertices on it, in a graded
-face lattice (Ziegler, Lectures on Polytopes, ch. 2), so its face
-dimensions are read off the tight sets of its vertices.  An
-unbounded one is not; its face dimensions come from the rank of the
-implicit-equality normals, detected by exact feasibility tests.
+Matroids, ch. 3), both read off the calibration's chirotope and integer
+circuit codes; each vertex is solved off its minor table.  A bounded
+polytope is the convex hull of its vertices and each face the hull of the
+vertices on it, in a graded face lattice (Ziegler, Lectures on Polytopes,
+ch. 2), so its face dimensions are read off the tight sets of its
+vertices.  An unbounded one is not; its face dimensions come from the
+rank of the implicit-equality normals, detected by exact feasibility tests.
 """
 
 from __future__ import annotations
@@ -235,21 +235,21 @@ def basis_scan(calibration, e: IntVec) -> Iterator[tuple[tuple[int, ...], list[i
     """(J, tight) for every 0-based d-subset J with [J] != 0 whose basic
     point x_J = M_J^{-1} (-b_J) lies in P_b, for e = encode(b), in bracket
     order.  [J] times the slack <x_J, h(e_i)> + b_i is (-1)^p c_S . b for
-    S = J with i in place p, so its sign is sign([J]) (-1)^p times one
-    dot_sign of the circuit code of S against e, read once per S and
-    scan.  J is kept when no slack is negative, read up to the first
-    negative one; tight is J followed by the i whose slack is zero."""
-    circuits = calibration.circuits
+    S = J with i in place p, so its sign is sign([J]) (-1)^p, off the
+    chirotope, times one dot_sign of the integer code of c_S against e,
+    read once per S and scan: no Scalar is built.  J is kept when no slack
+    is negative, read up to the first negative one; tight is J followed by
+    the i whose slack is zero."""
+    circuits, chirotope = calibration.circuits, calibration.chirotope
     signs = [None] * len(circuits)
-    for (J, steps), bracket in zip(_scan_plan(calibration.n, calibration.d), calibration.brackets):
-        s = bracket.sign()
+    for (J, steps), s in zip(_scan_plan(calibration.n, calibration.d), chirotope.values()):
         if not s:
             continue
         tight = list(J)
         for i, S, k, t in steps:
             sign = signs[k]
             if sign is None:
-                sign = signs[k] = dot_sign(circuits[S][1], e)
+                sign = signs[k] = dot_sign(circuits[S], e)
             sign *= s * t
             if sign < 0:
                 break

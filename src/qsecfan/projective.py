@@ -10,6 +10,7 @@ the admissible cycle-type ones, except one explicit n = 4 family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import (
@@ -69,17 +70,13 @@ def projective_certificate(cal: Calibration) -> Optional[ProjectiveCertificate]:
 
     Positive spanning needs strictly positive weights and full rank;
     boundary weights would only witness a lower-dimensional or unbounded
-    "simplex", which is why they are excluded here.
+    "simplex", which is why they are excluded here.  The circuit c_I spans
+    the dependences of the columns I and is zero when rank < d.
     """
-    for I, (dep, _) in cal.circuits.items():
-        # the circuit c_I spans the dependences of the columns I, and is
-        # zero exactly when rank < d: at most one of them sums to 1
-        total = sum(dep, S0)
-        if total.is_zero():
-            continue
-        lam = vscale(total.inv(), dep)
-        if all(w.sign() > 0 for w in lam):
-            return ProjectiveCertificate(tuple(i + 1 for i in I), lam)
+    for I in combinations(range(cal.n), cal.d + 1):
+        if set(cal.circuit_signs(I)) in ({1}, {-1}):
+            dep = cal.minor_table.scalar_circuit(I)
+            return ProjectiveCertificate(tuple(i + 1 for i in I), vscale(sum(dep, S0).inv(), dep))
     return None
 
 

@@ -22,9 +22,9 @@ Scalar and taking no gcd.
 For the minors a calibration reads, minor_table() writes the rows over
 their least common denominator and computes, in one integer pass, the
 cofactor normal of every d-1 rows and the bracket of every d rows, as
-one integer dot each; MinorTable builds the brackets, the normals and
-the basic points (Cramer's rule, divided once by a conjugate) as
-Scalars, one per entry, through the canonical reduction.
+one integer dot each; MinorTable reads signs and codes off them, and
+builds brackets, normals, circuits and basic points (Cramer's rule,
+divided once by a conjugate) as Scalars only where they are output.
 """
 
 from __future__ import annotations
@@ -421,10 +421,37 @@ class MinorTable(NamedTuple):
     normals: dict[tuple[int, ...], tuple[tuple[int, int], ...]]
     brackets: dict[tuple[int, ...], tuple[int, int]]
 
+    def chirotope(self) -> dict[tuple[int, ...], int]:
+        """sign [J] = sign D_J for every d-subset J, in lexicographic order."""
+        return {J: _sign(p, q, self.m) for J, (p, q) in self.brackets.items()}
+
     def scalar_brackets(self) -> tuple[Scalar, ...]:
         """[J] for every d-subset J, in lexicographic order."""
         den, m = self.den ** self.d, self.m
         return tuple(_reduced(p, q, den, m) for p, q in self.brackets.values())
+
+    def normal_codes(self) -> dict[tuple[int, ...], IntVec]:
+        """The IntVec N_S of n_S for every (d-1)-subset S with n_S != 0."""
+        m = self.m
+        return {S: IntVec(tuple(p for p, _ in N), None if m is None else tuple(q for _, q in N), m)
+                for S, N in self.normals.items() if any(map(any, N))}
+
+    def circuit(self, S: tuple[int, ...]) -> list[tuple[int, int]]:
+        """(-1)^t D_{S - S_t} for t = 0..d: L^d c_S at a (d+1)-subset S."""
+        rows = (self.brackets[S[:t] + S[t + 1:]] for t in range(len(S)))
+        return [(-p, -q) if t % 2 else (p, q) for t, (p, q) in enumerate(rows)]
+
+    def circuit_code(self, S: tuple[int, ...], n: int) -> IntVec:
+        """The IntVec L^d c_S over n columns, zero off S."""
+        p, q = [0] * n, [0] * n
+        for s, (a, b) in zip(S, self.circuit(S)):
+            p[s], q[s] = a, b
+        return IntVec(tuple(p), None if self.m is None else tuple(q), self.m)
+
+    def scalar_circuit(self, S: tuple[int, ...]) -> tuple[Scalar, ...]:
+        """The entries (-1)^t [S - S_t] of c_S at S."""
+        den, m = self.den ** self.d, self.m
+        return tuple(_reduced(p, q, den, m) for p, q in self.circuit(S))
 
     def normal(self, S: tuple[int, ...]) -> tuple[Scalar, ...]:
         """n_S for a (d-1)-subset S: n_S . x = det(x, h_s, s in S)."""

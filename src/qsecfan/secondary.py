@@ -231,8 +231,7 @@ def _chamber_inequality(cal: Calibration, sigma, j: int, kind: str,
     is the vertex of P_b dual to the simplicial cone sigma (1-based
     indices): z is the calibration's chamber form."""
     J = _basis(sigma)
-    at = cal.bracket_index.get(J)
-    if at is None or cal.brackets[at].is_zero():
+    if not cal.chirotope.get(J):
         raise NotAdmissibleError("maximal cone does not span R^d")
     return ChamberInequality(cal.chamber_form(J, j - 1), kind, payload)
 
@@ -412,7 +411,7 @@ def _wall_of(ch: Chamber, normal: Vec, boundary: bool, tags: tuple) -> Wall:
     else:
         S = next({*q.payload[0], q.payload[2]} for q in tags if q.kind == "wall")
     S = tuple(sorted(i - 1 for i in S))
-    signs = [(i + 1, x.sign()) for i, x in zip(S, ch.calibration.circuits[S][0])]
+    signs = [(i + 1, x) for i, x in zip(S, ch.calibration.circuit_signs(S))]
     plus, minus = (frozenset(i for i, s in signs if s == t) for t in (1, -1))
     Z = plus | minus
     if not all(any(Z - {i} <= c for c in ch.fan.max_cones) for i in plus):

@@ -9,7 +9,7 @@ import pytest
 
 from qsecfan import AffinePath, Calibration, InvalidCalibrationError, Rational, Scalar
 from qsecfan.linalg import dot, gale_rows, normalize_direction, preimage_of_chi, vadd, vec, vscale
-from qsecfan.scalar import dot_sign, encode
+from qsecfan.scalar import IntVec, _field_and_den, dot_sign, encode
 from qsecfan.secondary import _chamber_inequality, is_generic
 
 SQ2 = Scalar.sqrt(2)
@@ -189,28 +189,37 @@ def arrangement_normals(cal):
 def census_classes(cal, rng, samples):
     """Number of distinct vertex-combinatorics classes among random
     generic points, classified exactly via sign vectors and the vertex
-    oracle.  Heavy-tailed weights reach thin chambers near the rays."""
-    from qsecfan.linalg import dot, preimage_matrix
+    oracle.  Heavy-tailed weights reach thin chambers near the rays.  Each
+    chi is summed in integers off the Gale rows, encoded once over their
+    least common denominator L, and signed against the encoded arrangement
+    normals by dot_sign; a Scalar chi is built only for a new cell."""
     from qsecfan.polytope import VertexOracle
+    from qsecfan.linalg import preimage_matrix
 
-    m = cal.n - cal.d
-    rows = gale_rows(cal)
-    normals = arrangement_normals(cal)
+    n, m = cal.n, cal.n - cal.d
+    entries = [x for g in gale_rows(cal) for x in g]
+    rows, (_, L) = encode(entries), _field_and_den(entries)
+    normals = [encode(w) for w in arrangement_normals(cal)]
     oracle = VertexOracle(cal)
     pm = preimage_matrix(cal)
     cells = {}
     kept = 0
     while kept < samples:
-        chi = tuple([S0] * m)
-        for g in rows:
+        p, q = [0] * m, [0] * m
+        for i in range(n):
             w = rng.randint(1, 99) * 10 ** rng.randint(0, 5)
-            chi = vadd(chi, vscale(Scalar(w), g))
-        sig = tuple(dot(w, chi).sign() for w in normals)
+            for k in range(m):
+                p[k] += w * rows.p[i * m + k]
+                if rows.q:
+                    q[k] += w * rows.q[i * m + k]
+        chi = IntVec(tuple(p), None if rows.m is None else tuple(q), rows.m)
+        sig = tuple(dot_sign(w, chi) for w in normals)
         if 0 in sig:
             continue
         kept += 1
         if sig not in cells:
-            cells[sig] = oracle.comb_key(pm.matvec(chi))
+            point = tuple(Scalar(Rational(a, L), Rational(b, L), rows.m) for a, b in zip(p, q))
+            cells[sig] = oracle.comb_key(pm.matvec(point))
     return len(set(cells.values()))
 
 
@@ -226,7 +235,7 @@ def forms_of(cal):
     """Calibration.chamber_form at every (J, j) with [J] != 0 and j outside J,
     by J in lexicographic order and then j in increasing order."""
     return {J: {j: cal.chamber_form(J, j) for j in range(cal.n) if j not in J}
-            for J, bracket in zip(cal.bracket_index, cal.brackets) if not bracket.is_zero()}
+            for J, s in cal.chirotope.items() if s}
 
 
 def assert_codes_fit_forms(cal):

@@ -179,6 +179,14 @@ on-wall fan, the side triangulating the current fan listed first.
 in chi-space, over the per-calibration table ``chamber_codes`` of the
 sign([J]) (-1)^p codes of (c_S)_F, before it signed each c_S against b
 itself; it takes that table as ``chamber_codes_brackets`` builds it.
+
+``circuit_table_scalar`` is ``Calibration.circuits`` before it held only
+integer codes: the Scalar entries of every c_S, the signed Scalar
+brackets, beside codes read off ``encode(brackets)`` by sign flips.
+``positively_spanning_circuits`` and ``projective_certificate_circuits``
+are the total-cyclicity scan and the certificate loop that read the
+signs and the entries of that table, before both read the chirotope
+and built the entries of one circuit only.
 """
 
 import random
@@ -237,6 +245,12 @@ from qsecfan.secondary import (
     is_admissible,
     is_generic,
 )
+
+
+def _bracket_index(cal):
+    """The position of [K] in cal.brackets, by 0-based d-subset K: the
+    Calibration.bracket_index the routes below read."""
+    return {K: t for t, K in enumerate(combinations(range(cal.n), cal.d))}
 
 
 def dimension_lp(P):
@@ -370,7 +384,7 @@ def vertices_of(calibration, b):
     bb = vec(b)
     if len(bb) != calibration.n:
         raise DimensionMismatchError("parameter length differs from n")
-    at, brackets = calibration.bracket_index, calibration.brackets
+    at, brackets = _bracket_index(calibration), calibration.brackets
     found = []
     for J, tight in basis_scan(calibration, encode(bb)):
         if not any(t.issuperset(J) for _, t in found):
@@ -1127,7 +1141,7 @@ def _circuit_brackets(cal, J, j):
 def chamber_form_brackets(cal, J, j):
     """z(J, j) for a 0-based d-subset J with [J] != 0 and j outside J, each
     entry a bracket [K] over [J], by the signs of _circuit_brackets."""
-    at, brackets = cal.bracket_index, cal.brackets
+    at, brackets = _bracket_index(cal), cal.brackets
     scale = brackets[at[J]].inv()
     return tuple(S0 if not c else scale * brackets[at[K]] if c > 0
                  else -(scale * brackets[at[K]]) for c, K in _circuit_brackets(cal, J, j))
@@ -1137,7 +1151,7 @@ def chamber_codes_brackets(cal):
     """sign([J]) [J] z(J, j), by J with [J] != 0 and then j outside J, in
     increasing order: the signed brackets of each circuit, read off
     encode(brackets) by sign flips."""
-    enc, at, out = encode(cal.brackets), cal.bracket_index, {}
+    enc, at, out = encode(cal.brackets), _bracket_index(cal), {}
     for J, bracket in zip(at, cal.brackets):
         if bracket.is_zero():
             continue
@@ -1189,7 +1203,7 @@ def wall_normals_cofactor(cal):
 def lifted_sign_brackets(cal, e, S):
     """The sign of D(S) = sum_t (-1)^t b_{S_t} [S - S_t] for e = encode(b),
     from the bracket codes at the d-subsets S - S_t."""
-    at, br = cal.bracket_index, encode(cal.brackets)
+    at, br = _bracket_index(cal), encode(cal.brackets)
     rows = [at[S[:t] + S[t + 1:]] for t in range(len(S))]
     brackets = (None if v is None else tuple(v[r] for r in rows) for v in (br.p, br.q))
     b_S = (None if v is None else tuple(-v[s] if t % 2 else v[s] for t, s in enumerate(S))
@@ -1200,7 +1214,7 @@ def lifted_sign_brackets(cal, e, S):
 def projective_certificate_brackets(cal):
     """First lexicographic (d+1)-subset whose columns positively span R^d,
     its dependence written out from the brackets."""
-    d, n, at = cal.d, cal.n, cal.bracket_index
+    d, n, at = cal.d, cal.n, _bracket_index(cal)
     for I in combinations(range(n), d + 1):
         # sum_t (-1)^t [I - I_t] h(e_{I_t}) = 0 spans the dependences, and is
         # zero exactly when rank < d: at most one of them sums to 1
@@ -1281,6 +1295,61 @@ def basic_point_normals(cal, J, bracket, b):
     for k, j in enumerate(J):
         if not b[j].is_zero():
             c = -b[j] if k % 2 else b[j]
-            acc = tuple(a + c * w for a, w in zip(acc, cal.hyperplane_normals[J[:k] + J[k + 1:]][0]))
+            acc = tuple(a + c * w for a, w in zip(acc, cal.minor_table.normal(J[:k] + J[k + 1:])))
     scale = -bracket.inv()
     return tuple(scale * a for a in acc)
+
+
+def circuit_table_scalar(cal):
+    """(c_S at S, its code over all n columns for scalar.dot_sign, zero
+    off S) for every 0-based (d+1)-subset S of columns, in lexicographic
+    order: the circuit c_S = sum_t (-1)^t [S - S_t] e_{S_t}, zero when S
+    spans no R^d.  The codes are encode(brackets) read by sign flips, over
+    one shared denominator."""
+    at, brackets, n = _bracket_index(cal), cal.brackets, cal.n
+    enc, out = encode(brackets), {}
+
+    def signed(v, rows):
+        return None if v is None else tuple(-v[r] if t % 2 else v[r] for t, r in enumerate(rows))
+
+    def placed(v, S):
+        if v is None:
+            return None
+        c = [0] * n
+        for s, x in zip(S, v):
+            c[s] = x
+        return tuple(c)
+
+    for S in combinations(range(n), cal.d + 1):
+        rows = [at[S[:t] + S[t + 1:]] for t in range(len(S))]
+        code = IntVec(placed(signed(enc.p, rows), S), placed(signed(enc.q, rows), S), enc.m)
+        out[S] = (signed(brackets, rows), code)
+    return out
+
+
+def positively_spanning_circuits(cal):
+    """Cone(h) = R^d: every column lies in the support of a circuit c_S
+    whose nonzero entries share one sign, the scan stopping once every
+    column is covered."""
+    covered = set()
+    for S, (entries, _) in circuit_table_scalar(cal).items():
+        if not {1, -1} <= {x.sign() for x in entries}:
+            covered.update(s for s, x in zip(S, entries) if not x.is_zero())
+            if len(covered) == cal.n:
+                return True
+    return len(covered) == cal.n
+
+
+def projective_certificate_circuits(cal):
+    """First lexicographic (d+1)-subset whose columns positively span R^d,
+    its weights the circuit's entries over their sum."""
+    for I, (dep, _) in circuit_table_scalar(cal).items():
+        # the circuit c_I spans the dependences of the columns I, and is
+        # zero exactly when rank < d: at most one of them sums to 1
+        total = sum(dep, S0)
+        if total.is_zero():
+            continue
+        lam = vscale(total.inv(), dep)
+        if all(w.sign() > 0 for w in lam):
+            return ProjectiveCertificate(tuple(i + 1 for i in I), lam)
+    return None

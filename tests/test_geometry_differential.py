@@ -363,9 +363,8 @@ def test_cached_facts_do_not_grow_with_queries():
     sizes = cached_sizes(cal)
     assert set(sizes) == {"gale", "free_columns", "gale_facet_normals",
                           "gale_facet_codes", "wall_normals", "wall_codes",
-                          "positively_spanning", "brackets", "hyperplane_normals",
-                          "inverse_codes", "bracket_index", "circuits",
-                          "live_chambers", "minor_table"}
+                          "positively_spanning", "chirotope", "hyperplane_normals",
+                          "inverse_codes", "circuits", "live_chambers", "minor_table"}
     for chi in points[1:]:
         results.append(chamber_of(cal, chi))
         # one entry per distinct chamber the test keeps alive, at most

@@ -389,13 +389,43 @@ def test_only_the_vertex_oracle_reads_the_basis_inverses():
     assert found == {("polytope.py", "VertexOracle.__init__")}
 
 
+SCALAR_CIRCUIT_READERS = {("linalg.py", "Calibration.chamber_form"),
+                          ("linalg.py", "Calibration.wall_normals"),
+                          ("projective.py", "projective_certificate")}
+CIRCUIT_SIGN_READERS = {("linalg.py", "Calibration.positively_spanning"),
+                        ("projective.py", "projective_certificate"),
+                        ("secondary.py", "_wall_of")}
+
+
+def scoped_attribute_reads(attr, modules=None):
+    """(file name, enclosing definitions) of each read of attr in src/."""
+    paths = sorted(SRC.glob("*.py")) if modules is None else [SRC / m for m in modules]
+    return {(p.name, scope) for p in paths for scope, _ in attribute_reads(p, attr)}
+
+
 def test_every_circuit_is_read_off_the_circuit_table():
-    """Chamber forms and codes, the vertex test, projective certificates,
-    wall normals and walls read c_S off Calibration.circuits, not off the
-    brackets by index, the Gale rows or a kernel."""
+    """Chamber forms, wall normals and projective certificates build the
+    Scalar entries of c_S one S at a time off the minor table, and nothing
+    else does; positive spanning, certificates and walls read the signs of
+    c_S off the chirotope; no sign is read off a Scalar bracket or a
+    Scalar hyperplane normal; nothing reads the brackets by index, the
+    Gale rows or a kernel for a circuit."""
     assert not hasattr(Calibration, "_circuit") and not hasattr(Calibration, "bracket_code")
-    assert [(p.name, at) for p in (SRC / "projective.py", SRC / "polytope.py")
-            for at in attribute_reads(p, "bracket_index")] == []
+    assert scoped_attribute_reads("scalar_circuit") == SCALAR_CIRCUIT_READERS
+    assert scoped_attribute_reads("circuit_signs") == CIRCUIT_SIGN_READERS
+    # Scalar brackets and normals only where they make the columns of an
+    # inverse, and Scalar normals where they are facet normals
+    modules = ("linalg.py", "polytope.py", "fan.py", "secondary.py", "projective.py")
+    assert scoped_attribute_reads("brackets", modules) == \
+        {("linalg.py", "Calibration.basis_inverses")}
+    assert scoped_attribute_reads("normal", ("linalg.py", "fan.py")) == \
+        {("linalg.py", "Calibration.basis_inverses"), ("fan.py", "_cone_hrep"),
+         ("fan.py", "_cone_intersection_rays")}
+    assert {scope for _, scope in scoped_attribute_reads("chirotope")} >= \
+        {"basis_scan", "_chamber_inequality", "Calibration.inverse_codes",
+         "Calibration.circuit_signs"}
+    assert not hasattr(Calibration, "bracket_index")
+    assert scoped_attribute_reads("bracket_index") == set()
     assert [at for name in ("gale", "rows") for at in attribute_reads(SRC / "linalg.py", name)
             if at[0] == "Calibration.wall_normals"] == []
     # walls read their circuit off the table too: only the deficient-span
@@ -420,39 +450,19 @@ def test_the_scan_sees_an_attribute_read(tmp_path):
 
 
 def circuit_code_reads(path):
-    """(enclosing definitions, line) of each read of a circuit's code off a
-    table named circuits (a name or an attribute): circuits[S][1], or a
-    pair circuits[S] or an item of circuits.items() or .values() bound to
-    a target that keeps its second entry (any target but a pair (x, _))."""
+    """(enclosing definitions, line) of each read of an entry of a table
+    named circuits (a name or an attribute), which holds codes alone: a
+    subscript circuits[S], or a call of its items() or values().  Its
+    keys and its length are no code."""
     def is_table(node):
         return isinstance(node, ast.Name) and node.id == "circuits" or \
             isinstance(node, ast.Attribute) and node.attr == "circuits"
 
-    def keeps_code(target):
-        return not (isinstance(target, ast.Tuple) and len(target.elts) == 2
-                    and isinstance(target.elts[1], ast.Name) and target.elts[1].id == "_")
-
-    def loops(node):
-        if isinstance(node, ast.For):
-            yield node.target, node.iter
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-            yield from ((g.target, g.iter) for g in node.generators)
-
     def hit(node):
-        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript) \
-                and is_table(node.value.value):
-            return isinstance(node.slice, ast.Constant) and node.slice.value == 1
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript) \
-                and is_table(node.value.value):
-            return any(map(keeps_code, node.targets))
-        for target, it in loops(node):
-            if isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute) \
-                    and is_table(it.func.value) and it.func.attr in ("items", "values"):
-                if it.func.attr == "items" and isinstance(target, ast.Tuple) and len(target.elts) == 2:
-                    target = target.elts[1]
-                if keeps_code(target):
-                    return True
-        return False
+        if isinstance(node, ast.Subscript):
+            return is_table(node.value)
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and is_table(node.func.value) and node.func.attr in ("items", "values")
 
     return scoped_reads(path, hit)
 
@@ -475,17 +485,20 @@ def test_one_vertex_test_for_every_parameter_polytope():
 
 
 def test_the_scan_sees_a_circuit_code_read(tmp_path):
+    """Every read of the table is seen, the reads of Scalar entries and of
+    (entries, code) pairs that the table once held among them."""
     src = tmp_path / "mod.py"
     src.write_text("def entries(cal, S):\n    return cal.circuits[S][0]\n"
-                   "def scan(cal, S):\n    circuits = cal.circuits\n    return circuits[S][1]\n"
+                   "def scan(cal, S):\n    circuits = cal.circuits\n    return circuits[S]\n"
                    "def spanning(cal):\n    for S, (c, _) in cal.circuits.items():\n"
                    "        yield c\n"
                    "def unpacked(cal):\n"
                    "    return [code for S, (c, code) in cal.circuits.items()]\n"
                    "def pairs(cal, S):\n    c, code = cal.circuits[S]\n"
-                   "    return [p for p in cal.circuits.values()], c.gale_t\n")
-    assert circuit_code_reads(src) == [("pairs", 12), ("pairs", 13), ("scan", 5),
-                                       ("unpacked", 10)]
+                   "    return [p for p in cal.circuits.values()], c.gale_t\n"
+                   "def keys(cal):\n    return list(cal.circuits), len(cal.circuits)\n")
+    assert circuit_code_reads(src) == [("entries", 2), ("pairs", 12), ("pairs", 13),
+                                       ("scan", 5), ("spanning", 7), ("unpacked", 10)]
     assert attribute_reads(src, "gale_t") == [("pairs", 13)]
 
 

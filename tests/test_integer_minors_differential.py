@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 
 from qsecfan import Calibration, HPolytope, Scalar
 from qsecfan.errors import DegenerateInputError, MixedFieldError
-from qsecfan.linalg import Matrix, det, solve_unique, vec
+from qsecfan.linalg import Matrix, det, is_zero_vec, normalize_direction, solve_unique, vec
 from qsecfan.polytope import _basic_point
 from qsecfan.scalar import minor_table
 
-from conftest import random_calibration, unconstrained_calibration
+from conftest import decode, random_calibration, unconstrained_calibration
 from reference_geometry import (
     basic_point_normals,
     brackets_laplace,
@@ -56,7 +56,15 @@ def assert_minors_match(cal, rng, seen):
     assert repr(cal.brackets) == repr(brackets_laplace(cal))
     # there are no (d-1)-subsets at d = 0
     want = hyperplane_normals_cofactor(cal) if d else {}
-    assert repr(list(cal.hyperplane_normals.items())) == repr(list(want.items()))
+    table = cal.minor_table
+    assert repr([(S, table.normal(S)) for S in table.normals]) == \
+        repr([(S, w) for S, (w, _) in want.items()])
+    # the codes: the integer N_S, a positive multiple of each nonzero n_S
+    codes = cal.hyperplane_normals
+    assert list(codes) == [S for S, (w, _) in want.items() if not is_zero_vec(w)]
+    assert all(normalize_direction(decode(codes[S])) == normalize_direction(want[S][0])
+               for S in codes)
+    seen.update({"zero normal"} if len(codes) < len(want) else ())
     seen.update({("d", d), ("n = d", n == d)})
     for _ in range(2):
         b = random_parameter(rng, cal)
@@ -83,7 +91,7 @@ def test_minor_table_matches_on_references_pool_and_golden(references, instance_
     assert len(golden) > 100
     for cal in references + [c for c, _, _ in instance_pool] + golden:
         assert_minors_match(cal, rng, seen)
-    assert {"zero bracket", "zero b_j", ("vertices", True)} <= seen
+    assert {"zero bracket", "zero normal", "zero b_j", ("vertices", True)} <= seen
 
 
 def test_minor_table_matches_on_unconstrained_and_sqrt2_column_sets():
