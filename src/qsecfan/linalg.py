@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatchError, InvalidCalibrationError
-from .scalar import S0, S1, IntVec, MinorTable, Scalar, common_field, dot_sign, encode, minor_table
+from .scalar import S0, S1, IntVec, MinorTable, Scalar, common_field, divided, dot_sign, encode, minor_table
 
 Vec = tuple[Scalar, ...]
 
@@ -401,7 +401,7 @@ class Calibration:
         normals, seen, table = [], set(), self.minor_table
         for T in combinations(range(self.n), m - 1):
             S = tuple(i for i in range(self.n) if i not in T)
-            w = self._at_free(S, table.scalar_circuit(S), S0)
+            w = self._at_free(S, divided(table.circuit(S), (1, 0), table.m))  # L^d c_S
             last = next((x for x in reversed(w) if not x.is_zero()), None)
             if last is None:
                 continue
@@ -500,9 +500,9 @@ class Calibration:
         return MappingProxyType({S: table.circuit_code(S, n)
                                  for S in combinations(range(n), self.d + 1)})
 
-    def _at_free(self, S: tuple[int, ...], entries: Sequence, zero) -> tuple:
+    def _at_free(self, S: tuple[int, ...], entries: Sequence[Scalar]) -> Vec:
         """The vector with these entries at S, zero elsewhere, at the free columns F."""
-        return tuple(entries[S.index(f)] if f in S else zero for f in self.free_columns)
+        return tuple(entries[S.index(f)] if f in S else S0 for f in self.free_columns)
 
     def chamber_form(self, J: tuple[int, ...], j: int) -> Vec:
         """z(J, j) = ((-1)^p / [J]) (c_S)_F for a 0-based d-subset J with
@@ -513,8 +513,8 @@ class Calibration:
         <x, h(e_j)> + b_j at the vertex x = M_J^{-1} (-b_J) of P_b, for every b."""
         p = sum(i < j for i in J)  # j sorts into place p
         S = J[:p] + (j,) + J[p:]
-        c = self.minor_table.scalar_circuit(S)  # (-1)^p [J] at j
-        return self._at_free(S, vscale(c[p].inv(), c), S0)
+        c = self.minor_table.circuit(S)  # L^d c_S, (-1)^p L^d [J] at j
+        return self._at_free(S, divided(c, c[p], self.minor_table.m))
 
     @cached_property
     def gale_row_codes(self) -> tuple[IntVec, ...]:

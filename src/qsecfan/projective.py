@@ -37,7 +37,7 @@ from .linalg import (
     vsub,
 )
 from .polytope import HPolytope
-from .scalar import Rational, S0, S1, Scalar
+from .scalar import Rational, S1, Scalar, divided
 from .secondary import (
     AffinePath,
     CobordismReport,
@@ -75,8 +75,9 @@ def projective_certificate(cal: Calibration) -> Optional[ProjectiveCertificate]:
     """
     for I in combinations(range(cal.n), cal.d + 1):
         if set(cal.circuit_signs(I)) in ({1}, {-1}):
-            dep = cal.minor_table.scalar_circuit(I)
-            return ProjectiveCertificate(tuple(i + 1 for i in I), vscale(sum(dep, S0).inv(), dep))
+            dep = cal.minor_table.circuit(I)  # L^d c_I, over its sum
+            return ProjectiveCertificate(tuple(i + 1 for i in I),
+                                         divided(dep, tuple(map(sum, zip(*dep))), cal.minor_table.m))
     return None
 
 

@@ -37,7 +37,7 @@ from fractions import Fraction as Rational
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import DegenerateInputError, DimensionMismatchError, MixedFieldError
 
@@ -401,6 +401,16 @@ def dot_sign(u: IntVec, v: IntVec) -> int:
     return _sign(p, sum(map(mul, a, v.q)) + sum(map(mul, u.q, c)), m)
 
 
+def divided(pairs: Iterable[tuple[int, int]], den: tuple[int, int], m: int | None) -> tuple[Scalar, ...]:
+    """The Scalars (P + Q*sqrt(m)) / den for integer pairs (P, Q) and den = (a, b) != 0 in
+    Z[sqrt(m)], one reduction each: times the conjugate a - b*sqrt(m) over the norm if b != 0."""
+    a, b = den
+    if b:
+        pairs = [(P * a - Q * b * m, Q * a - P * b) for P, Q in pairs]
+        a = a * a - b * b * m
+    return tuple(_reduced(P, Q, a, m) for P, Q in pairs)
+
+
 class MinorTable(NamedTuple):
     """Every minor of the rows h_1, ..., h_n in Q(sqrt(m))^d that the
     brackets, hyperplane normals and basic points of a calibration read,
@@ -427,8 +437,7 @@ class MinorTable(NamedTuple):
 
     def scalar_brackets(self) -> tuple[Scalar, ...]:
         """[J] for every d-subset J, in lexicographic order."""
-        den, m = self.den ** self.d, self.m
-        return tuple(_reduced(p, q, den, m) for p, q in self.brackets.values())
+        return divided(self.brackets.values(), (self.den ** self.d, 0), self.m)
 
     def normal_codes(self) -> dict[tuple[int, ...], IntVec]:
         """The IntVec N_S of n_S for every (d-1)-subset S with n_S != 0."""
@@ -448,15 +457,9 @@ class MinorTable(NamedTuple):
             p[s], q[s] = a, b
         return IntVec(tuple(p), None if self.m is None else tuple(q), self.m)
 
-    def scalar_circuit(self, S: tuple[int, ...]) -> tuple[Scalar, ...]:
-        """The entries (-1)^t [S - S_t] of c_S at S."""
-        den, m = self.den ** self.d, self.m
-        return tuple(_reduced(p, q, den, m) for p, q in self.circuit(S))
-
     def normal(self, S: tuple[int, ...]) -> tuple[Scalar, ...]:
         """n_S for a (d-1)-subset S: n_S . x = det(x, h_s, s in S)."""
-        den, m = self.den ** (self.d - 1), self.m
-        return tuple(_reduced(p, q, den, m) for p, q in self.normals[S])
+        return divided(self.normals[S], (self.den ** (self.d - 1), 0), self.m)
 
     def basic_point(self, J: tuple[int, ...], b: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """The x with <x, h_j> + b_k = 0 for the k-th j of a d-subset J with
@@ -477,13 +480,9 @@ class MinorTable(NamedTuple):
                     a[0] += bp * p + bq * q * mm
                     a[1] += bp * q + bq * p
         p, q = self.brackets[J]
-        if q:  # times the conjugate p - q sqrt(m), over the norm
-            acc = [(P * p - Q * q * mm, Q * p - P * q) for P, Q in acc]
-            p = p * p - q * q * mm
-        if p == 0:
+        if p == q == 0:
             raise DegenerateInputError(f"basic point of a singular basis {J}")
-        L, den = self.den, Lb * p
-        return tuple(_reduced(-L * P, -L * Q, den, m) for P, Q in acc)
+        return divided([(-self.den * P, -self.den * Q) for P, Q in acc], (Lb * p, Lb * q), m)
 
 
 def minor_table(rows: Sequence[Sequence[Scalar]], d: int) -> MinorTable:

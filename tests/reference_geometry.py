@@ -183,10 +183,8 @@ itself; it takes that table as ``chamber_codes_brackets`` builds it.
 ``circuit_table_scalar`` is ``Calibration.circuits`` before it held only
 integer codes: the Scalar entries of every c_S, the signed Scalar
 brackets, beside codes read off ``encode(brackets)`` by sign flips.
-``positively_spanning_circuits`` and ``projective_certificate_circuits``
-are the total-cyclicity scan and the certificate loop that read the
-signs and the entries of that table, before both read the chirotope
-and built the entries of one circuit only.
+``positively_spanning_circuits`` is the total-cyclicity scan that read
+the signs of that table, before it read the chirotope.
 """
 
 import random
@@ -1338,18 +1336,3 @@ def positively_spanning_circuits(cal):
             if len(covered) == cal.n:
                 return True
     return len(covered) == cal.n
-
-
-def projective_certificate_circuits(cal):
-    """First lexicographic (d+1)-subset whose columns positively span R^d,
-    its weights the circuit's entries over their sum."""
-    for I, (dep, _) in circuit_table_scalar(cal).items():
-        # the circuit c_I spans the dependences of the columns I, and is
-        # zero exactly when rank < d: at most one of them sums to 1
-        total = sum(dep, S0)
-        if total.is_zero():
-            continue
-        lam = vscale(total.inv(), dep)
-        if all(w.sign() > 0 for w in lam):
-            return ProjectiveCertificate(tuple(i + 1 for i in I), lam)
-    return None

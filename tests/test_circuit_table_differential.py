@@ -3,8 +3,7 @@ readers of both (chamber forms and the codes of chamber inequalities,
 wall normals, the vertex test of basis_scan, projective certificates,
 positive spanning and the walls of classify_wall), against the routes
 they replaced: the Scalar circuit table that Calibration.circuits held
-(circuit_table_scalar, with the total-cyclicity scan and the certificate
-loop over it) and the older routes that rebuilt each circuit from the
+(circuit_table_scalar, with the total-cyclicity scan over it) and the older routes that rebuilt each circuit from the
 brackets or the Gale rows.  Run on the references, the pool, sqrt(2)
 column sets, the unconstrained kinds, n - d = 1, n = d and d = 0, zero
 brackets among them.  Each circuit is also checked to lie in ker h, to
@@ -39,7 +38,6 @@ from reference_geometry import (
     positively_spanning_circuits,
     positively_spanning_sides,
     projective_certificate_brackets,
-    projective_certificate_circuits,
     wall_normals_cofactor,
 )
 
@@ -58,14 +56,14 @@ def assert_circuits_match(cal, rng, seen):
     """Every reader of the chirotope and the codes against its replaced
     route, by repr; seen gets the zero brackets met."""
     d, n = cal.d, cal.n
-    table = circuit_table_scalar(cal)
+    table, minors = circuit_table_scalar(cal), cal.minor_table
     assert list(cal.chirotope.items()) == \
         [(J, b.sign()) for J, b in zip(combinations(range(n), d), cal.brackets)]
     if 0 in cal.chirotope.values():
         seen.add("zero bracket")
     assert list(cal.circuits) == list(table) == list(combinations(range(n), d + 1))
     for S, (entries, _) in table.items():
-        assert repr(cal.minor_table.scalar_circuit(S)) == repr(entries)
+        assert repr(scalar.divided(minors.circuit(S), (minors.den ** d, 0), minors.m)) == repr(entries)
         assert cal.circuit_signs(S) == tuple(x.sign() for x in entries)
         c = [Scalar(0)] * n
         for s, x in zip(S, entries):
@@ -75,7 +73,7 @@ def assert_circuits_match(cal, rng, seen):
         for s in S:
             h_c = vadd(h_c, vscale(c[s], cal.columns[s]))
         assert h_c == zero
-        assert cal.gale.matvec(cal._at_free(S, entries, Scalar(0))) == tuple(c)
+        assert cal.gale.matvec(cal._at_free(S, entries)) == tuple(c)
         code = cal.circuits[S]
         assert [x.is_zero() for x in decode(code)] == [x.is_zero() for x in c]
         if not is_zero_vec(entries):
@@ -91,8 +89,7 @@ def assert_circuits_match(cal, rng, seen):
     assert cal.positively_spanning == positively_spanning_sides(cal) == \
         positively_spanning_circuits(cal)
     assert certificate_json(projective_certificate(cal)) == \
-        certificate_json(projective_certificate_brackets(cal)) == \
-        certificate_json(projective_certificate_circuits(cal))
+        certificate_json(projective_certificate_brackets(cal))
     for _ in range(2):
         e = encode(random_parameter(rng, cal))
         for S, code in cal.circuits.items():

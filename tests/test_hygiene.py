@@ -21,6 +21,7 @@ from qsecfan import (
     secondary,
 )
 from qsecfan.cli import main
+from qsecfan.scalar import MinorTable
 
 from conftest import cal_of, segment
 
@@ -411,11 +412,14 @@ def test_every_circuit_is_read_off_the_circuit_table():
     Scalar hyperplane normal; nothing reads the brackets by index, the
     Gale rows or a kernel for a circuit."""
     assert not hasattr(Calibration, "_circuit") and not hasattr(Calibration, "bracket_code")
-    assert scoped_attribute_reads("scalar_circuit") == SCALAR_CIRCUIT_READERS
+    assert not hasattr(MinorTable, "scalar_circuit")
+    modules = ("linalg.py", "polytope.py", "fan.py", "secondary.py", "projective.py")
+    # secondary reads only the circuit field of a Wall
+    assert scoped_attribute_reads("circuit", modules) == SCALAR_CIRCUIT_READERS | \
+        {("secondary.py", "_classify_crossing"), ("secondary.py", "Wall.to_json")}
     assert scoped_attribute_reads("circuit_signs") == CIRCUIT_SIGN_READERS
     # Scalar brackets and normals only where they make the columns of an
     # inverse, and Scalar normals where they are facet normals
-    modules = ("linalg.py", "polytope.py", "fan.py", "secondary.py", "projective.py")
     assert scoped_attribute_reads("brackets", modules) == \
         {("linalg.py", "Calibration.basis_inverses")}
     assert scoped_attribute_reads("normal", ("linalg.py", "fan.py")) == \

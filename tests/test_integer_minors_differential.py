@@ -22,7 +22,7 @@ from qsecfan import Calibration, HPolytope, Scalar
 from qsecfan.errors import DegenerateInputError, MixedFieldError
 from qsecfan.linalg import Matrix, det, is_zero_vec, normalize_direction, solve_unique, vec
 from qsecfan.polytope import _basic_point
-from qsecfan.scalar import minor_table
+from qsecfan.scalar import divided, minor_table
 
 from conftest import decode, random_calibration, unconstrained_calibration
 from reference_geometry import (
@@ -192,6 +192,21 @@ def test_basic_point_matches_solve_unique(k, data):
             minor_table(rows, k).basic_point(J, b)
     else:
         assert repr(minor_table(rows, k).basic_point(J, b)) == repr(want)
+
+
+pairs = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+
+
+@given(st.sampled_from(RADICANDS), st.lists(pairs, max_size=4), pairs)
+def test_divided_matches_scalar_division(m, numerators, den):
+    """divided's one reduction per entry gives the Scalars that division does."""
+    if m is None:
+        numerators, den = [(p, 0) for p, _ in numerators], (den[0], 0)
+    if den == (0, 0):
+        return
+    at = [Scalar(p, q, m) if q else Scalar(p) for p, q in numerators]
+    scale = (Scalar(den[0], den[1], m) if den[1] else Scalar(den[0])).inv()
+    assert repr(divided(numerators, den, m)) == repr(tuple(scale * x for x in at))
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())
