@@ -197,14 +197,16 @@ class Chamber:
         """Irredundant inequalities with a relative-interior facet point."""
         cal = self.calibration
         m = cal.n - cal.d
-        interior = [lp.gt(v, 0) for v in cal.gale_facet_normals]
         normals = self.unique_normals()
+        # every row is read off codes: a tag's code is a positive multiple of w
+        interior = [lp.linear(v, lp.GT) for v in cal.gale_facet_codes]
+        rows = [lp.linear(tags[0].code, lp.GT) for _, tags in normals]
         out = []
-        for w, tags in normals:
-            cons = [lp.eq(w, 0)] + [lp.gt(w2, 0) for w2, _ in normals if w2 != w]
+        for k, (w, tags) in enumerate(normals):
+            cons = [lp.linear(tags[0].code, lp.EQ)] + rows[:k] + rows[k + 1:]
             # w . chi = 0 meets the open Gale cone (positive combinations of the
             # spanning rows g), and the facet point is sought there first, unless
-            # w (as a tag's code) leaves every g on one side: the facet is boundary
+            # w leaves every g on one side: the facet is boundary
             boundary = not {1, -1} <= {dot_sign(tags[0].code, g) for g in cal.gale_row_codes}
             point = None if boundary else lp.find_point(cons + interior, m)
             point = point or lp.find_point(cons, m)

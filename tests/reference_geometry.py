@@ -185,11 +185,19 @@ integer codes: the Scalar entries of every c_S, the signed Scalar
 brackets, beside codes read off ``encode(brackets)`` by sign flips.
 ``positively_spanning_circuits`` is the total-cyclicity scan that read
 the signs of that table, before it read the chirotope.
+
+``fm_find_point`` is the Fourier-Motzkin elimination ``lp.find_point``
+ran on Scalar constraints (``scalar_con``) before it eliminated over
+primitive integer rows: it divided by a Scalar at every pairing and
+merged no rows.  ``scalar_constraint`` writes an ``lp.Constraint`` with
+the Scalars of its code, a positive multiple of its (const, coeffs);
+``evaluate`` and ``satisfies`` read a constraint at a point.
 """
 
 import random
 from collections import Counter
 from itertools import combinations
+from typing import NamedTuple, Optional
 
 from qsecfan import lp
 from qsecfan.errors import (
@@ -243,6 +251,8 @@ from qsecfan.secondary import (
     is_admissible,
     is_generic,
 )
+
+from conftest import decode
 
 
 def _bracket_index(cal):
@@ -505,17 +515,16 @@ def cone_intersection_rays_fm(normals):
     """Extreme rays of {x : <w,x> >= 0 for all normals} in d = 3 (the
     intersection of two cones given by their _cone_hrep), or None when
     it is lower-dimensional."""
-    cons = [lp.ge(w, 0) for w in normals]
-    if lp.find_point([lp.con(c.coeffs, c.const, lp.GT) for c in cons], 3) is None:
+    if lp.find_point([lp.gt(w, 0) for w in normals], 3) is None:
         return None
     # extreme rays: intersections of facet-normal pairs lying in the cone
     rays = set()
-    for c1, c2 in combinations(cons, 2):
-        kern = kernel_basis(Matrix([c1.coeffs, c2.coeffs]))
+    for w1, w2 in combinations(normals, 2):
+        kern = kernel_basis(Matrix([w1, w2]))
         if len(kern) != 1:
             continue
         for r in (kern[0], vscale(-1, kern[0])):
-            if all(dot(c.coeffs, r).sign() >= 0 for c in cons):
+            if all(dot(w, r).sign() >= 0 for w in normals):
                 rays.add(normalize_direction(r))
     return frozenset(rays)
 
@@ -1336,3 +1345,118 @@ def positively_spanning_circuits(cal):
             if len(covered) == cal.n:
                 return True
     return len(covered) == cal.n
+
+
+class _ScalarConstraint(NamedTuple):
+    coeffs: tuple
+    const: Scalar
+    rel: str
+
+
+def scalar_con(coeffs, const=0, rel=lp.GE):
+    """coeffs . x + const REL 0 with Scalar entries."""
+    return _ScalarConstraint(tuple(map(Scalar.coerce, coeffs)), Scalar.coerce(const), rel)
+
+
+def scalar_constraint(c):
+    """The lp.Constraint c with the Scalars of its code (a positive
+    multiple of its const and coeffs)."""
+    xs = decode(c.code)
+    return _ScalarConstraint(tuple(xs[1:]), xs[0], c.rel)
+
+
+def evaluate(c, x):
+    acc = c.const
+    for a, v in zip(c.coeffs, x):
+        acc = acc + a * v
+    return acc
+
+
+def satisfies(c, x):
+    """Whether x satisfies c, an lp.Constraint or a scalar_con."""
+    if isinstance(c, lp.Constraint):
+        c = scalar_constraint(c)
+    s = evaluate(c, x).sign()
+    if c.rel == lp.EQ:
+        return s == 0
+    if c.rel == lp.GT:
+        return s > 0
+    return s >= 0
+
+
+def _drop_var(c, j):
+    return c.coeffs[:j] + c.coeffs[j + 1:]
+
+
+def _substituted(c, j, pivot):
+    """Eliminate x_j from c using the equality pivot (pivot.coeffs[j] != 0)."""
+    f = c.coeffs[j] / pivot.coeffs[j]
+    coeffs = tuple(a - f * b for a, b in zip(_drop_var(c, j), _drop_var(pivot, j)))
+    return _ScalarConstraint(coeffs, c.const - f * pivot.const, c.rel)
+
+
+def _choose_value(lowers, uppers):
+    lo = max((v for v, _ in lowers), default=None)
+    up = min((v for v, _ in uppers), default=None)
+    if lo is not None and up is not None:
+        if lo == up:
+            return lo
+        return (lo + up) / Scalar(2)
+    if lo is not None:
+        return lo + Scalar(1)
+    if up is not None:
+        return up - Scalar(1)
+    return S0
+
+
+def _solve(cons, nvars):
+    live = []
+    for c in cons:
+        if all(a.is_zero() for a in c.coeffs):
+            if not satisfies(c, ()):
+                return None
+        else:
+            live.append(c)
+    if nvars == 0:
+        return []
+    j = nvars - 1
+    zero = [c for c in live if c.coeffs[j].is_zero()]
+    active = [c for c in live if not c.coeffs[j].is_zero()]
+    pivot = next((c for c in active if c.rel == lp.EQ), None)
+    if pivot is not None:
+        reduced = zero + [_substituted(c, j, pivot) for c in active if c is not pivot]
+        sol = _solve(reduced, nvars - 1)
+        if sol is None:
+            return None
+        rest = evaluate(_ScalarConstraint(_drop_var(pivot, j), pivot.const, lp.EQ), sol)
+        sol.append(-rest / pivot.coeffs[j])
+        return sol
+    lowers = [c for c in active if c.coeffs[j].sign() > 0]
+    uppers = [c for c in active if c.coeffs[j].sign() < 0]
+    combined = list(zero)
+    for lo in lowers:
+        for up in uppers:
+            fl, fu = lo.coeffs[j].inv(), (-up.coeffs[j]).inv()
+            coeffs = tuple(fl * a + fu * b for a, b in zip(_drop_var(lo, j), _drop_var(up, j)))
+            const = fl * lo.const + fu * up.const
+            rel = lp.GT if lp.GT in (lo.rel, up.rel) else lp.GE
+            combined.append(_ScalarConstraint(coeffs, const, rel))
+    sol = _solve(combined, nvars - 1)
+    if sol is None:
+        return None
+
+    def bound(c):
+        rest = evaluate(_ScalarConstraint(_drop_var(c, j), c.const, c.rel), sol)
+        return -rest / c.coeffs[j], c.rel == lp.GT
+
+    sol.append(_choose_value([bound(c) for c in lowers], [bound(c) for c in uppers]))
+    return sol
+
+
+def fm_find_point(cons, nvars) -> Optional[tuple]:
+    """An exact point satisfying every scalar_con, or None if infeasible."""
+    for c in cons:
+        if len(c.coeffs) != nvars:
+            raise ValueError(f"constraint arity {len(c.coeffs)} != {nvars}")
+    sol = _solve(list(cons), nvars)
+    return None if sol is None else tuple(sol)
