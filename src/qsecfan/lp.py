@@ -125,9 +125,9 @@ def _root(row: tuple, e: IntVec, m: Optional[int]) -> Scalar:
     L (1, x) for an integer L = e.p[0] > 0."""
     if m is None:
         return divided([(-sum(map(mul, row, e.p)), 0)], (row[-1] * e.p[0], 0), None)[0]
-    eq = e.q or (0,) * len(e.p)
-    P = sum(p * x + m * q * y for (p, q), x, y in zip(row, e.p, eq))
-    Q = sum(p * y + q * x for (p, q), x, y in zip(row, e.p, eq))
+    e_q = e.q or (0,) * len(e.p)
+    P = sum(p * x + m * q * y for (p, q), x, y in zip(row, e.p, e_q))
+    Q = sum(p * y + q * x for (p, q), x, y in zip(row, e.p, e_q))
     a, b = row[-1]
     return divided([(-P, -Q)], (a * e.p[0], b * e.p[0]), m)[0]
 

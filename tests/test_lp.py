@@ -100,8 +100,11 @@ def test_constant_rows_at_zero_variables():
 def test_two_radicals_raise():
     with pytest.raises(MixedFieldError):
         find_point([ge([SQ2]), ge([-SQ3], 1)], 1)
+    # also where no product meets both radicals, as encode and dot_sign do
     with pytest.raises(MixedFieldError):
-        find_point([ge([SQ2, SQ3])], 2)
+        find_point([ge([SQ2, 0]), ge([0, SQ3])], 2)
+    with pytest.raises(MixedFieldError):
+        ge([SQ2, SQ3])
 
 
 def test_arity_and_relation_are_checked():
