@@ -151,8 +151,8 @@ def test_facet_rows_and_infeasible_facet_systems_build_no_scalar(monkeypatch, fi
     between the end of unique_normals and the first find_point of a
     chamber's facets, between two find_point calls, or inside a find_point
     that returns None."""
-    chambers = [ch for cal in (fig5, frustum, random_calibration(random.Random(3), 2, 7))
-                for ch in enumerate_chambers(cal).chambers]
+    seeded = random_calibration(random.Random(3), 2, 7, geometric=True)
+    chambers = [ch for cal in (fig5, frustum, seeded) for ch in enumerate_chambers(cal).chambers]
     built = []
     init = Scalar.__init__
     monkeypatch.setattr(Scalar, "__init__", lambda self, *args, **kwargs:
